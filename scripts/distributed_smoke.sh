@@ -36,6 +36,13 @@ trap cleanup EXIT
 log() { echo "smoke: $*"; }
 fail() { echo "smoke: FAIL: $*" >&2; exit 1; }
 
+# Checksums of the two `dtworker -local` reference runs below, recorded at
+# the commit before the round loops were merged (PR 11). The scenarios
+# compare distributed against local within one build; these pin the local
+# run itself, so a change that shifts both the same way still fails.
+pinned_default="dos_checksum=47cb482174605a6f"
+pinned_long="dos_checksum=3862ae50ec86f542"
+
 # wait_for FILE PATTERN SECONDS — poll FILE until PATTERN appears.
 wait_for() {
     local file="$1" pat="$2" deadline=$((SECONDS + $3))
@@ -54,6 +61,8 @@ log "scenario 1: local reference run"
 "$tmp/dtworker" -local -job rewl >"$tmp/local.log" 2>&1
 ref=$(grep -o 'dos_checksum=[0-9a-f]*' "$tmp/local.log") ||
     fail "no dos_checksum in local output"
+[[ "$ref" == "$pinned_default" ]] ||
+    fail "local reference $ref != pinned $pinned_default"
 log "reference $ref"
 
 log "scenario 1: coordinator + 2 workers over TCP"
@@ -135,6 +144,8 @@ log "scenario 3: local reference run"
 "$tmp/dtworker" -local "${params3[@]}" >"$tmp/local3.log" 2>&1
 ref=$(grep -o 'dos_checksum=[0-9a-f]*' "$tmp/local3.log") ||
     fail "no dos_checksum in local output"
+[[ "$ref" == "$pinned_long" ]] ||
+    fail "local reference $ref != pinned $pinned_long"
 log "reference $ref"
 
 job3=(-join "$addr" "${params3[@]}" -checkpoint "$tmp/ckpt3" -checkpoint-every 10 -rejoin-wait 60s -v)
