@@ -15,6 +15,9 @@ package rewl
 //     overlapping sub-windows on the same bin grid, each covering fewer
 //     bins and therefore flattening faster.
 //
+// The controller lives on the leader and reads walker histograms and
+// configurations directly, so it runs only when rank 0 owns every window.
+//
 // Determinism: every decision is a pure function of state the run
 // checkpoints capture (stages, alive masks, walker histograms, consensus
 // ln g), and every migrant draws from a fresh RNG stream keyed by
@@ -28,7 +31,6 @@ import (
 	"fmt"
 	"math"
 
-	"deepthermo/internal/alloy"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/wanglandau"
@@ -125,24 +127,26 @@ func migrantSeed(seed uint64, win, slot, gen int) uint64 {
 }
 
 // collectTelemetry refreshes the per-window snapshots at the round
-// barrier. Sweep rates compare against the previous snapshot; everything
-// the adaptive controller *decides* on is checkpoint-covered state, so
-// the rate being informational-only keeps resumed runs bit-identical.
-func (st *runState) collectTelemetry(round int) {
-	nWin := len(st.windows)
-	if len(st.prevSweeps) != nWin {
-		st.prevSweeps = make([]int64, nWin)
+// barrier. Like the rest of the controller it reads walker histograms
+// directly, so it runs only when rank 0 owns every window. Sweep rates
+// compare against the previous snapshot; everything the controller
+// *decides* on is checkpoint-covered state, so the rate being
+// informational-only keeps resumed runs bit-identical.
+func (L *distLeader) collectTelemetry(round int) {
+	nWin := len(L.windows)
+	if len(L.prevSweeps) != nWin {
+		L.prevSweeps = make([]int64, nWin)
 	}
 	telem := make([]WindowTelemetry, nWin)
-	for wi := range st.windows {
-		aw := aliveIn(st.walkers[wi], st.alive[wi])
+	for wi := range L.windows {
+		aw := aliveIn(L.o.walkers[wi], L.o.alive[wi])
 		t := WindowTelemetry{
 			Window:   wi,
 			Round:    round,
-			Stage:    st.stages[wi],
-			LnF:      st.lastLnF[wi],
+			Stage:    L.stages[wi],
+			LnF:      L.lastLnFG[wi],
 			Walkers:  len(aw),
-			Sweeps:   st.retiredSweeps[wi],
+			Sweeps:   L.retiredSweeps[wi],
 			Degraded: len(aw) == 0,
 		}
 		flat, cov := math.Inf(1), math.Inf(1)
@@ -160,34 +164,35 @@ func (st *runState) collectTelemetry(round int) {
 			t.LnF = aw[0].LnF()
 			t.Converged = windowConverged(aw)
 		}
-		t.SweepRate = float64(t.Sweeps - st.prevSweeps[wi])
-		st.prevSweeps[wi] = t.Sweeps
+		t.SweepRate = float64(t.Sweeps - L.prevSweeps[wi])
+		L.prevSweeps[wi] = t.Sweeps
 		telem[wi] = t
 	}
-	st.telem = telem
+	L.telem = telem
 }
 
 // adapt is the rebalancing controller, invoked at the round barrier every
 // RebalanceEvery rounds. It migrates at most one walker into each eligible
 // straggler window per invocation, then considers one re-split.
-func (st *runState) adapt(m *alloy.Model, newProposal ProposalFactory, opts Options, round int, res *Result) error {
-	ad := opts.Adaptive
+func (L *distLeader) adapt(round int) error {
+	ad := L.opts.Adaptive
+	walkers, alive := L.o.walkers, L.o.alive
 	maxWalk := ad.MaxWalkersPerWindow
 	if maxWalk == 0 {
-		maxWalk = 2 * opts.WalkersPerWindow
+		maxWalk = 2 * L.opts.WalkersPerWindow
 	}
 
 	classify := func() (live []int, conv []bool, lead int) {
-		nWin := len(st.windows)
+		nWin := len(L.windows)
 		live = make([]int, nWin)
 		conv = make([]bool, nWin)
 		lead = -1
-		for wi := range st.windows {
-			aw := aliveIn(st.walkers[wi], st.alive[wi])
+		for wi := range L.windows {
+			aw := aliveIn(walkers[wi], alive[wi])
 			live[wi] = len(aw)
 			conv[wi] = len(aw) > 0 && windowConverged(aw)
-			if live[wi] > 0 && !conv[wi] && st.stages[wi] > lead {
-				lead = st.stages[wi]
+			if live[wi] > 0 && !conv[wi] && L.stages[wi] > lead {
+				lead = L.stages[wi]
 			}
 		}
 		return live, conv, lead
@@ -208,19 +213,19 @@ func (st *runState) adapt(m *alloy.Model, newProposal ProposalFactory, opts Opti
 		}
 	}
 	var stragglers []int
-	for wi := range st.windows {
+	for wi := range L.windows {
 		if live[wi] == 0 || conv[wi] || live[wi] >= maxWalk {
 			continue
 		}
-		if lead-st.stages[wi] >= ad.StageLag || anyConverged {
+		if lead-L.stages[wi] >= ad.StageLag || anyConverged {
 			stragglers = append(stragglers, wi)
 		}
 	}
 	for i := 1; i < len(stragglers); i++ { // insertion sort, deterministic
 		for j := i; j > 0; j-- {
 			a, b := stragglers[j-1], stragglers[j]
-			if st.stages[a] < st.stages[b] ||
-				(st.stages[a] == st.stages[b] && st.telem[a].Flatness <= st.telem[b].Flatness) {
+			if L.stages[a] < L.stages[b] ||
+				(L.stages[a] == L.stages[b] && L.telem[a].Flatness <= L.telem[b].Flatness) {
 				break
 			}
 			stragglers[j-1], stragglers[j] = b, a
@@ -233,7 +238,7 @@ func (st *runState) adapt(m *alloy.Model, newProposal ProposalFactory, opts Opti
 		// furthest-ahead unconverged window that can spare a walker.
 		from := -1
 		bestDist := math.MaxInt32
-		for wi := range st.windows {
+		for wi := range L.windows {
 			if conv[wi] && live[wi] > 0 {
 				if d := abs(wi - s); d < bestDist {
 					from, bestDist = wi, d
@@ -243,20 +248,20 @@ func (st *runState) adapt(m *alloy.Model, newProposal ProposalFactory, opts Opti
 		retire := -1
 		if from < 0 {
 			bestStage := -1
-			for wi := range st.windows {
+			for wi := range L.windows {
 				if wi == s || conv[wi] || live[wi] < 2 {
 					continue
 				}
-				if st.stages[wi]-st.stages[s] >= ad.StageLag && st.stages[wi] > bestStage {
-					from, bestStage = wi, st.stages[wi]
+				if L.stages[wi]-L.stages[s] >= ad.StageLag && L.stages[wi] > bestStage {
+					from, bestStage = wi, L.stages[wi]
 				}
 			}
 			if from >= 0 {
 				// Retire the donor's highest live slot (migrants before
 				// original walkers), leaving at least one walker so the
 				// donor can never degrade.
-				for k := len(st.alive[from]) - 1; k >= 0; k-- {
-					if st.alive[from][k] {
+				for k := len(alive[from]) - 1; k >= 0; k-- {
+					if alive[from][k] {
 						retire = k
 						break
 					}
@@ -266,34 +271,30 @@ func (st *runState) adapt(m *alloy.Model, newProposal ProposalFactory, opts Opti
 		if from < 0 {
 			continue
 		}
-		donorIdx := firstAlive(st.alive[from])
+		donorIdx := firstAlive(alive[from])
 		if retire >= 0 {
 			donorIdx = retire
 		}
-		donor := st.walkers[from][donorIdx]
-		ref := st.walkers[s][firstAlive(st.alive[s])]
-		slot, err := st.spawnMigrant(m, newProposal, opts, s, donor.Config().Clone(),
-			st.frozen[s], ref.LnF(), ref.Steps(), ref.InOneOverTPhase())
+		donor := walkers[from][donorIdx]
+		ref := walkers[s][firstAlive(alive[s])]
+		slot, err := L.spawnMigrant(s, donor.Config().Clone(),
+			L.frozenG[s], ref.LnF(), ref.Steps(), ref.InOneOverTPhase())
 		if err != nil {
 			return err
 		}
 		if retire >= 0 {
-			st.alive[from][retire] = false
-			st.retired[from][retire] = true
-			st.retiredSweeps[from] += st.walkers[from][retire].Sweeps()
+			alive[from][retire] = false
+			L.aliveG[from][retire] = false
+			L.retired[from]++
+			L.retiredSweeps[from] += walkers[from][retire].Sweeps()
 		}
-		st.migrations++
-		res.Migrations++
-		ev := MigrationEvent{Round: round, Kind: "migrate", From: from, To: s, Slot: slot, Gen: st.gen}
-		st.events = append(st.events, ev)
-		res.Events = append(res.Events, ev)
+		L.res.Migrations++
+		L.res.Events = append(L.res.Events, MigrationEvent{Round: round, Kind: "migrate", From: from, To: s, Slot: slot, Gen: L.gen})
 		live, conv, lead = classify()
 	}
 
-	if ad.Resplit && st.resplits < ad.MaxResplits {
-		if err := st.resplitSlowest(m, newProposal, opts, round, res); err != nil {
-			return err
-		}
+	if ad.Resplit && L.res.Resplits < ad.MaxResplits {
+		return L.resplitSlowest(round)
 	}
 	return nil
 }
@@ -302,33 +303,31 @@ func (st *runState) adapt(m *alloy.Model, newProposal ProposalFactory, opts Opti
 // overlapping sub-windows on the same bin grid, each covering ~60% of the
 // parent's bins, seeded from the parent's consensus ln g. Fewer bins per
 // window flatten faster, which is the whole point.
-func (st *runState) resplitSlowest(m *alloy.Model, newProposal ProposalFactory, opts Options, round int, res *Result) error {
-	ad := opts.Adaptive
+func (L *distLeader) resplitSlowest(round int) error {
+	o := L.o
 	// Slowest: minimum stage among live unconverged windows, ties broken
 	// by worst flatness then index — and it must genuinely trail the rest.
 	target, lead := -1, -1
-	for wi := range st.windows {
-		aw := aliveIn(st.walkers[wi], st.alive[wi])
-		if len(aw) == 0 {
+	for wi := range L.windows {
+		aw := aliveIn(o.walkers[wi], o.alive[wi])
+		if len(aw) == 0 || windowConverged(aw) {
 			continue
 		}
-		if windowConverged(aw) {
-			continue
+		if L.stages[wi] > lead {
+			lead = L.stages[wi]
 		}
-		if st.stages[wi] > lead {
-			lead = st.stages[wi]
-		}
-		if target < 0 || st.stages[wi] < st.stages[target] ||
-			(st.stages[wi] == st.stages[target] && st.telem[wi].Flatness < st.telem[target].Flatness) {
+		if target < 0 || L.stages[wi] < L.stages[target] ||
+			(L.stages[wi] == L.stages[target] && L.telem[wi].Flatness < L.telem[target].Flatness) {
 			target = wi
 		}
 	}
-	if target < 0 || lead-st.stages[target] < ad.StageLag {
+	if target < 0 || lead-L.stages[target] < L.opts.Adaptive.StageLag {
 		return nil
 	}
-	win := st.windows[target]
+	win := L.windows[target]
 	b := win.Bins
-	if b < 8 || len(st.frozen[target]) != b {
+	frozen := L.frozenG[target]
+	if b < 8 || len(frozen) != b {
 		return nil
 	}
 	cBins := b * 3 / 5
@@ -347,7 +346,7 @@ func (st *runState) resplitSlowest(m *alloy.Model, newProposal ProposalFactory, 
 	reachable := func(lo, hi int) int {
 		n := 0
 		for i := lo; i < hi; i++ {
-			if !math.IsInf(st.frozen[target][i], -1) {
+			if !math.IsInf(frozen[i], -1) {
 				n++
 			}
 		}
@@ -361,51 +360,49 @@ func (st *runState) resplitSlowest(m *alloy.Model, newProposal ProposalFactory, 
 	c1 := wanglandau.Window{EMin: win.EMin + float64(b-cBins)*binW, EMax: win.EMax, Bins: cBins}
 
 	// Capture parent state before splicing it out.
-	parentAlive := aliveIn(st.walkers[target], st.alive[target])
+	parentAlive := aliveIn(o.walkers[target], o.alive[target])
 	ref := parentAlive[0]
-	var parentSweeps int64 = st.retiredSweeps[target]
+	parentSweeps := L.retiredSweeps[target]
 	for _, w := range parentAlive {
 		parentSweeps += w.Sweeps()
 	}
 	cfg0 := ref.Config().Clone()
 	cfg1 := ref.Config().Clone()
-	frozen0 := append([]float64(nil), st.frozen[target][:cBins]...)
-	frozen1 := append([]float64(nil), st.frozen[target][b-cBins:]...)
-	lnF := st.lastLnF[target]
+	frozen0 := append([]float64(nil), frozen[:cBins]...)
+	frozen1 := append([]float64(nil), frozen[b-cBins:]...)
+	lnF := L.lastLnFG[target]
 	steps, in1t := ref.Steps(), ref.InOneOverTPhase()
-	stage := st.stages[target]
+	stage := L.stages[target]
 
 	// Splice the per-window arrays: parent out, two children in. The
 	// children inherit the parent's stage and ln f; the parent's sweep
 	// budget is accounted to the first child so totals stay exact.
-	st.windows = spliceAny(st.windows, target, c0, c1)
-	st.walkers = spliceAny(st.walkers, target, nil, nil)
-	st.alive = spliceAny(st.alive, target, nil, nil)
-	st.replicaID = spliceAny(st.replicaID, target, nil, nil)
-	st.retired = spliceAny(st.retired, target, nil, nil)
-	st.frozen = spliceAny(st.frozen, target, frozen0, frozen1)
-	st.lastLnF = spliceAny(st.lastLnF, target, lnF, lnF)
-	st.stages = spliceAny(st.stages, target, stage, stage)
-	st.retiredSweeps = spliceAny(st.retiredSweeps, target, parentSweeps, 0)
-	st.prevSweeps = spliceAny(st.prevSweeps, target, 0, 0)
-	telem := st.telem[target]
-	telem.Window = target
-	st.telem = spliceAny(st.telem, target, telem, telem)
-	for i := range st.telem {
-		st.telem[i].Window = i
+	L.windows = spliceAny(L.windows, target, c0, c1)
+	o.windows = L.windows
+	L.owner = append(L.owner, 0)
+	o.walkers = spliceAny(o.walkers, target, nil, nil)
+	o.alive = spliceAny(o.alive, target, nil, nil)
+	L.aliveG = spliceAny(L.aliveG, target, nil, nil)
+	L.replicaID = spliceAny(L.replicaID, target, nil, nil)
+	L.retired = spliceAny(L.retired, target, 0, 0)
+	L.frozenG = spliceAny(L.frozenG, target, frozen0, frozen1)
+	L.lastLnFG = spliceAny(L.lastLnFG, target, lnF, lnF)
+	L.stages = spliceAny(L.stages, target, stage, stage)
+	L.retiredSweeps = spliceAny(L.retiredSweeps, target, parentSweeps, 0)
+	L.prevSweeps = spliceAny(L.prevSweeps, target, 0, 0)
+	L.telem = spliceAny(L.telem, target, L.telem[target], L.telem[target])
+	for i := range L.telem {
+		L.telem[i].Window = i
 	}
 
-	if _, err := st.spawnMigrant(m, newProposal, opts, target, cfg0, frozen0, lnF, steps, in1t); err != nil {
+	if _, err := L.spawnMigrant(target, cfg0, frozen0, lnF, steps, in1t); err != nil {
 		return err
 	}
-	if _, err := st.spawnMigrant(m, newProposal, opts, target+1, cfg1, frozen1, lnF, steps, in1t); err != nil {
+	if _, err := L.spawnMigrant(target+1, cfg1, frozen1, lnF, steps, in1t); err != nil {
 		return err
 	}
-	st.resplits++
-	res.Resplits++
-	ev := MigrationEvent{Round: round, Kind: "resplit", From: target, To: target, Gen: st.gen}
-	st.events = append(st.events, ev)
-	res.Events = append(res.Events, ev)
+	L.res.Resplits++
+	L.res.Events = append(L.res.Events, MigrationEvent{Round: round, Kind: "resplit", From: target, To: target, Gen: L.gen})
 	return nil
 }
 
@@ -414,20 +411,20 @@ func (st *runState) resplitSlowest(m *alloy.Model, newProposal ProposalFactory, 
 // into the window (falling back to a live peer's configuration when
 // steering fails), and the window's consensus ln g adopted so the migrant
 // contributes statistics instead of relearning. Returns the slot used.
-func (st *runState) spawnMigrant(m *alloy.Model, newProposal ProposalFactory, opts Options, to int,
-	cfg lattice.Config, logG []float64, lnF float64, steps int64, oneOverT bool) (int, error) {
-	win := st.windows[to]
-	slot := len(st.walkers[to])
-	st.gen++
-	src := rng.New(migrantSeed(opts.Seed, to, slot, st.gen))
-	if _, err := wanglandau.PrepareInWindow(m, cfg, win, src, opts.PrepareSweeps); err != nil {
-		k := firstAlive(st.alive[to])
+func (L *distLeader) spawnMigrant(to int, cfg lattice.Config, logG []float64, lnF float64, steps int64, oneOverT bool) (int, error) {
+	o, opts := L.o, L.opts
+	win := L.windows[to]
+	slot := len(o.walkers[to])
+	L.gen++
+	src := rng.New(migrantSeed(opts.Seed, to, slot, L.gen))
+	if _, err := wanglandau.PrepareInWindow(L.m, cfg, win, src, opts.PrepareSweeps); err != nil {
+		k := firstAlive(o.alive[to])
 		if k < 0 {
 			return -1, fmt.Errorf("rewl: adaptive migrant for window %d: %w", to, err)
 		}
-		cfg = st.walkers[to][k].Config().Clone()
+		cfg = o.walkers[to][k].Config().Clone()
 	}
-	w, err := wanglandau.NewWalker(m, cfg, newProposal(to, slot, src), src, win, opts.WL)
+	w, err := wanglandau.NewWalker(L.m, cfg, L.newProposal(to, slot, src), src, win, opts.WL)
 	if err != nil {
 		return -1, fmt.Errorf("rewl: adaptive migrant for window %d: %w", to, err)
 	}
@@ -436,14 +433,13 @@ func (st *runState) spawnMigrant(m *alloy.Model, newProposal ProposalFactory, op
 			return -1, err
 		}
 	}
-	st.walkers[to] = append(st.walkers[to], w)
-	st.alive[to] = append(st.alive[to], true)
-	st.retired[to] = append(st.retired[to], false)
+	o.walkers[to] = append(o.walkers[to], w)
+	o.alive[to] = append(o.alive[to], true)
+	L.aliveG[to] = append(L.aliveG[to], true)
 	// New replica id for the migrant's configuration; it participates in
 	// round-trip accounting from here on.
-	id := len(st.lastExtreme)
-	st.lastExtreme = append(st.lastExtreme, 0)
-	st.replicaID[to] = append(st.replicaID[to], id)
+	L.replicaID[to] = append(L.replicaID[to], len(L.extreme))
+	L.extreme = append(L.extreme, 0)
 	return slot, nil
 }
 

@@ -1,62 +1,46 @@
 package rewl
 
-// Run checkpointing. A checkpoint captures everything RunContext needs to
-// continue a run bit-identically after a process restart: every surviving
-// walker's chain state (package wanglandau, including RNG stream
-// positions), the coordinator stream driving exchange decisions, the
-// replica-flow bookkeeping, and the frozen consensus of degraded windows.
-// Files are written with fsx.WriteFileAtomic, so a crash mid-write leaves
-// the previous checkpoint intact and a committed one survives power loss.
+// Run checkpointing. Every rank persists its own windows' walker chains —
+// including RNG stream positions — to per-round files in CheckpointDir (see
+// manifest.go for the retention and checksum machinery); rank 0's files
+// additionally carry the coordination state (coordinator RNG position, the
+// global alive mask, frozen consensus of degraded windows, replica flow,
+// counters, and the adaptive controller's layout and decision trace). All
+// live ranks write in the same round, so each round's file set is a
+// consistent world snapshot, and a world of one writes the same layout as a
+// world of N. On resume the leader gathers every rank's verifiable rounds,
+// picks the newest round all of them hold, and the world restores that
+// snapshot bit-identically; ranks whose newest rounds are corrupt or
+// lagging simply pull the negotiated round back — nothing aborts.
 
 import (
+	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"deepthermo/internal/alloy"
-	"deepthermo/internal/fsx"
-	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/wanglandau"
 )
 
-// CheckpointFile is the file name RunContext writes inside CheckpointDir.
-const CheckpointFile = "rewl.ckpt"
+// CheckpointPath returns the file whose existence says dir holds a
+// checkpoint: the leader's round manifest, committed after the first round
+// file.
+func CheckpointPath(dir string) string { return DistManifestPath(dir, 0) }
 
-// CheckpointPath returns the checkpoint file path for a checkpoint dir.
-func CheckpointPath(dir string) string { return filepath.Join(dir, CheckpointFile) }
-
-// HasCheckpoint reports whether dir holds a checkpoint to resume from.
+// HasCheckpoint reports whether dir holds a checkpoint round to resume from.
 func HasCheckpoint(dir string) bool {
-	if dir == "" {
-		return false
-	}
-	_, err := os.Stat(CheckpointPath(dir))
-	return err == nil
+	return dir != "" && len(readManifest(dir, 0).Rounds) > 0
 }
 
-// checkpointVersion guards against format drift across releases.
-const checkpointVersion = 1
+// checkpointVersion guards against format drift across releases; files of
+// another version are not offered for resume.
+const checkpointVersion = 2
 
-// checkpoint is the serialized run state. Dead walker slots hold the zero
-// WalkerState (gob cannot encode nil pointers) and are skipped on restore
-// via the Alive mask. The adaptive fields (OneOverT, Adaptive, Gen,
-// Retired, RetiredSweeps, Migrations, Resplits, Events) decode as zero
-// values from checkpoints written before they existed, which is exactly
-// the state of a run that never used those features.
-type checkpoint struct {
-	Version int
-	Seed    uint64
-	Windows []wanglandau.Window
-	NWalk   int
-
-	Round       int // next round index to execute
+// distCoordState is the leader-only coordination state.
+type distCoordState struct {
 	Coord       rng.State
-	Alive       [][]bool
-	Walkers     [][]wanglandau.WalkerState
+	AliveG      [][]bool
 	FrozenLogG  [][]float64
 	LastLnF     []float64
 	Stages      []int
@@ -68,301 +52,260 @@ type checkpoint struct {
 	RoundTrips     int64
 	FailedWalkers  int
 
-	// OneOverT records the modification-factor schedule the run was
-	// started with; a resume under the other schedule would silently
-	// diverge, so it is rejected instead.
-	OneOverT bool
-	// Adaptive marks a run with the rebalancing controller enabled: its
-	// window layout (after re-splits) and walker slices (after
+	// Adaptive marks a run with the rebalancing controller enabled: the
+	// checkpoint's window layout (after re-splits) and walker slices (after
 	// migrations) are authoritative over the caller's.
 	Adaptive      bool
 	Gen           int // migrant generation counter
-	Retired       [][]bool
+	Retired       []int
 	RetiredSweeps []int64
 	Migrations    int
 	Resplits      int
 	Events        []MigrationEvent
 }
 
-func (ck *checkpoint) validate(windows []wanglandau.Window, nWalk int, oneOverT bool) error {
+// distCheckpoint is one rank's serialized state. Dead walker slots hold
+// the zero WalkerState (gob cannot encode nil pointers) and are skipped on
+// restore via the Alive mask.
+type distCheckpoint struct {
+	Version int
+	Seed    uint64
+	Windows []wanglandau.Window // the whole ladder
+	NWalk   int
+	Rank    int
+	Size    int
+	Round   int // next round index to execute
+
+	Alive   [][]bool                   // owned windows, indexed wi-lo
+	Walkers [][]wanglandau.WalkerState // likewise
+
+	// OneOverT records the modification-factor schedule the run used.
+	OneOverT bool
+
+	HasCoord bool
+	Coord    distCoordState
+}
+
+// wellFormed reports whether the checkpoint is one rank of a world of size
+// ranks can restore from: right version and placement, arrays consistent
+// with its own window ladder. A file that fails is not offered for resume.
+func (ck *distCheckpoint) wellFormed(rank, size int) error {
 	if ck.Version != checkpointVersion {
-		return fmt.Errorf("rewl: checkpoint version %d, want %d", ck.Version, checkpointVersion)
+		return fmt.Errorf("rewl: rank %d checkpoint version %d, want %d", rank, ck.Version, checkpointVersion)
 	}
-	if ck.OneOverT != oneOverT {
-		return fmt.Errorf("rewl: checkpoint was written with OneOverT=%v, run has %v", ck.OneOverT, oneOverT)
-	}
-	if ck.NWalk != nWalk {
-		return fmt.Errorf("rewl: checkpoint is for %d walkers per window, run has %d", ck.NWalk, nWalk)
-	}
-	if !ck.Adaptive {
-		// A static run's layout must match the caller's exactly. An
-		// adaptive run's layout is authoritative (re-splits change it);
-		// only the covered energy range must agree, checked by the caller.
-		if len(ck.Windows) != len(windows) {
-			return fmt.Errorf("rewl: checkpoint is for %d windows, run has %d", len(ck.Windows), len(windows))
-		}
-		for i := range windows {
-			if ck.Windows[i] != windows[i] {
-				return fmt.Errorf("rewl: checkpoint window %d is [%g,%g)×%d, run has [%g,%g)×%d",
-					i, ck.Windows[i].EMin, ck.Windows[i].EMax, ck.Windows[i].Bins,
-					windows[i].EMin, windows[i].EMax, windows[i].Bins)
-			}
-		}
+	if ck.Rank != rank || ck.Size != size || size > len(ck.Windows) {
+		return fmt.Errorf("rewl: checkpoint is for rank %d/%d over %d windows, run has rank %d/%d",
+			ck.Rank, ck.Size, len(ck.Windows), rank, size)
 	}
 	nWin := len(ck.Windows)
-	if len(ck.Alive) != nWin || len(ck.Walkers) != nWin || len(ck.FrozenLogG) != nWin ||
-		len(ck.LastLnF) != nWin || len(ck.Stages) != nWin || len(ck.ReplicaID) != nWin {
-		return fmt.Errorf("rewl: checkpoint arrays inconsistent with %d windows", nWin)
+	lo, hi := winRange(nWin, size, rank)
+	if len(ck.Alive) != hi-lo || len(ck.Walkers) != hi-lo {
+		return fmt.Errorf("rewl: rank %d checkpoint holds %d windows, owns %d", rank, len(ck.Alive), hi-lo)
 	}
-	for wi := 0; wi < nWin; wi++ {
-		n := len(ck.Walkers[wi])
-		if n < 1 || len(ck.Alive[wi]) != n || len(ck.ReplicaID[wi]) != n {
-			return fmt.Errorf("rewl: checkpoint window %d arrays inconsistent (%d walkers)", wi, n)
+	for i := range ck.Alive {
+		if len(ck.Alive[i]) < 1 || len(ck.Walkers[i]) != len(ck.Alive[i]) {
+			return fmt.Errorf("rewl: rank %d checkpoint window %d walker arrays inconsistent", rank, lo+i)
 		}
-		if !ck.Adaptive && n != nWalk {
-			return fmt.Errorf("rewl: checkpoint window %d arrays inconsistent with %d walkers", wi, nWalk)
+	}
+	if ck.HasCoord != (rank == 0) {
+		return fmt.Errorf("rewl: rank %d checkpoint coordination state mismatch", rank)
+	}
+	if !ck.HasCoord {
+		return nil
+	}
+	cs := &ck.Coord
+	if len(cs.AliveG) != nWin || len(cs.FrozenLogG) != nWin || len(cs.LastLnF) != nWin || len(cs.Stages) != nWin ||
+		len(cs.ReplicaID) != nWin || len(cs.Retired) != nWin || len(cs.RetiredSweeps) != nWin {
+		return fmt.Errorf("rewl: leader checkpoint coordination arrays inconsistent with %d windows", nWin)
+	}
+	for wi := range cs.AliveG {
+		if len(cs.ReplicaID[wi]) != len(cs.AliveG[wi]) || (wi < hi && len(cs.AliveG[wi]) != len(ck.Alive[wi])) {
+			return fmt.Errorf("rewl: leader checkpoint window %d walker arrays inconsistent", wi)
 		}
-		if len(ck.Retired) == nWin && len(ck.Retired[wi]) != 0 && len(ck.Retired[wi]) != n {
-			return fmt.Errorf("rewl: checkpoint window %d retired mask inconsistent", wi)
+		for _, id := range cs.ReplicaID[wi] {
+			if id < 0 || id >= len(cs.LastExtreme) {
+				return fmt.Errorf("rewl: leader checkpoint window %d carries unknown replica %d", wi, id)
+			}
 		}
 	}
 	return nil
 }
 
-func saveCheckpoint(path string, ck *checkpoint) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+// matchesRun reports whether the checkpoint belongs to the run described
+// by (windows, opts). Restoring a checkpoint of a different run would
+// silently diverge from the recorded state, so a mismatch is an error.
+func (ck *distCheckpoint) matchesRun(windows []wanglandau.Window, opts Options) error {
+	if ck.OneOverT != opts.WL.OneOverT {
+		return fmt.Errorf("rewl: rank %d checkpoint was written with OneOverT=%v, run has %v", ck.Rank, ck.OneOverT, opts.WL.OneOverT)
 	}
-	return fsx.WriteFileAtomic(path, func(w io.Writer) error {
-		return gob.NewEncoder(w).Encode(ck)
-	})
+	if ck.HasCoord && ck.Coord.Adaptive != opts.Adaptive.Enabled {
+		return fmt.Errorf("rewl: checkpoint was written with Adaptive=%v, run has %v", ck.Coord.Adaptive, opts.Adaptive.Enabled)
+	}
+	if ck.NWalk != opts.WalkersPerWindow {
+		return fmt.Errorf("rewl: checkpoint is for %d walkers per window, run has %d", ck.NWalk, opts.WalkersPerWindow)
+	}
+	if opts.Adaptive.Enabled {
+		// Re-splits and migrations reshape an adaptive run's ladder; only
+		// the covered energy range must still be the caller's.
+		if a, b := ck.Windows[0].EMin, windows[0].EMin; a != b {
+			return fmt.Errorf("rewl: checkpoint ladder starts at %g, run's at %g", a, b)
+		}
+		if a, b := ck.Windows[len(ck.Windows)-1].EMax, windows[len(windows)-1].EMax; a != b {
+			return fmt.Errorf("rewl: checkpoint ladder ends at %g, run's at %g", a, b)
+		}
+		return nil
+	}
+	if len(ck.Windows) != len(windows) {
+		return fmt.Errorf("rewl: checkpoint is for %d windows, run has %d", len(ck.Windows), len(windows))
+	}
+	for i := range windows {
+		if ck.Windows[i] != windows[i] {
+			return fmt.Errorf("rewl: checkpoint window %d is [%g,%g)×%d, run has [%g,%g)×%d",
+				i, ck.Windows[i].EMin, ck.Windows[i].EMax, ck.Windows[i].Bins,
+				windows[i].EMin, windows[i].EMax, windows[i].Bins)
+		}
+	}
+	for i := range ck.Alive {
+		if len(ck.Alive[i]) != ck.NWalk {
+			return fmt.Errorf("rewl: rank %d checkpoint window slot %d holds %d walkers, want %d", ck.Rank, i, len(ck.Alive[i]), ck.NWalk)
+		}
+	}
+	return nil
 }
 
-func loadCheckpoint(path string) (*checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// decodeDistCheckpoint decodes one checkpoint blob and checks it is well
+// formed for (rank, size).
+func decodeDistCheckpoint(blob []byte, rank, size int) (*distCheckpoint, error) {
+	ck := new(distCheckpoint)
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(ck); err != nil {
+		return nil, fmt.Errorf("rewl: corrupt checkpoint gob for rank %d: %w", rank, err)
 	}
-	defer f.Close()
-	ck := new(checkpoint)
-	if err := gob.NewDecoder(f).Decode(ck); err != nil {
-		return nil, fmt.Errorf("rewl: corrupt checkpoint %s: %w", path, err)
+	if err := ck.wellFormed(rank, size); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }
 
-func snapshotCheckpoint(opts Options, st *runState, nextRound int, res *Result) *checkpoint {
-	nWin := len(st.windows)
-	ck := &checkpoint{
-		Version:        checkpointVersion,
-		Seed:           opts.Seed,
-		Windows:        append([]wanglandau.Window(nil), st.windows...),
-		NWalk:          opts.WalkersPerWindow,
-		Round:          nextRound,
-		Coord:          st.coord.State(),
-		Alive:          make([][]bool, nWin),
-		Walkers:        make([][]wanglandau.WalkerState, nWin),
-		FrozenLogG:     make([][]float64, nWin),
-		LastLnF:        append([]float64(nil), st.lastLnF...),
-		Stages:         append([]int(nil), st.stages...),
-		ReplicaID:      make([][]int, nWin),
-		LastExtreme:    append([]uint8(nil), st.lastExtreme...),
-		ExchangeTried:  res.ExchangeTried,
-		ExchangeAccept: res.ExchangeAccept,
-		RoundTrips:     res.RoundTrips,
-		FailedWalkers:  res.FailedWalkers,
-		OneOverT:       opts.WL.OneOverT,
-		Adaptive:       opts.Adaptive.Enabled,
-		Gen:            st.gen,
-		Retired:        make([][]bool, nWin),
-		RetiredSweeps:  append([]int64(nil), st.retiredSweeps...),
-		Migrations:     res.Migrations,
-		Resplits:       res.Resplits,
-		Events:         append([]MigrationEvent(nil), res.Events...),
+// saveDistCheckpoint writes the rank's state atomically as one retained
+// round (see manifest.go): the round file plus a manifest entry carrying
+// its size and FNV-64a checksum, pruning rounds beyond
+// Options.CheckpointRetain. coord is the leader's coordination state, nil
+// on workers.
+func (o *ownerState) saveDistCheckpoint(nextRound, rank, size int, coord *distCoordState) error {
+	ck := &distCheckpoint{
+		Version:  checkpointVersion,
+		Seed:     o.opts.Seed,
+		Windows:  o.windows,
+		NWalk:    o.opts.WalkersPerWindow,
+		Rank:     rank,
+		Size:     size,
+		Round:    nextRound,
+		Alive:    o.alive,
+		Walkers:  make([][]wanglandau.WalkerState, len(o.walkers)),
+		OneOverT: o.opts.WL.OneOverT,
 	}
-	for wi := 0; wi < nWin; wi++ {
-		ck.Alive[wi] = append([]bool(nil), st.alive[wi]...)
-		ck.ReplicaID[wi] = append([]int(nil), st.replicaID[wi]...)
-		ck.FrozenLogG[wi] = append([]float64(nil), st.frozen[wi]...)
-		ck.Retired[wi] = append([]bool(nil), st.retired[wi]...)
-		ck.Walkers[wi] = make([]wanglandau.WalkerState, len(st.walkers[wi]))
-		for k := range st.walkers[wi] {
-			if st.alive[wi][k] && st.walkers[wi][k] != nil {
-				ck.Walkers[wi][k] = st.walkers[wi][k].State()
+	for i := range o.walkers {
+		ck.Walkers[i] = make([]wanglandau.WalkerState, len(o.walkers[i]))
+		for k, w := range o.walkers[i] {
+			if o.alive[i][k] && w != nil {
+				ck.Walkers[i][k] = w.State()
 			}
 		}
 	}
-	return ck
+	if coord != nil {
+		ck.HasCoord = true
+		ck.Coord = *coord
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+		return err
+	}
+	return writeDistRound(o.opts.CheckpointDir, rank, nextRound, o.opts.CheckpointRetain, buf.Bytes())
 }
 
-// runState is the in-memory state RunContext's round loop operates on,
-// built either fresh or from a checkpoint. The adaptive controller
-// mutates it in place — appending migrant walkers, retiring donors,
-// splicing re-split windows — so the round loop reads everything through
-// st rather than caching slices.
-type runState struct {
-	windows     []wanglandau.Window
-	walkers     [][]*wanglandau.Walker
-	alive       [][]bool
-	coord       *rng.Source
-	stages      []int
-	replicaID   [][]int
-	lastExtreme []uint8
-	frozen      [][]float64
-	lastLnF     []float64
-	startRound  int
-	resumed     bool
-
-	exchangeTried  int64
-	exchangeAccept int64
-	roundTrips     int64
-	failedWalkers  int
-
-	// Adaptive-parallelisation state. retired marks walkers the
-	// controller removed on purpose (not failures); retiredSweeps banks
-	// their sweep counts so per-window totals stay exact; gen is the
-	// migrant generation counter that keys migrant RNG streams; telem and
-	// prevSweeps feed the per-round telemetry.
-	retired       [][]bool
-	retiredSweeps []int64
-	gen           int
-	migrations    int
-	resplits      int
-	events        []MigrationEvent
-	telem         []WindowTelemetry
-	prevSweeps    []int64
-}
-
-func buildRunState(m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*runState, error) {
-	nWin := len(windows)
-	nWalk := opts.WalkersPerWindow
-
-	if opts.Resume && opts.CheckpointDir != "" {
-		ck, err := loadCheckpoint(CheckpointPath(opts.CheckpointDir))
-		switch {
-		case err == nil:
-			return resumeRunState(m, windows, newProposal, opts, ck)
-		case errors.Is(err, os.ErrNotExist):
-			// No checkpoint yet: first attempt of a restart loop.
-		default:
-			return nil, err
-		}
-	}
-
-	st := &runState{
-		windows:       append([]wanglandau.Window(nil), windows...),
-		coord:         nil,
-		alive:         make([][]bool, nWin),
-		walkers:       make([][]*wanglandau.Walker, nWin),
-		stages:        make([]int, nWin),
-		frozen:        make([][]float64, nWin),
-		lastLnF:       make([]float64, nWin),
-		retired:       make([][]bool, nWin),
-		retiredSweeps: make([]int64, nWin),
-	}
-	streams := rng.NewStreams(opts.Seed, nWin*nWalk+1)
-	st.coord = streams[nWin*nWalk] // coordinator stream for exchange decisions
-
-	// Build walkers. Low-energy windows are reached by annealed steering
-	// from the seed configuration.
-	for wi, win := range windows {
-		st.walkers[wi] = make([]*wanglandau.Walker, nWalk)
-		st.alive[wi] = make([]bool, nWalk)
-		st.retired[wi] = make([]bool, nWalk)
-		for k := 0; k < nWalk; k++ {
-			src := streams[wi*nWalk+k]
-			cfg := seedCfg.Clone()
-			if _, err := wanglandau.PrepareInWindow(m, cfg, win, src, opts.PrepareSweeps); err != nil {
-				return nil, fmt.Errorf("rewl: window %d walker %d: %w", wi, k, err)
-			}
-			walker, err := wanglandau.NewWalker(m, cfg, newProposal(wi, k, src), src, win, opts.WL)
-			if err != nil {
-				return nil, fmt.Errorf("rewl: window %d walker %d: %w", wi, k, err)
-			}
-			st.walkers[wi][k] = walker
-			st.alive[wi][k] = true
-		}
-		st.lastLnF[wi] = st.walkers[wi][0].LnF()
-	}
-
-	// Replica-flow bookkeeping: each configuration carries a replica id
-	// that travels with it through exchanges.
-	st.replicaID = make([][]int, nWin)
-	id := 0
-	for wi := range st.replicaID {
-		st.replicaID[wi] = make([]int, nWalk)
-		for k := range st.replicaID[wi] {
-			st.replicaID[wi][k] = id
-			id++
-		}
-	}
-	// lastExtreme[r] = 0 untouched, 1 bottom window, 2 top window.
-	st.lastExtreme = make([]uint8, id)
-	return st, nil
-}
-
-func resumeRunState(m *alloy.Model, windows []wanglandau.Window, newProposal ProposalFactory, opts Options, ck *checkpoint) (*runState, error) {
-	if err := ck.validate(windows, opts.WalkersPerWindow, opts.WL.OneOverT); err != nil {
+// restoreOwnerState rebuilds a rank's walkers from its checkpoint, on the
+// checkpoint's own ladder (the caller's, unless the adaptive controller
+// reshaped it).
+func restoreOwnerState(m *alloy.Model, windows []wanglandau.Window, newProposal ProposalFactory, opts Options, ck *distCheckpoint) (*ownerState, error) {
+	if err := ck.matchesRun(windows, opts); err != nil {
 		return nil, err
 	}
-	if ck.Adaptive != opts.Adaptive.Enabled {
-		return nil, fmt.Errorf("rewl: checkpoint was written with Adaptive=%v, run has %v", ck.Adaptive, opts.Adaptive.Enabled)
-	}
-	// An adaptive run's checkpoint carries the authoritative window layout
-	// (re-splits change it) and walker-slice lengths (migrations grow
-	// them); a static run's layout was verified to match the caller's.
-	nWin := len(ck.Windows)
-	st := &runState{
-		windows:        append([]wanglandau.Window(nil), ck.Windows...),
-		coord:          rng.FromState(ck.Coord),
-		alive:          ck.Alive,
-		walkers:        make([][]*wanglandau.Walker, nWin),
-		stages:         ck.Stages,
-		replicaID:      ck.ReplicaID,
-		lastExtreme:    ck.LastExtreme,
-		frozen:         ck.FrozenLogG,
-		lastLnF:        ck.LastLnF,
-		startRound:     ck.Round,
-		resumed:        true,
-		exchangeTried:  ck.ExchangeTried,
-		exchangeAccept: ck.ExchangeAccept,
-		roundTrips:     ck.RoundTrips,
-		failedWalkers:  ck.FailedWalkers,
-		retired:        ck.Retired,
-		retiredSweeps:  ck.RetiredSweeps,
-		gen:            ck.Gen,
-		migrations:     ck.Migrations,
-		resplits:       ck.Resplits,
-		events:         ck.Events,
-	}
-	if len(st.retired) != nWin {
-		st.retired = make([][]bool, nWin)
-	}
-	if len(st.retiredSweeps) != nWin {
-		st.retiredSweeps = make([]int64, nWin)
-	}
+	lo, hi := winRange(len(ck.Windows), ck.Size, ck.Rank)
+	o := &ownerState{opts: opts, windows: ck.Windows, lo: lo, alive: ck.Alive}
 	// Proposal factories may consume RNG draws at construction (the VAE
 	// global proposal clones network weights, re-running initialization);
 	// feed them a throwaway stream, then RestoreWalker rewinds each
 	// walker's real stream to its checkpointed position, so the resumed
 	// chains are bit-identical regardless of what the factory drew.
 	throwaway := rng.New(ck.Seed ^ 0x5ca1ab1edeadbeef)
-	for wi := range st.walkers {
-		n := len(ck.Walkers[wi])
-		st.walkers[wi] = make([]*wanglandau.Walker, n)
-		if len(st.retired[wi]) != n {
-			st.retired[wi] = make([]bool, n)
-		}
-		for k := 0; k < n; k++ {
-			if !st.alive[wi][k] {
+	for wi := lo; wi < hi; wi++ {
+		ws := make([]*wanglandau.Walker, len(ck.Walkers[wi-lo]))
+		for k := range ws {
+			if !o.alive[wi-lo][k] {
 				continue
 			}
-			w, err := wanglandau.RestoreWalker(m, newProposal(wi, k, throwaway), rng.New(1), ck.Walkers[wi][k], opts.WL)
+			w, err := wanglandau.RestoreWalker(m, newProposal(wi, k, throwaway), rng.New(1), ck.Walkers[wi-lo][k], opts.WL)
 			if err != nil {
 				return nil, fmt.Errorf("rewl: restoring window %d walker %d: %w", wi, k, err)
 			}
-			st.walkers[wi][k] = w
+			ws[k] = w
 		}
+		o.walkers = append(o.walkers, ws)
 	}
-	return st, nil
+	return o, nil
+}
+
+// coordState snapshots the leader's coordination state for its checkpoint.
+// The encoder reads it before the round loop mutates anything again, so the
+// slices are shared, not copied.
+func (L *distLeader) coordState() *distCoordState {
+	return &distCoordState{
+		Coord:          L.coord.State(),
+		AliveG:         L.aliveG,
+		FrozenLogG:     L.frozenG,
+		LastLnF:        L.lastLnFG,
+		Stages:         L.stages,
+		ReplicaID:      L.replicaID,
+		LastExtreme:    L.extreme,
+		ExchangeTried:  L.res.ExchangeTried,
+		ExchangeAccept: L.res.ExchangeAccept,
+		RoundTrips:     L.res.RoundTrips,
+		FailedWalkers:  L.res.FailedWalkers,
+		Adaptive:       L.opts.Adaptive.Enabled,
+		Gen:            L.gen,
+		Retired:        L.retired,
+		RetiredSweeps:  L.retiredSweeps,
+		Migrations:     L.res.Migrations,
+		Resplits:       L.res.Resplits,
+		Events:         L.res.Events,
+	}
+}
+
+// restoreCoord installs a checkpoint's coordination state — and its window
+// ladder, which the leader's restored ownerState already stands on.
+func (L *distLeader) restoreCoord(ck *distCheckpoint) error {
+	if !ck.HasCoord {
+		return fmt.Errorf("rewl: leader checkpoint lacks coordination state")
+	}
+	cs := ck.Coord
+	L.windows = ck.Windows
+	L.owner = ownership(len(L.windows), L.size)
+	L.coord = rng.FromState(cs.Coord)
+	L.aliveG = cs.AliveG
+	L.frozenG = cs.FrozenLogG
+	L.lastLnFG = cs.LastLnF
+	L.stages = cs.Stages
+	L.replicaID = cs.ReplicaID
+	L.extreme = cs.LastExtreme
+	L.gen = cs.Gen
+	L.retired = cs.Retired
+	L.retiredSweeps = cs.RetiredSweeps
+	L.res.ExchangeTried = cs.ExchangeTried
+	L.res.ExchangeAccept = cs.ExchangeAccept
+	L.res.RoundTrips = cs.RoundTrips
+	L.res.FailedWalkers = cs.FailedWalkers
+	L.res.Migrations = cs.Migrations
+	L.res.Resplits = cs.Resplits
+	L.res.Events = cs.Events
+	return nil
 }

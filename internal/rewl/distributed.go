@@ -1,22 +1,20 @@
 package rewl
 
-// Distributed REWL: the round loop of RunContext spread across transport
-// ranks (goroutines over the in-process backend, OS processes over TCP).
-//
-// The design is leader-driven. Windows are partitioned into contiguous
-// blocks, one block per rank; every rank sweeps its own windows' walkers
-// in parallel (the same sweepPhase as RunContext, with globally numbered
-// walker slots so chaos plans address the same walker either way). Rank 0
-// additionally replays RunContext's serial coordination phase exactly —
-// it owns the coordinator RNG stream and consumes it in the identical
-// order (one Intn per side of each live pair, one Float64 only when a
-// bin-compatible exchange has logA < 0) — querying remote owners for the
-// handful of values each decision needs (ln g lookups, energies,
-// configurations) over the endpoint. Floats travel as raw IEEE-754 bits,
-// so every decision input is bit-identical to the single-process run, and
-// therefore so is every decision: RunDistributed over any backend yields
-// the same DOS, the same exchange/round-trip counts, and the same stage
-// schedule as RunContext with the same seed.
+// The REWL round engine. One leader-driven loop runs every REWL at every
+// world size: windows are partitioned into contiguous blocks, one block per
+// transport rank (goroutines over the in-process backend, OS processes over
+// TCP); every rank sweeps its own windows' walkers in parallel, and rank 0
+// additionally runs the serial coordination phase — it owns the coordinator
+// RNG stream and consumes it in a fixed order (one Intn per side of each
+// live pair, one Float64 only when a bin-compatible exchange has logA < 0),
+// asking each window's owner for the handful of values a decision needs
+// (ln g lookups, energies, configurations). For a window rank 0 owns itself
+// the question is a function call, otherwise a request over the endpoint;
+// that is the only seam. Floats travel as raw IEEE-754 bits, so every
+// decision input — and therefore every decision — is the same bits however
+// the windows are placed: a world of one rank (RunContext) and a world of N
+// yield the same DOS, exchange/round-trip counts and stage schedule for the
+// same seed.
 //
 // Fault model: a rank that drops (TCP peer disconnect, injected crash) is
 // handled like a failed MPI rank — the leader marks every walker of the
@@ -63,6 +61,10 @@ const (
 //	[startLocal, c]                     restore round c from the local checkpoint
 //	[startShipped, c, nbytes, packed…]  restore round c from the shipped blob
 //	[startAbort, 0]                     abort (malformed hello)
+//
+// The worker answers the verdict with [1] once its walkers exist, or [0]
+// when it could not build them, so the leader never waits on a rank that
+// will not enter the command loop.
 const (
 	startAbort   = -1
 	startFresh   = 0
@@ -131,27 +133,27 @@ func unpackBytes(words []float64, n int) ([]byte, error) {
 // RunDistributed executes REWL across the ranks of a transport world.
 // Every rank calls it with identical (m, seedCfg, windows, newProposal,
 // opts); rank 0 acts as the leader and returns the merged Result, other
-// ranks return (nil, nil) after a clean run. A world of size 1 delegates
-// to RunContext. The world size must not exceed the window count.
+// ranks return (nil, nil) after a clean run. The world size must not
+// exceed the window count. Walkers poll ctx once per sweep; on
+// cancellation the leader skips the interrupted round's coordination and
+// checkpoint and returns what was sampled so far, merged, alongside ctx's
+// error.
 //
-// With Options.CheckpointDir set, each rank writes its own checkpoint
-// file (DistCheckpointPath) every CheckpointEvery rounds; Options.Resume
-// restarts the world from those files, bit-identically to the
-// uninterrupted run, provided every rank resumes from the same round.
+// With Options.CheckpointDir set, each rank writes its own round files and
+// manifest (DistManifestPath) every CheckpointEvery rounds; Options.Resume
+// restarts the world from the newest round every rank holds,
+// bit-identically to the uninterrupted run.
 func RunDistributed(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
 	opts.setDefaults()
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("rewl: no windows")
 	}
 	size := ep.Size()
-	if size == 1 {
-		return RunContext(ctx, m, seedCfg, windows, newProposal, opts)
-	}
-	if opts.Adaptive.Enabled {
-		// Walker migration and window re-splitting reshape the global
-		// layout mid-run; the rank↔window ownership protocol has no moves
-		// for that. 1/t (Options.OneOverT) is fully supported distributed.
-		return nil, fmt.Errorf("rewl: adaptive rebalancing requires the single-process driver (world size 1)")
+	if opts.Adaptive.Enabled && size > 1 {
+		// Walker migration and window re-splitting reshape the layout and
+		// read walker histograms directly; the rank↔window protocol has no
+		// moves for that. 1/t (Options.OneOverT) works at every world size.
+		return nil, fmt.Errorf("rewl: adaptive rebalancing requires every window on rank 0 (world size 1, got %d)", size)
 	}
 	if size > len(windows) {
 		return nil, fmt.Errorf("rewl: world of %d ranks cannot shard %d windows", size, len(windows))
@@ -167,21 +169,20 @@ func RunDistributed(ctx context.Context, ep transport.Endpoint, m *alloy.Model, 
 // and the workers (behind the command loop).
 
 type ownerState struct {
-	m       *alloy.Model
 	opts    Options
-	windows []wanglandau.Window
-	lo, hi  int                    // owned window range
-	walkers [][]*wanglandau.Walker // [wi-lo][k]
+	windows []wanglandau.Window    // the whole ladder
+	lo      int                    // first owned window
+	walkers [][]*wanglandau.Walker // [wi-lo][k], one entry per owned window
 	alive   [][]bool
 }
 
-// newOwnerState builds the rank's walkers fresh, identically to
-// buildRunState for those windows: the jump-separated streams mean each
-// rank derives exactly the walker states the single-process run would.
+// newOwnerState builds the rank's walkers fresh. Walker k of window wi
+// draws from stream wi·WalkersPerWindow+k of the jump-separated family, so
+// a walker's chain does not depend on which rank hosts its window.
 func newOwnerState(m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options, lo, hi int) (*ownerState, error) {
 	nWalk := opts.WalkersPerWindow
 	streams := rng.NewStreams(opts.Seed, len(windows)*nWalk+1)
-	o := &ownerState{m: m, opts: opts, windows: windows, lo: lo, hi: hi}
+	o := &ownerState{opts: opts, windows: windows, lo: lo}
 	for wi := lo; wi < hi; wi++ {
 		ws := make([]*wanglandau.Walker, nWalk)
 		al := make([]bool, nWalk)
@@ -205,8 +206,8 @@ func newOwnerState(m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.
 }
 
 // sweepAndMerge runs one round's sweep phase over the owned windows and
-// then the within-window ln g consensus merge — steps 0 and 1 of
-// RunContext's round, which only ever touch one rank's walkers.
+// then the within-window ln g consensus merge — the two steps of a round
+// that only ever touch one rank's walkers.
 func (o *ownerState) sweepAndMerge(ctx context.Context) {
 	sweepPhase(ctx, o.opts, o.lo, o.walkers, o.alive)
 	for i := range o.walkers {
@@ -221,29 +222,24 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// reportLen returns the per-round report length for the owned windows.
-func (o *ownerState) reportLen() int {
-	n := 0
-	for wi := o.lo; wi < o.hi; wi++ {
-		n += o.opts.WalkersPerWindow*5 + 2 + o.windows[wi].Bins
-	}
-	return n
-}
-
 // report encodes the post-merge state the leader's coordination phase
-// needs: per walker [alive, converged, flat, lnF, energy], then the
-// window's consensus [hasCons, lnF, LogG...]. The layout is fixed-size
-// (dead slots ship zeros) so parsing needs no framing.
+// needs, per owned window: the walker count n, per walker [alive,
+// converged, flat, lnF, energy] (dead slots ship zeros), then the window's
+// consensus [hasCons, lnF, LogG...].
 func (o *ownerState) report() []float64 {
-	msg := make([]float64, 0, o.reportLen())
-	for wi := o.lo; wi < o.hi; wi++ {
-		ws, al := o.walkers[wi-o.lo], o.alive[wi-o.lo]
-		for k := range ws {
-			if ws[k] == nil || !al[k] {
+	n := 0
+	for i, ws := range o.walkers {
+		n += 1 + 5*len(ws) + 2 + o.windows[o.lo+i].Bins
+	}
+	msg := make([]float64, 0, n)
+	for i, ws := range o.walkers {
+		al := o.alive[i]
+		msg = append(msg, float64(len(ws)))
+		for k, w := range ws {
+			if w == nil || !al[k] {
 				msg = append(msg, 0, 0, 0, 0, 0)
 				continue
 			}
-			w := ws[k]
 			msg = append(msg, 1, b2f(w.Converged()), b2f(w.Flat()), w.LnF(), w.Energy())
 		}
 		if k := firstAlive(al); k >= 0 {
@@ -251,7 +247,7 @@ func (o *ownerState) report() []float64 {
 			msg = append(msg, ws[k].DOS().LogG...)
 		} else {
 			msg = append(msg, 0, 0)
-			msg = append(msg, make([]float64, o.windows[wi].Bins)...)
+			msg = append(msg, make([]float64, o.windows[o.lo+i].Bins)...)
 		}
 	}
 	return msg
@@ -259,8 +255,7 @@ func (o *ownerState) report() []float64 {
 
 // queryExchange evaluates one side of an exchange: whether the partner's
 // energy lands in this window, and the two ln g lookups the acceptance
-// ratio needs — the same lookup() (unvisited bins read as 0) RunContext's
-// tryExchange applies.
+// ratio needs (unvisited bins read as 0).
 func (o *ownerState) queryExchange(wi, k int, ePartner float64) (binOK bool, lgSelf, lgPartner float64) {
 	w := o.walkers[wi-o.lo][k]
 	d := w.DOS()
@@ -279,7 +274,7 @@ func (o *ownerState) getCfg(wi, k int) (e float64, cfg []float64) {
 }
 
 // setCfg installs the partner's configuration and energy — the walker's
-// half of the configuration swap tryExchange performs in-process.
+// half of an accepted configuration swap.
 func (o *ownerState) setCfg(wi, k int, e float64, cfg []float64) {
 	w := o.walkers[wi-o.lo][k]
 	s := w.Sampler()
@@ -298,22 +293,13 @@ func (o *ownerState) endStage(wi int) {
 	}
 }
 
-// finishLen returns the final-collection report length.
-func (o *ownerState) finishLen() int {
-	n := 0
-	for wi := o.lo; wi < o.hi; wi++ {
-		n += 6 + o.windows[wi].Bins
-	}
-	return n
-}
-
 // finishReport encodes the final per-window collection: [convAll, sweeps,
-// accepted, proposed, lnF, hasDOS, LogG...] — everything the leader needs
-// to assemble WindowStats and the merged DOS exactly as RunContext does.
+// accepted, proposed, lnF, hasDOS, LogG...] — what the leader needs to
+// assemble WindowStats and the merged DOS.
 func (o *ownerState) finishReport() []float64 {
-	msg := make([]float64, 0, o.finishLen())
-	for wi := o.lo; wi < o.hi; wi++ {
-		aw := aliveIn(o.walkers[wi-o.lo], o.alive[wi-o.lo])
+	var msg []float64
+	for i, ws := range o.walkers {
+		aw := aliveIn(ws, o.alive[i])
 		var sweeps, acc, prop int64
 		for _, w := range aw {
 			sweeps += w.Sweeps()
@@ -326,12 +312,12 @@ func (o *ownerState) finishReport() []float64 {
 			lnF = aw[0].LnF()
 		}
 		msg = append(msg, b2f(conv), float64(sweeps), float64(acc), float64(prop), lnF)
-		if k := firstAlive(o.alive[wi-o.lo]); k >= 0 {
+		if len(aw) > 0 {
 			msg = append(msg, 1)
-			msg = append(msg, o.walkers[wi-o.lo][k].DOS().LogG...)
+			msg = append(msg, aw[0].DOS().LogG...)
 		} else {
 			msg = append(msg, 0)
-			msg = append(msg, make([]float64, o.windows[wi].Bins)...)
+			msg = append(msg, make([]float64, o.windows[o.lo+i].Bins)...)
 		}
 	}
 	return msg
@@ -342,21 +328,21 @@ func (o *ownerState) finishReport() []float64 {
 
 // ownerFromStart builds a rank's ownerState according to the leader's
 // start verdict (see the start* constants).
-func ownerFromStart(start []float64, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options, rank, size, lo, hi int) (*ownerState, error) {
+func ownerFromStart(start []float64, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options, rank, size int) (*ownerState, error) {
 	if len(start) < 2 {
 		return nil, fmt.Errorf("rewl: rank %d received a malformed start verdict", rank)
 	}
-	nWalk := opts.WalkersPerWindow
 	switch int(start[0]) {
 	case startFresh:
+		lo, hi := winRange(len(windows), size, rank)
 		return newOwnerState(m, seedCfg, windows, newProposal, opts, lo, hi)
 	case startLocal:
 		c := int(start[1])
-		ck, err := loadDistRound(opts.CheckpointDir, rank, c, windows, nWalk, size)
+		ck, err := loadDistRound(opts.CheckpointDir, rank, c, size)
 		if err != nil {
 			return nil, fmt.Errorf("rewl: rank %d restoring negotiated round %d: %w", rank, c, err)
 		}
-		return restoreOwnerState(m, windows, newProposal, opts, lo, hi, ck)
+		return restoreOwnerState(m, windows, newProposal, opts, ck)
 	case startShipped:
 		if len(start) < 3 {
 			return nil, fmt.Errorf("rewl: rank %d received a truncated shipped checkpoint", rank)
@@ -366,23 +352,30 @@ func ownerFromStart(start []float64, m *alloy.Model, seedCfg lattice.Config, win
 		if err != nil {
 			return nil, err
 		}
-		ck, err := decodeDistCheckpoint(blob, windows, nWalk, rank, size)
+		ck, err := decodeDistCheckpoint(blob, rank, size)
 		if err != nil {
 			return nil, fmt.Errorf("rewl: rank %d decoding shipped checkpoint: %w", rank, err)
 		}
 		if ck.Round != c {
 			return nil, fmt.Errorf("rewl: rank %d shipped checkpoint claims round %d, wanted %d", rank, ck.Round, c)
 		}
-		return restoreOwnerState(m, windows, newProposal, opts, lo, hi, ck)
+		return restoreOwnerState(m, windows, newProposal, opts, ck)
 	default:
 		return nil, fmt.Errorf("rewl: rank %d: leader aborted the start (malformed hello?)", rank)
 	}
 }
 
+// rollbackVerdict is the start verdict that puts a rank at round c from
+// its own files: the local checkpoint, or a fresh build for round 0.
+func rollbackVerdict(c int) []float64 {
+	if c == 0 {
+		return []float64{startFresh, 0}
+	}
+	return []float64{startLocal, float64(c)}
+}
+
 func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) error {
 	rank, size := ep.Rank(), ep.Size()
-	nWalk := opts.WalkersPerWindow
-	lo, hi := winRange(len(windows), size, rank)
 
 	// Resume handshake: offer the leader every locally restorable
 	// checkpoint round; the leader negotiates the world's start verdict.
@@ -391,7 +384,7 @@ func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 	// startup path.
 	var rounds []int
 	if opts.Resume && opts.CheckpointDir != "" {
-		rounds = availableRounds(opts.CheckpointDir, rank, windows, nWalk, size)
+		rounds = availableRounds(opts.CheckpointDir, rank, size)
 	}
 	if err := ep.SendCtx(ctx, 0, encodeRoundsList(rounds)); err != nil {
 		return fmt.Errorf("rewl: rank %d hello: %w", rank, err)
@@ -400,10 +393,11 @@ func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 	if err != nil {
 		return fmt.Errorf("rewl: rank %d awaiting start: %w", rank, err)
 	}
-	o, err := ownerFromStart(start, m, seedCfg, windows, newProposal, opts, rank, size, lo, hi)
+	o, err := ownerFromStart(start, m, seedCfg, windows, newProposal, opts, rank, size)
+	if ackErr := ep.SendCtx(ctx, 0, []float64{b2f(err == nil)}); err == nil && ackErr != nil {
+		err = fmt.Errorf("rewl: rank %d start ack: %w", rank, ackErr)
+	}
 	if err != nil {
-		// The leader will observe the silence as a dead rank; surface the
-		// real cause locally.
 		return err
 	}
 
@@ -440,15 +434,12 @@ func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		case dopEndStage:
 			o.endStage(int(msg[1]))
 		case dopCheckpoint:
-			ok := 1.0
-			if err := o.saveDistCheckpoint(int(msg[1]), rank, size, nil); err != nil {
-				ok = 0
-			}
-			if err := ep.SendCtx(ctx, 0, []float64{ok}); err != nil {
+			werr := o.saveDistCheckpoint(int(msg[1]), rank, size, nil)
+			if err := ep.SendCtx(ctx, 0, []float64{b2f(werr == nil)}); err != nil {
 				return fmt.Errorf("rewl: rank %d checkpoint ack: %w", rank, err)
 			}
 		case dopListRounds:
-			rs := availableRounds(opts.CheckpointDir, rank, windows, nWalk, size)
+			rs := availableRounds(opts.CheckpointDir, rank, size)
 			if err := ep.SendCtx(ctx, 0, encodeRoundsList(rs)); err != nil {
 				return fmt.Errorf("rewl: rank %d rounds reply: %w", rank, err)
 			}
@@ -457,29 +448,14 @@ func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 			// negotiated round (0 = rebuild fresh) so the world replays
 			// from a consistent snapshot after a dead rank was replaced.
 			c := int(msg[1])
-			ok := 1.0
-			var o2 *ownerState
-			var rerr error
-			if c == 0 {
-				o2, rerr = newOwnerState(m, seedCfg, windows, newProposal, opts, lo, hi)
-			} else {
-				var ck2 *distCheckpoint
-				ck2, rerr = loadDistRound(opts.CheckpointDir, rank, c, windows, nWalk, size)
-				if rerr == nil {
-					o2, rerr = restoreOwnerState(m, windows, newProposal, opts, lo, hi, ck2)
-				}
-			}
-			if rerr != nil {
-				ok = 0
-			} else {
-				o = o2
-			}
-			if err := ep.SendCtx(ctx, 0, []float64{ok}); err != nil {
+			o2, rerr := ownerFromStart(rollbackVerdict(c), m, seedCfg, windows, newProposal, opts, rank, size)
+			if err := ep.SendCtx(ctx, 0, []float64{b2f(rerr == nil)}); err != nil {
 				return fmt.Errorf("rewl: rank %d rollback ack: %w", rank, err)
 			}
 			if rerr != nil {
 				return fmt.Errorf("rewl: rank %d rolling back to round %d: %w", rank, c, rerr)
 			}
+			o = o2
 		case dopFinish:
 			if err := ep.SendCtx(ctx, 0, o.finishReport()); err != nil {
 				return fmt.Errorf("rewl: rank %d final report: %w", rank, err)
@@ -496,12 +472,20 @@ func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 // ---------------------------------------------------------------------------
 // Leader side.
 
+// walkerReport is a walker's state as its owner last reported it.
+type walkerReport struct {
+	conv, flat bool
+	energy     float64
+}
+
 type distLeader struct {
-	ep      transport.Endpoint
-	o       *ownerState // rank 0's own windows
-	opts    Options
+	ep   transport.Endpoint
+	o    *ownerState // rank 0's own windows
+	opts Options
+	// windows is the current ladder. It is the caller's until the adaptive
+	// controller re-splits a window or a resumed adaptive run installs its
+	// checkpointed layout; o.windows always aliases it.
 	windows []wanglandau.Window
-	nWalk   int
 	size    int
 	owner   []int // owning rank per window
 	logf    func(format string, args ...any)
@@ -518,22 +502,44 @@ type distLeader struct {
 	rejoiner transport.Rejoinable
 	pending  []int
 
+	// Coordination state, per window (and per walker slot where nested).
+	// Walker slices are ragged once the adaptive controller has migrated.
 	rankAlive []bool
 	aliveG    [][]bool
-	convG     [][]bool
-	flatG     [][]bool
-	energyG   [][]float64
-	frozenG   [][]float64
+	reported  [][]walkerReport
+	frozenG   [][]float64 // last ln g consensus while a walker lived
 	lastLnFG  []float64
 	stages    []int
-	replicaID [][]int
-	extreme   []uint8
+	replicaID [][]int // replica ids travel with configurations through exchanges
+	extreme   []uint8 // per replica: 0 untouched, 1 last at the bottom window, 2 top
 	coord     *rng.Source
 	res       *Result
+
+	// Adaptive controller state (adaptive.go). retired counts the walkers
+	// the controller removed on purpose (not failures) and retiredSweeps
+	// banks their sweeps so per-window totals stay exact; gen keys migrant
+	// RNG streams; telem and prevSweeps are the per-round telemetry.
+	gen           int
+	retired       []int
+	retiredSweeps []int64
+	telem         []WindowTelemetry
+	prevSweeps    []int64
+}
+
+// ownership maps each window to its owning rank.
+func ownership(nWin, size int) []int {
+	owner := make([]int, nWin)
+	for r := 0; r < size; r++ {
+		lo, hi := winRange(nWin, size, r)
+		for wi := lo; wi < hi; wi++ {
+			owner[wi] = r
+		}
+	}
+	return owner
 }
 
 func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
-	nWin, nWalk, size := len(windows), opts.WalkersPerWindow, ep.Size()
+	size := ep.Size()
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -544,9 +550,8 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		ep:          ep,
 		opts:        opts,
 		windows:     windows,
-		nWalk:       nWalk,
 		size:        size,
-		owner:       make([]int, nWin),
+		owner:       ownership(len(windows), size),
 		logf:        logf,
 		m:           m,
 		seedCfg:     seedCfg,
@@ -554,36 +559,10 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		elastic:     canRejoin && opts.CheckpointDir != "" && opts.RejoinWait > 0,
 		rejoiner:    rejoiner,
 		rankAlive:   make([]bool, size),
-		aliveG:    make([][]bool, nWin),
-		convG:     make([][]bool, nWin),
-		flatG:     make([][]bool, nWin),
-		energyG:   make([][]float64, nWin),
-		frozenG:   make([][]float64, nWin),
-		lastLnFG:  make([]float64, nWin),
-		stages:    make([]int, nWin),
-		replicaID: make([][]int, nWin),
-		extreme:   make([]uint8, nWin*nWalk),
-		res:       &Result{Windows: make([]WindowStat, nWin)},
+		res:         &Result{},
 	}
-	for r := 0; r < size; r++ {
+	for r := range L.rankAlive {
 		L.rankAlive[r] = true
-		lo, hi := winRange(nWin, size, r)
-		for wi := lo; wi < hi; wi++ {
-			L.owner[wi] = r
-		}
-	}
-	id := 0
-	for wi := 0; wi < nWin; wi++ {
-		L.aliveG[wi] = make([]bool, nWalk)
-		L.convG[wi] = make([]bool, nWalk)
-		L.flatG[wi] = make([]bool, nWalk)
-		L.energyG[wi] = make([]float64, nWalk)
-		L.replicaID[wi] = make([]int, nWalk)
-		for k := 0; k < nWalk; k++ {
-			L.aliveG[wi][k] = true
-			L.replicaID[wi][k] = id
-			id++
-		}
 	}
 
 	// Resume handshake: gather every rank's verifiable checkpoint rounds
@@ -593,7 +572,7 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 	// aborting.
 	var ownRounds []int
 	if opts.Resume && opts.CheckpointDir != "" {
-		ownRounds = availableRounds(opts.CheckpointDir, 0, windows, nWalk, size)
+		ownRounds = availableRounds(opts.CheckpointDir, 0, size)
 	}
 	lists := [][]int{ownRounds}
 	anyOffer := len(ownRounds) > 0
@@ -622,25 +601,32 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 	} else if anyOffer {
 		logf("rewl: no checkpoint round common to all %d ranks; starting fresh", size)
 	}
-	verdict := []float64{startFresh, 0}
-	if resume {
-		verdict = []float64{startLocal, float64(startRound)}
-	}
 	for r := 1; r < size; r++ {
-		if err := ep.SendCtx(ctx, r, verdict); err != nil {
+		if err := ep.SendCtx(ctx, r, rollbackVerdict(startRound)); err != nil {
 			return nil, fmt.Errorf("rewl: leader starting rank %d: %w", r, err)
 		}
 	}
 
 	// Build the leader's own windows and (on resume) the coordination
-	// state — the same code path elastic recovery replays mid-run.
+	// state — the same code path elastic recovery replays mid-run — while
+	// the workers build theirs, then collect their start acks.
 	if err := L.rollbackLeader(startRound); err != nil {
 		L.abortAll(ctx)
 		return nil, err
 	}
+	for r := 1; r < size; r++ {
+		if !L.startAcked(ctx, r) {
+			L.rankDead(r)
+		}
+	}
 	L.res.Resumed = resume
 	L.res.Rounds = startRound
 
+	// The sweep phase already saturates the machine with one goroutine per
+	// walker, so declare a nested-parallel context for the duration of the
+	// run: tensor kernels invoked from walker proposals (batch-1 DL
+	// inference) take their serial path instead of fanning out a second
+	// layer of goroutines per matmul.
 	tensor.EnterNested()
 	defer tensor.LeaveNested()
 
@@ -665,6 +651,15 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 			}
 		}
 		L.o.sweepAndMerge(ctx)
+		if ctx.Err() != nil {
+			// Cancelled mid-sweep: this round's sweeps are partial. Skip the
+			// coordination phase and, critically, the checkpoint — a
+			// checkpoint must only ever capture a full-round boundary.
+			// Committing a partial round would make a resumed run diverge
+			// from the uninterrupted trajectory (and in fleet mode would
+			// hand the surviving replica a polluted resume point).
+			break
+		}
 		L.parseReport(0, L.o.report())
 		for r := 1; r < size; r++ {
 			if !L.rankAlive[r] {
@@ -675,9 +670,14 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 				L.rankDead(r)
 			}
 		}
+		if size == 1 {
+			L.collectTelemetry(round + 1)
+		}
 
-		// Replica exchange between adjacent windows; the leader consumes
-		// the coordinator stream exactly as RunContext does.
+		// Replica exchange between adjacent windows; alternate pairing
+		// parity so every boundary is exercised. Partners are drawn among
+		// each window's live walkers.
+		nWin := len(L.windows)
 		for wi := round % 2; wi+1 < nWin; wi += 2 {
 			ia, ib := aliveIdx(L.aliveG[wi]), aliveIdx(L.aliveG[wi+1])
 			if len(ia) == 0 || len(ib) == 0 {
@@ -687,8 +687,7 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 			L.res.ExchangeTried++
 			L.tryExchangeDist(ctx, wi, ka, kb)
 		}
-		// Round-trip accounting at the ladder's ends (identical to
-		// RunContext — pure leader-side bookkeeping).
+		// Round-trip accounting at the ladder's ends.
 		if nWin > 1 {
 			for _, k := range aliveIdx(L.aliveG[0]) {
 				r := L.replicaID[0][k]
@@ -704,7 +703,10 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 			}
 		}
 		// Stage transitions from the reported flatness flags (exchanges
-		// swap configurations, never histograms, so the flags are current).
+		// swap configurations, never histograms, so the flags are current):
+		// a window advances when all its surviving walkers are flat. A
+		// degraded window (no survivors) is frozen and no longer gates
+		// completion.
 		allDone := true
 		nConv := 0
 		for wi := 0; wi < nWin; wi++ {
@@ -712,25 +714,16 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 			if len(ia) == 0 {
 				continue
 			}
-			conv := true
+			conv, flat := true, true
 			for _, k := range ia {
-				if !L.convG[wi][k] {
-					conv = false
-					break
-				}
+				conv = conv && L.reported[wi][k].conv
+				flat = flat && L.reported[wi][k].flat
 			}
 			if conv {
 				nConv++
 				continue
 			}
 			allDone = false
-			flat := true
-			for _, k := range ia {
-				if !L.flatG[wi][k] {
-					flat = false
-					break
-				}
-			}
 			if flat {
 				L.commandEndStage(ctx, wi)
 				L.stages[wi]++
@@ -744,6 +737,16 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		}
 		logf("rewl: round %d: %d/%d windows converged, %d walkers failed, %d/%d ranks live, %d rejoins",
 			round+1, nConv, nWin, L.res.FailedWalkers, liveRanks, size, L.res.Rejoins)
+
+		// Adaptive rebalancing at the round barrier: purely a function of
+		// state that checkpoints capture, so a resumed run replays the same
+		// decisions. It runs before the checkpoint below, which therefore
+		// records the post-rebalance layout.
+		if opts.Adaptive.Enabled && !allDone && (round+1)%opts.Adaptive.RebalanceEvery == 0 {
+			if err := L.adapt(round + 1); err != nil {
+				return nil, err
+			}
+		}
 
 		// Skip the checkpoint while a dead rank awaits recovery: persisting
 		// the degraded alive mask would poison the very rounds the rollback
@@ -761,7 +764,23 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		}
 	}
 
+	if ctx.Err() != nil {
+		// The remote owners may have been cancelled too and would never
+		// answer the final collection: release the ones still listening and
+		// let their windows contribute the last consensus they shipped.
+		L.abortAll(context.WithoutCancel(ctx))
+		for r := 1; r < size; r++ {
+			L.rankDead(r)
+		}
+	}
 	return L.finish(ctx)
+}
+
+// startAcked waits for rank r's answer to its start verdict and reports
+// whether the rank built its walkers and entered the command loop.
+func (L *distLeader) startAcked(ctx context.Context, r int) bool {
+	ack, err := L.ep.RecvCtx(ctx, r)
+	return err == nil && len(ack) == 1 && ack[0] == 1
 }
 
 // rankDead marks a rank failed: every walker of its windows dies,
@@ -776,8 +795,8 @@ func (L *distLeader) rankDead(r int) {
 	L.rankAlive[r] = false
 	lo, hi := winRange(len(L.windows), L.size, r)
 	for wi := lo; wi < hi; wi++ {
-		for k := 0; k < L.nWalk; k++ {
-			if L.aliveG[wi][k] {
+		for k, a := range L.aliveG[wi] {
+			if a {
 				L.aliveG[wi][k] = false
 				L.res.FailedWalkers++
 			}
@@ -789,52 +808,49 @@ func (L *distLeader) rankDead(r int) {
 }
 
 // rollbackLeader (re)builds the leader's own windows and the coordination
-// state for round c: round 0 rebuilds everything fresh (exactly the
-// buildRunState init), any other round restores the leader's checkpoint
-// for it. Shared by the start handshake and mid-run elastic recovery.
+// state for round c: round 0 rebuilds everything fresh, any other round
+// restores the leader's checkpoint for it. Shared by the start handshake
+// and mid-run elastic recovery.
 func (L *distLeader) rollbackLeader(c int) error {
-	nWin := len(L.windows)
-	lo, hi := winRange(nWin, L.size, 0)
 	if c > 0 {
-		ck, err := loadDistRound(L.opts.CheckpointDir, 0, c, L.windows, L.nWalk, L.size)
+		ck, err := loadDistRound(L.opts.CheckpointDir, 0, c, L.size)
 		if err != nil {
 			return fmt.Errorf("rewl: leader restoring round %d: %w", c, err)
 		}
-		o, err := restoreOwnerState(L.m, L.windows, L.newProposal, L.opts, lo, hi, ck)
+		o, err := restoreOwnerState(L.m, L.windows, L.newProposal, L.opts, ck)
 		if err != nil {
 			return err
 		}
 		L.o = o
 		return L.restoreCoord(ck)
 	}
-	L.coord = rng.NewStreams(L.opts.Seed, nWin*L.nWalk+1)[nWin*L.nWalk]
+	nWin, nWalk := len(L.windows), L.opts.WalkersPerWindow
+	lo, hi := winRange(nWin, L.size, 0)
 	o, err := newOwnerState(L.m, L.seedCfg, L.windows, L.newProposal, L.opts, lo, hi)
 	if err != nil {
 		return err
 	}
 	L.o = o
-	// Matches buildRunState's init: fresh walkers all start at the same
-	// ln f, so the leader's walker 0 speaks for every window.
-	ini := o.walkers[0][0].LnF()
-	id := 0
+	L.coord = rng.NewStreams(L.opts.Seed, nWin*nWalk+1)[nWin*nWalk]
+	L.aliveG = make([][]bool, nWin)
+	L.replicaID = make([][]int, nWin)
+	L.frozenG = make([][]float64, nWin)
+	L.lastLnFG = make([]float64, nWin)
+	L.stages = make([]int, nWin)
+	L.retired = make([]int, nWin)
+	L.retiredSweeps = make([]int64, nWin)
+	L.extreme = make([]uint8, nWin*nWalk)
 	for wi := 0; wi < nWin; wi++ {
-		for k := 0; k < L.nWalk; k++ {
+		L.aliveG[wi] = make([]bool, nWalk)
+		L.replicaID[wi] = make([]int, nWalk)
+		for k := 0; k < nWalk; k++ {
 			L.aliveG[wi][k] = true
-			L.convG[wi][k] = false
-			L.flatG[wi][k] = false
-			L.energyG[wi][k] = 0
-			L.replicaID[wi][k] = id
-			id++
+			L.replicaID[wi][k] = wi*nWalk + k
 		}
-		L.frozenG[wi] = L.frozenG[wi][:0]
-		L.lastLnFG[wi] = ini
-		L.stages[wi] = 0
+		// Fresh walkers all start at the same ln f.
+		L.lastLnFG[wi] = o.walkers[0][0].LnF()
 	}
-	for i := range L.extreme {
-		L.extreme[i] = 0
-	}
-	L.res.ExchangeTried, L.res.ExchangeAccept, L.res.RoundTrips = 0, 0, 0
-	L.res.FailedWalkers = 0
+	L.res.ExchangeTried, L.res.ExchangeAccept, L.res.RoundTrips, L.res.FailedWalkers = 0, 0, 0, 0
 	return nil
 }
 
@@ -888,7 +904,7 @@ func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
 	dir := L.opts.CheckpointDir
 	// Rounds the leader could ship to the replacement from its own copy of
 	// rank r's files (shared checkpoint dir, or same host).
-	shipRounds := availableRounds(dir, r, L.windows, L.nWalk, L.size)
+	shipRounds := availableRounds(dir, r, L.size)
 	offer := map[int]bool{}
 	for _, c := range replRounds {
 		offer[c] = true
@@ -901,7 +917,7 @@ func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
 		reachable = append(reachable, c)
 	}
 
-	lists := [][]int{availableRounds(dir, 0, L.windows, L.nWalk, L.size), reachable}
+	lists := [][]int{availableRounds(dir, 0, L.size), reachable}
 	for r2 := 1; r2 < L.size; r2++ {
 		if r2 == r || !L.rankAlive[r2] {
 			continue
@@ -942,7 +958,7 @@ func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
 
 	// Start the replacement: local restore if it holds the round itself,
 	// shipped blob if only the leader does, fresh build when c == 0.
-	start := []float64{startFresh, 0}
+	start := rollbackVerdict(c)
 	if c > 0 {
 		local := false
 		for _, rc := range replRounds {
@@ -951,9 +967,7 @@ func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
 				break
 			}
 		}
-		if local {
-			start = []float64{startLocal, float64(c)}
-		} else {
+		if !local {
 			blob, err := loadDistRoundBlob(dir, r, c)
 			if err != nil {
 				L.ep.SendCtx(ctx, r, []float64{startAbort, 0}) //nolint:errcheck // aborting anyway
@@ -964,6 +978,9 @@ func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
 	}
 	if err := L.ep.SendCtx(ctx, r, start); err != nil {
 		return 0, fmt.Errorf("starting replacement: %w", err)
+	}
+	if !L.startAcked(ctx, r) {
+		return 0, fmt.Errorf("replacement could not start from round %d", c)
 	}
 
 	if err := L.rollbackLeader(c); err != nil {
@@ -978,13 +995,20 @@ func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
 // view. Returns false on a malformed report (treated as a dead rank).
 func (L *distLeader) parseReport(r int, msg []float64) bool {
 	lo, hi := winRange(len(L.windows), L.size, r)
+	if len(L.reported) != len(L.windows) {
+		L.reported = make([][]walkerReport, len(L.windows))
+	}
 	p := 0
 	for wi := lo; wi < hi; wi++ {
-		need := L.nWalk*5 + 2 + L.windows[wi].Bins
-		if p+need > len(msg) {
+		n, bins := len(L.aliveG[wi]), L.windows[wi].Bins
+		if p+1+5*n+2+bins > len(msg) || int(msg[p]) != n {
 			return false
 		}
-		for k := 0; k < L.nWalk; k++ {
+		p++
+		if len(L.reported[wi]) != n {
+			L.reported[wi] = make([]walkerReport, n)
+		}
+		for k := 0; k < n; k++ {
 			// A walker dead in the global view stays dead — a rank resuming
 			// from a stale checkpoint must not resurrect it.
 			alive := msg[p] != 0 && L.aliveG[wi][k]
@@ -992,26 +1016,26 @@ func (L *distLeader) parseReport(r int, msg []float64) bool {
 				L.res.FailedWalkers++
 			}
 			L.aliveG[wi][k] = alive
-			L.convG[wi][k] = msg[p+1] != 0
-			L.flatG[wi][k] = msg[p+2] != 0
-			L.energyG[wi][k] = msg[p+4]
+			L.reported[wi][k] = walkerReport{conv: msg[p+1] != 0, flat: msg[p+2] != 0, energy: msg[p+4]}
 			p += 5
 		}
 		hasCons := msg[p] != 0
 		lnF := msg[p+1]
 		p += 2
 		if hasCons && firstAlive(L.aliveG[wi]) >= 0 {
-			L.frozenG[wi] = append(L.frozenG[wi][:0], msg[p:p+L.windows[wi].Bins]...)
+			L.frozenG[wi] = append(L.frozenG[wi][:0], msg[p:p+bins]...)
 			L.lastLnFG[wi] = lnF
 		}
-		p += L.windows[wi].Bins
+		p += bins
 	}
 	return p == len(msg)
 }
 
-// ownerCall routes a command to a window's owner: local function call for
-// the leader's own windows, request/reply over the endpoint otherwise.
-// A communication error marks the rank dead and returns ok=false.
+// The four owner calls below route a command to a window's owner: a
+// function call for the leader's own windows, request/reply over the
+// endpoint otherwise. A communication error marks the rank dead and
+// returns ok=false.
+
 func (L *distLeader) queryExchange(ctx context.Context, wi, k int, ePartner float64) (ok, binOK bool, lgSelf, lgPartner float64) {
 	r := L.owner[wi]
 	if r == 0 {
@@ -1085,13 +1109,16 @@ func (L *distLeader) commandEndStage(ctx context.Context, wi int) {
 	}
 }
 
-// tryExchangeDist replays tryExchange across ranks: the bin checks and
-// ln g lookups are computed at the owners on bit-identical state, the
-// acceptance decision (and its Float64 draw, consumed only when
+// tryExchangeDist attempts a replica exchange between walker ka of window
+// wi and walker kb of window wi+1: configurations swap if each walker's
+// energy lies inside the other's window and the flat-histogram acceptance
+// test passes. The bin checks and ln g lookups are computed at the owners,
+// the acceptance decision (and its Float64 draw, consumed only when
 // logA < 0) happens on the leader's coordinator stream, and an accepted
-// swap ships the configurations through the leader.
+// swap moves the configurations through the leader; replica ids travel
+// with them.
 func (L *distLeader) tryExchangeDist(ctx context.Context, wi, ka, kb int) {
-	ea, eb := L.energyG[wi][ka], L.energyG[wi+1][kb]
+	ea, eb := L.reported[wi][ka].energy, L.reported[wi+1][kb].energy
 	okA, binA, laSelf, laPartner := L.queryExchange(ctx, wi, ka, eb)
 	if !okA {
 		return
@@ -1103,7 +1130,7 @@ func (L *distLeader) tryExchangeDist(ctx context.Context, wi, ka, kb int) {
 	if !binA || !binB {
 		return
 	}
-	// Same association order as tryExchange:
+	// The association order is part of the trajectory:
 	// lookup(da,ea) - lookup(da,eb) + lookup(db,eb) - lookup(db,ea).
 	logA := laSelf - laPartner + lbSelf - lbPartner
 	if logA < 0 && math.Log(L.coord.Float64()+1e-300) >= logA {
@@ -1122,7 +1149,7 @@ func (L *distLeader) tryExchangeDist(ctx context.Context, wi, ka, kb int) {
 	}
 	L.res.ExchangeAccept++
 	L.replicaID[wi][ka], L.replicaID[wi+1][kb] = L.replicaID[wi+1][kb], L.replicaID[wi][ka]
-	L.energyG[wi][ka], L.energyG[wi+1][kb] = eb2, ea2
+	L.reported[wi][ka].energy, L.reported[wi+1][kb].energy = eb2, ea2
 }
 
 // checkpointAll persists a world-consistent checkpoint: every live rank
@@ -1163,17 +1190,14 @@ func (L *distLeader) abortAll(ctx context.Context) {
 	}
 }
 
-// finish collects the final per-window state from every surviving rank
-// and assembles the Result exactly as RunContext's final loop does —
-// degraded windows contribute their frozen consensus.
+// finish collects the final per-window state from every surviving rank,
+// merges the windows and assembles the Result. A degraded window
+// contributes its frozen consensus; a window lost before any consensus
+// existed contributes nothing (and the merge fails if that leaves a gap).
 func (L *distLeader) finish(ctx context.Context) (*Result, error) {
-	// Collection must proceed even when ctx was cancelled mid-run, so the
-	// partial DOS can be merged; the endpoint's own timeout still bounds
-	// each operation.
-	fctx := context.WithoutCancel(ctx)
 	for r := 1; r < L.size; r++ {
 		if L.rankAlive[r] {
-			if err := L.ep.SendCtx(fctx, r, []float64{dopFinish}); err != nil {
+			if err := L.ep.SendCtx(ctx, r, []float64{dopFinish}); err != nil {
 				L.rankDead(r)
 			}
 		}
@@ -1184,7 +1208,7 @@ func (L *distLeader) finish(ctx context.Context) (*Result, error) {
 		if !L.rankAlive[r] {
 			continue
 		}
-		rep, err := L.ep.RecvCtx(fctx, r)
+		rep, err := L.ep.RecvCtx(ctx, r)
 		if err != nil {
 			L.rankDead(r)
 			continue
@@ -1193,16 +1217,19 @@ func (L *distLeader) finish(ctx context.Context) (*Result, error) {
 	}
 
 	nWin := len(L.windows)
+	L.res.Windows = make([]WindowStat, nWin)
+	L.res.Telemetry = L.telem
 	var perWindow []*dos.LogDOS
 	for wi := 0; wi < nWin; wi++ {
 		r := L.owner[wi]
 		win := L.windows[wi]
 		binW := (win.EMax - win.EMin) / float64(win.Bins)
 		var conv bool
-		var sweeps, acc, prop int64
+		var acc, prop int64
 		var lnF float64
 		var logG []float64
-		degraded := len(aliveIdx(L.aliveG[wi])) == 0
+		sweeps := L.retiredSweeps[wi]
+		degraded := firstAlive(L.aliveG[wi]) < 0
 		if !degraded && finals[r] != nil {
 			p := 0
 			lo, _ := winRange(nWin, L.size, r)
@@ -1213,7 +1240,7 @@ func (L *distLeader) finish(ctx context.Context) (*Result, error) {
 				degraded = true
 			} else {
 				conv = finals[r][p] != 0
-				sweeps = int64(finals[r][p+1])
+				sweeps += int64(finals[r][p+1])
 				acc = int64(finals[r][p+2])
 				prop = int64(finals[r][p+3])
 				lnF = finals[r][p+4]
@@ -1237,7 +1264,9 @@ func (L *distLeader) finish(ctx context.Context) (*Result, error) {
 				LogG:     append([]float64(nil), logG...),
 			})
 		}
-		failed := 0
+		// Walkers the adaptive controller retired after migrating their
+		// budget elsewhere are not failures.
+		failed := -L.retired[wi]
 		for _, a := range L.aliveG[wi] {
 			if !a {
 				failed++
@@ -1262,6 +1291,8 @@ func (L *distLeader) finish(ctx context.Context) (*Result, error) {
 	merged, err := dos.Merge(perWindow)
 	if err != nil {
 		if ctx.Err() != nil {
+			// Cancelled before the windows overlapped; there is no
+			// meaningful partial result to return.
 			return nil, ctx.Err()
 		}
 		return nil, fmt.Errorf("rewl: merging windows: %w", err)

@@ -22,7 +22,8 @@ import (
 // TestResumeRollsBackPastCorruptCheckpoint: truncating one rank's newest
 // checkpoint file must drop that round from its offer, so the world
 // resumes from the newest round every rank still verifiably holds — and
-// the replayed run stays bit-identical to the uninterrupted one.
+// the replayed run stays bit-identical to the uninterrupted one. A world
+// of one has the same retained rounds and the same fallback.
 func TestResumeRollsBackPastCorruptCheckpoint(t *testing.T) {
 	m, exact := exact8(t)
 	wins, err := SplitWindows(exact.EMin, exact.EMax(), 2, 0.5, exact.BinWidth)
@@ -40,62 +41,67 @@ func TestResumeRollsBackPastCorruptCheckpoint(t *testing.T) {
 		t.Fatalf("reference run unusable (converged=%v rounds=%d)", ref.AllConverged, ref.Rounds)
 	}
 
-	dir := t.TempDir()
-	interrupted := base
-	interrupted.CheckpointDir = dir
-	interrupted.CheckpointEvery = 1
-	interrupted.MaxRounds = 3 // retained rounds 1, 2, 3 on both ranks
-	runDistChan(t, 2, m, seed, wins, interrupted)
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("world%d", ranks), func(t *testing.T) {
+			dir := t.TempDir()
+			interrupted := base
+			interrupted.CheckpointDir = dir
+			interrupted.CheckpointEvery = 1
+			interrupted.MaxRounds = 3 // retained rounds 1, 2, 3 on every rank
+			runDistChan(t, ranks, m, seed, wins, interrupted)
 
-	for _, rank := range []int{0, 1} {
-		if got := availableRounds(dir, rank, wins, 2, 2); len(got) != 3 || got[0] != 3 {
-			t.Fatalf("rank %d offers %v before corruption, want [3 2 1]", rank, got)
-		}
-	}
+			for rank := 0; rank < ranks; rank++ {
+				if got := availableRounds(dir, rank, ranks); len(got) != 3 || got[0] != 3 {
+					t.Fatalf("rank %d offers %v before corruption, want [3 2 1]", rank, got)
+				}
+			}
 
-	// Truncate rank 1's round-3 file: its checksum no longer matches the
-	// manifest, so round 3 must vanish from rank 1's offer.
-	path := distRoundPath(dir, 1, 3)
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, fi.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	if got := availableRounds(dir, 1, wins, 2, 2); len(got) != 2 || got[0] != 2 {
-		t.Fatalf("rank 1 offers %v after truncation, want [2 1]", got)
-	}
+			// Truncate the last rank's round-3 file: its checksum no longer
+			// matches the manifest, so round 3 must vanish from its offer.
+			victim := ranks - 1
+			path := distRoundPath(dir, victim, 3)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+			if got := availableRounds(dir, victim, ranks); len(got) != 2 || got[0] != 2 {
+				t.Fatalf("rank %d offers %v after truncation, want [2 1]", victim, got)
+			}
 
-	// Resume: newest common round is 2, not 3 — and not an abort.
-	var mu sync.Mutex
-	var logs []string
-	resumed := base
-	resumed.CheckpointDir = dir
-	resumed.CheckpointEvery = 1
-	resumed.Resume = true
-	resumed.Logf = func(f string, a ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(f, a...))
-		mu.Unlock()
+			// Resume: newest common round is 2, not 3 — and not an abort.
+			var mu sync.Mutex
+			var logs []string
+			resumed := base
+			resumed.CheckpointDir = dir
+			resumed.CheckpointEvery = 1
+			resumed.Resume = true
+			resumed.Logf = func(f string, a ...any) {
+				mu.Lock()
+				logs = append(logs, fmt.Sprintf(f, a...))
+				mu.Unlock()
+			}
+			got := runDistChan(t, ranks, m, seed, wins, resumed)
+			if !got.Resumed {
+				t.Error("run not flagged as resumed")
+			}
+			mu.Lock()
+			sawRound := false
+			for _, l := range logs {
+				if strings.Contains(l, "resuming world from checkpoint round 2") {
+					sawRound = true
+				}
+			}
+			mu.Unlock()
+			if !sawRound {
+				t.Error("leader did not log the negotiated rollback to round 2")
+			}
+			got.Resumed = ref.Resumed
+			sameResult(t, got, ref)
+		})
 	}
-	got := runDistChan(t, 2, m, seed, wins, resumed)
-	if !got.Resumed {
-		t.Error("run not flagged as resumed")
-	}
-	mu.Lock()
-	sawRound := false
-	for _, l := range logs {
-		if strings.Contains(l, "resuming world from checkpoint round 2") {
-			sawRound = true
-		}
-	}
-	mu.Unlock()
-	if !sawRound {
-		t.Error("leader did not log the negotiated rollback to round 2")
-	}
-	got.Resumed = ref.Resumed
-	sameResult(t, got, ref)
 }
 
 // TestResumeStartsFreshWithoutCommonRound: when the ranks' retained sets
@@ -123,7 +129,7 @@ func TestResumeStartsFreshWithoutCommonRound(t *testing.T) {
 	runDistChan(t, 2, m, seed, wins, interrupted)
 
 	// Wipe every checkpoint rank 1 holds: no round is common any more.
-	for _, c := range availableRounds(dir, 1, wins, 2, 2) {
+	for _, c := range availableRounds(dir, 1, 2) {
 		os.Remove(distRoundPath(dir, 1, c))
 	}
 

@@ -1,6 +1,6 @@
 package rewl
 
-// Round manifests for distributed checkpoints. Each rank keeps its last K
+// Round manifests for checkpoints. Each rank keeps its last K
 // checkpoint rounds as separate files (rewl-rank<r>-round<n>.ckpt) plus a
 // JSON manifest (rewl-rank<r>.manifest) recording every retained round
 // with its file size and FNV-64a checksum. The manifest is what makes
@@ -11,10 +11,7 @@ package rewl
 // aborting the restart.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -23,7 +20,6 @@ import (
 	"sort"
 
 	"deepthermo/internal/fsx"
-	"deepthermo/internal/wanglandau"
 )
 
 // manifestVersion guards the manifest JSON schema.
@@ -142,45 +138,23 @@ func readRoundBlob(dir string, e ckptEntry) ([]byte, error) {
 	return b, nil
 }
 
-// decodeDistCheckpoint decodes and validates one checkpoint blob.
-func decodeDistCheckpoint(blob []byte, windows []wanglandau.Window, nWalk, rank, size int) (*distCheckpoint, error) {
-	ck := new(distCheckpoint)
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(ck); err != nil {
-		return nil, fmt.Errorf("rewl: corrupt checkpoint gob for rank %d: %w", rank, err)
-	}
-	if err := ck.validate(windows, nWalk, rank, size); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
 // availableRounds returns the checkpoint rounds rank can actually restore
 // from, newest first: manifest entries whose files verify byte-for-byte
-// AND whose decoded contents validate against the run geometry, plus the
-// legacy single-file checkpoint (rewl-rank<r>.ckpt) if one exists. A
-// corrupt, truncated, or geometry-mismatched round is skipped, not fatal.
-func availableRounds(dir string, rank int, windows []wanglandau.Window, nWalk, size int) []int {
+// AND decode to a well-formed checkpoint of this rank in a world of size
+// ranks. A corrupt, truncated, or foreign round is skipped, not fatal.
+func availableRounds(dir string, rank, size int) []int {
 	seen := map[int]bool{}
 	var rounds []int
-	mf := readManifest(dir, rank)
-	for _, e := range mf.Rounds {
+	for _, e := range readManifest(dir, rank).Rounds {
 		blob, err := readRoundBlob(dir, e)
-		if err != nil {
+		if err != nil || seen[e.Round] {
 			continue
 		}
-		ck, err := decodeDistCheckpoint(blob, windows, nWalk, rank, size)
-		if err != nil || ck.Round != e.Round {
+		if ck, err := decodeDistCheckpoint(blob, rank, size); err != nil || ck.Round != e.Round {
 			continue
 		}
-		if !seen[e.Round] {
-			seen[e.Round] = true
-			rounds = append(rounds, e.Round)
-		}
-	}
-	if ck, err := loadDistCheckpoint(DistCheckpointPath(dir, rank), windows, nWalk, rank, size); err == nil && ck != nil {
-		if !seen[ck.Round] {
-			rounds = append(rounds, ck.Round)
-		}
+		seen[e.Round] = true
+		rounds = append(rounds, e.Round)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(rounds)))
 	return rounds
@@ -190,30 +164,21 @@ func availableRounds(dir string, rank int, windows []wanglandau.Window, nWalk, s
 // for one specific round — the payload the leader ships to a replacement
 // worker that has no local checkpoint of its own.
 func loadDistRoundBlob(dir string, rank, round int) ([]byte, error) {
-	mf := readManifest(dir, rank)
-	for _, e := range mf.Rounds {
+	for _, e := range readManifest(dir, rank).Rounds {
 		if e.Round == round {
 			return readRoundBlob(dir, e)
 		}
 	}
-	// Legacy single-file fallback.
-	b, err := os.ReadFile(DistCheckpointPath(dir, rank))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("rewl: rank %d has no checkpoint for round %d", rank, round)
-		}
-		return nil, err
-	}
-	return b, nil
+	return nil, fmt.Errorf("rewl: rank %d has no checkpoint for round %d", rank, round)
 }
 
-// loadDistRound loads and validates rank's checkpoint for one round.
-func loadDistRound(dir string, rank, round int, windows []wanglandau.Window, nWalk, size int) (*distCheckpoint, error) {
+// loadDistRound loads rank's checkpoint for one round.
+func loadDistRound(dir string, rank, round, size int) (*distCheckpoint, error) {
 	blob, err := loadDistRoundBlob(dir, rank, round)
 	if err != nil {
 		return nil, err
 	}
-	ck, err := decodeDistCheckpoint(blob, windows, nWalk, rank, size)
+	ck, err := decodeDistCheckpoint(blob, rank, size)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,9 @@
 // The driver is bulk-synchronous: a round of independent sweeping followed
 // by a serial exchange/merge phase. This mirrors the paper's MPI
 // implementation, where the exchange phase is a nearest-neighbor
-// communication step between window communicators.
+// communication step between window communicators. There is one round loop
+// (distributed.go); RunContext runs it over a world of one rank that owns
+// every window, RunDistributed over however many ranks the endpoint has.
 //
 // # Fault tolerance
 //
@@ -32,8 +34,10 @@
 //   - checkpoint/restart (Options.CheckpointDir): the full run state —
 //     every walker's chain including its RNG stream position, the
 //     coordinator stream, replica-flow bookkeeping — is written
-//     atomically every CheckpointEvery rounds, and Options.Resume
-//     continues a run bit-identically to the uninterrupted one.
+//     atomically every CheckpointEvery rounds as a checksummed round file
+//     per rank, the last CheckpointRetain rounds are kept, and
+//     Options.Resume continues a run bit-identically to the uninterrupted
+//     one from the newest round that still verifies.
 package rewl
 
 import (
@@ -50,7 +54,7 @@ import (
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
-	"deepthermo/internal/tensor"
+	"deepthermo/internal/transport"
 	"deepthermo/internal/wanglandau"
 )
 
@@ -67,40 +71,43 @@ type Options struct {
 	// modification-factor schedule (wanglandau.Options.OneOverT): the
 	// flatness-driven halving hands over to ln f = bins/steps once halving
 	// would undershoot it, removing the late-stage saturation stall. The
-	// flag is plumbed into every walker — serial, distributed, and
-	// checkpoint-restored alike — and recorded in checkpoints so a resume
-	// with a mismatched schedule fails loudly instead of silently
-	// diverging. (Setting WL.OneOverT directly is equivalent.)
+	// flag is plumbed into every walker, fresh or checkpoint-restored, and
+	// recorded in checkpoints so a resume with a mismatched schedule fails
+	// loudly instead of silently diverging. (Setting WL.OneOverT directly
+	// is equivalent.)
 	OneOverT bool
 
 	// Adaptive configures the adaptive parallelisation layer: per-round
 	// convergence telemetry, deterministic walker rebalancing from
 	// converged/fast windows into stragglers, and optional dynamic
 	// re-splitting of the slowest window. Zero value disables the layer
-	// entirely, preserving the static driver bit-for-bit. Only the
-	// single-process driver supports it; RunDistributed rejects it.
+	// entirely, preserving the static trajectory bit-for-bit. The
+	// controller reads walker histograms directly, so it requires every
+	// window on rank 0: a world of more than one rank rejects it.
 	Adaptive AdaptiveOptions
 
-	// CheckpointDir enables checkpoint/restart: the run state is written
-	// atomically to CheckpointDir/rewl.ckpt every CheckpointEvery rounds
-	// (default 10 when a dir is set). Empty disables checkpointing.
+	// CheckpointDir enables checkpoint/restart: every CheckpointEvery
+	// rounds (default 10 when a dir is set) each rank writes its state
+	// atomically to CheckpointDir/rewl-rank<r>-round<n>.ckpt and records
+	// it in rewl-rank<r>.manifest. Empty disables checkpointing.
 	CheckpointDir   string
 	CheckpointEvery int
-	// CheckpointRetain is how many checkpoint rounds each distributed rank
-	// keeps (default 3 when a dir is set). Older rounds are pruned; the
-	// retained set is what the resume negotiation and the elastic rollback
-	// can fall back to when a newer round is corrupt or missing on some
-	// rank. The single-process driver keeps one file regardless.
+	// CheckpointRetain is how many checkpoint rounds each rank keeps
+	// (default 3 when a dir is set). Older rounds are pruned; the retained
+	// set is what the resume negotiation and the elastic rollback can fall
+	// back to when a newer round is corrupt or missing on some rank.
 	CheckpointRetain int
 	// Resume continues from CheckpointDir's checkpoint if one exists
 	// (bit-identically to the uninterrupted run); absent a checkpoint the
-	// run starts fresh, so restart loops can set it unconditionally. In a
-	// distributed world the leader negotiates the newest checkpoint round
-	// every rank holds and rolls the world back to it; with no common
-	// round the world starts fresh rather than aborting.
+	// run starts fresh, so restart loops can set it unconditionally. The
+	// leader negotiates the newest checkpoint round every rank verifiably
+	// holds and rolls the world back to it; with no common round the world
+	// starts fresh rather than aborting. A checkpoint of a different run
+	// (other windows, walker count, schedule or adaptive setting) is an
+	// error, not a fresh start.
 	Resume bool
 	// RejoinWait, when positive and CheckpointDir is set, makes the
-	// distributed leader elastic: a dead worker rank's windows are not
+	// leader elastic: a dead worker rank's windows are not
 	// degraded immediately — the leader waits up to RejoinWait for a
 	// replacement worker to join the world (transport.Rejoinable), ships
 	// or negotiates the rank's checkpoint state, rolls every rank back to
@@ -115,8 +122,8 @@ type Options struct {
 	// WalkerTimeout bounds a walker's sweep round; a slower walker is
 	// declared dead and abandoned (0 disables straggler detection).
 	WalkerTimeout time.Duration
-	// Logf, when set, receives per-round progress lines from the
-	// distributed driver (RunDistributed). nil discards them.
+	// Logf, when set, receives the leader's per-round progress lines and
+	// its resume and rejoin decisions. nil discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -310,238 +317,14 @@ func Run(m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, ne
 	return RunContext(context.Background(), m, seedCfg, windows, newProposal, opts)
 }
 
-// RunContext is Run with cooperative cancellation. Walkers poll ctx once
-// per sweep, so cancellation takes effect within one sweep rather than one
+// RunContext is Run with cooperative cancellation: RunDistributed over a
+// world of one rank, which owns every window. Walkers poll ctx once per
+// sweep, so cancellation takes effect within one sweep rather than one
 // exchange round. On cancellation the windows sampled so far are still
 // merged and returned alongside ctx's error, so callers can persist the
 // partial density of states.
 func RunContext(ctx context.Context, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
-	opts.setDefaults()
-	if len(windows) == 0 {
-		return nil, fmt.Errorf("rewl: no windows")
-	}
-
-	st, err := buildRunState(m, seedCfg, windows, newProposal, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Window layout and all per-window arrays live on st: adaptive
-	// rebalancing appends migrant walkers and re-splitting replaces a
-	// window with two sub-windows mid-run, so everything below indexes
-	// st.windows and friends directly, never the caller's slice.
-	coord := st.coord
-
-	res := &Result{Rounds: st.startRound, Resumed: st.resumed}
-	res.ExchangeTried = st.exchangeTried
-	res.ExchangeAccept = st.exchangeAccept
-	res.RoundTrips = st.roundTrips
-	res.FailedWalkers = st.failedWalkers
-	res.Migrations = st.migrations
-	res.Resplits = st.resplits
-	res.Events = st.events
-
-	// The sweep phase already saturates the machine with one goroutine per
-	// walker, so declare a nested-parallel context for the duration of the
-	// run: tensor kernels invoked from walker proposals (batch-1 DL
-	// inference) take their serial path instead of fanning out a second
-	// layer of goroutines per matmul.
-	tensor.EnterNested()
-	defer tensor.LeaveNested()
-
-	for round := st.startRound; round < opts.MaxRounds; round++ {
-		if ctx.Err() != nil {
-			break
-		}
-		res.Rounds = round + 1
-
-		res.FailedWalkers += sweepPhase(ctx, opts, 0, st.walkers, st.alive)
-		if ctx.Err() != nil {
-			// Cancelled mid-sweep: this round's sweeps are partial. Skip the
-			// coordination phase and, critically, the checkpoint — a
-			// checkpoint must only ever capture a full-round boundary.
-			// Committing a partial round would make a resumed run diverge
-			// from the uninterrupted trajectory (and in fleet mode would
-			// hand the surviving replica a polluted resume point).
-			break
-		}
-
-		// Serial coordination phase, over surviving walkers only.
-		// 1. Within-window ln g averaging across walkers, then freeze the
-		// consensus so a window losing its last walker later still
-		// contributes its progress to the final merge.
-		for wi := range st.walkers {
-			mergeWindowDOS(aliveIn(st.walkers[wi], st.alive[wi]))
-		}
-		for wi := range st.walkers {
-			if k := firstAlive(st.alive[wi]); k >= 0 {
-				st.frozen[wi] = append(st.frozen[wi][:0], st.walkers[wi][k].DOS().LogG...)
-				st.lastLnF[wi] = st.walkers[wi][k].LnF()
-			}
-		}
-		// Convergence telemetry at the round barrier, input to the adaptive
-		// controller and the final report.
-		st.collectTelemetry(round + 1)
-		// 2. Replica exchange between adjacent windows; alternate pairing
-		// parity so every boundary is exercised. Replica ids travel with
-		// the configurations. Partners are drawn among each window's live
-		// walkers — with no faults this consumes the exact draw sequence
-		// of the fault-free driver.
-		nWin := len(st.windows)
-		for wi := round % 2; wi+1 < nWin; wi += 2 {
-			ia, ib := aliveIdx(st.alive[wi]), aliveIdx(st.alive[wi+1])
-			if len(ia) == 0 || len(ib) == 0 {
-				continue
-			}
-			ka, kb := ia[coord.Intn(len(ia))], ib[coord.Intn(len(ib))]
-			a := st.walkers[wi][ka]
-			b := st.walkers[wi+1][kb]
-			res.ExchangeTried++
-			if tryExchange(a, b, coord) {
-				res.ExchangeAccept++
-				st.replicaID[wi][ka], st.replicaID[wi+1][kb] = st.replicaID[wi+1][kb], st.replicaID[wi][ka]
-			}
-		}
-		// Round-trip accounting at the ladder's ends.
-		if nWin > 1 {
-			for _, k := range aliveIdx(st.alive[0]) {
-				r := st.replicaID[0][k]
-				if st.lastExtreme[r] == 2 {
-					res.RoundTrips++
-				}
-				st.lastExtreme[r] = 1
-			}
-			for _, k := range aliveIdx(st.alive[nWin-1]) {
-				if r := st.replicaID[nWin-1][k]; st.lastExtreme[r] == 1 {
-					st.lastExtreme[r] = 2
-				}
-			}
-		}
-		// 3. Stage transitions: a window advances when all its surviving
-		// walkers are flat. A degraded window (no survivors) is frozen and
-		// no longer gates completion.
-		allDone := true
-		for wi := range st.walkers {
-			aw := aliveIn(st.walkers[wi], st.alive[wi])
-			if len(aw) == 0 {
-				continue
-			}
-			if windowConverged(aw) {
-				continue
-			}
-			allDone = false
-			flat := true
-			for _, w := range aw {
-				if !w.Flat() {
-					flat = false
-					break
-				}
-			}
-			if flat {
-				for _, w := range aw {
-					w.EndStage()
-				}
-				st.stages[wi]++
-			}
-		}
-
-		// 4. Adaptive rebalancing at the round barrier: purely a function
-		// of state that checkpoints capture, so a resumed run replays the
-		// same decisions. It runs before the checkpoint below, which
-		// therefore records the post-rebalance layout.
-		if opts.Adaptive.Enabled && !allDone && (round+1)%opts.Adaptive.RebalanceEvery == 0 {
-			if err := st.adapt(m, newProposal, opts, round+1, res); err != nil {
-				return nil, err
-			}
-		}
-
-		if opts.CheckpointDir != "" && (round+1)%opts.CheckpointEvery == 0 {
-			ck := snapshotCheckpoint(opts, st, round+1, res)
-			if err := saveCheckpoint(CheckpointPath(opts.CheckpointDir), ck); err != nil {
-				return nil, fmt.Errorf("rewl: writing checkpoint: %w", err)
-			}
-		}
-
-		if allDone {
-			res.AllConverged = true
-			break
-		}
-	}
-
-	// Collect per-window results and merge. A degraded window contributes
-	// its frozen consensus; a window lost before any consensus existed
-	// contributes nothing (and the merge fails if that leaves a gap).
-	res.Windows = make([]WindowStat, len(st.windows))
-	res.Telemetry = append([]WindowTelemetry(nil), st.telem...)
-	var perWindow []*dos.LogDOS
-	for wi := range st.walkers {
-		aw := aliveIn(st.walkers[wi], st.alive[wi])
-		idx := firstAlive(st.alive[wi])
-		var d *dos.LogDOS
-		switch {
-		case idx >= 0:
-			d = st.walkers[wi][idx].DOS().Clone()
-		case len(st.frozen[wi]) > 0:
-			win := st.windows[wi]
-			d = &dos.LogDOS{
-				EMin:     win.EMin,
-				BinWidth: (win.EMax - win.EMin) / float64(win.Bins),
-				LogG:     append([]float64(nil), st.frozen[wi]...),
-			}
-		}
-		degraded := idx < 0
-		if degraded {
-			res.DegradedWindows++
-			res.AllConverged = false
-		}
-		sweeps := st.retiredSweeps[wi]
-		var acc, prop int64
-		for _, w := range aw {
-			sweeps += w.Sweeps()
-			acc += w.Sampler().Accepted
-			prop += w.Sampler().Proposed
-		}
-		ratio := 0.0
-		if prop > 0 {
-			ratio = float64(acc) / float64(prop)
-		}
-		// Walkers the adaptive controller retired after migrating their
-		// budget elsewhere are not failures.
-		failed := 0
-		for k, a := range st.alive[wi] {
-			if !a && !st.retired[wi][k] {
-				failed++
-			}
-		}
-		res.Windows[wi] = WindowStat{
-			Window:        st.windows[wi],
-			Converged:     idx >= 0 && windowConverged(aw),
-			Stages:        st.stages[wi],
-			Sweeps:        sweeps,
-			FinalLnF:      lastLnFOr(st.lastLnF[wi], aw),
-			AcceptRatio:   ratio,
-			Degraded:      degraded,
-			FailedWalkers: failed,
-		}
-		res.TotalSweeps += sweeps
-		if d != nil {
-			perWindow = append(perWindow, d)
-		}
-	}
-	merged, err := dos.Merge(perWindow)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Cancelled before the windows overlapped; there is no
-			// meaningful partial result to return.
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("rewl: merging windows: %w", err)
-	}
-	res.DOS = merged
-	if err := ctx.Err(); err != nil {
-		res.AllConverged = false
-		return res, err
-	}
-	return res, nil
+	return RunDistributed(ctx, transport.NewChanWorld(1).Endpoint(0), m, seedCfg, windows, newProposal, opts)
 }
 
 // sweepPhase is one round's parallel sweep: every live, unconverged walker
@@ -550,15 +333,14 @@ func RunContext(ctx context.Context, m *alloy.Model, seedCfg lattice.Config, win
 // the walker's global slot — (winOffset+wi)·WalkersPerWindow+k — and the
 // walker's own sweep count, so it is independent of goroutine scheduling,
 // survives checkpoint/restart, and addresses the same walker whether the
-// windows run in one process (winOffset 0, all windows) or sharded across
+// windows sit on one rank (winOffset 0, all windows) or are sharded across
 // transport ranks (winOffset = the rank's first window). Walker slices may
 // be longer than WalkersPerWindow when the adaptive controller has
 // migrated walkers in; migrant slots (k ≥ WalkersPerWindow) carry slot -1,
 // which no chaos plan addresses, so fault plans keep targeting the static
 // population they were written against. Newly dead walkers (crashes,
-// panics, straggler timeouts) are cleared from alive; the count of deaths
-// is returned.
-func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*wanglandau.Walker, alive [][]bool) int {
+// panics, straggler timeouts) are cleared from alive.
+func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*wanglandau.Walker, alive [][]bool) {
 	nWalk := opts.WalkersPerWindow
 	done := ctx.Done()
 	// Flat index over the (possibly ragged) walker slices.
@@ -661,16 +443,13 @@ func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*w
 	} else {
 		<-roundDone
 	}
-	failed := 0
 	for wi := range walkers {
 		for k := range walkers[wi] {
-			if deadFlags[offsets[wi]+k].Load() && alive[wi][k] {
+			if deadFlags[offsets[wi]+k].Load() {
 				alive[wi][k] = false
-				failed++
 			}
 		}
 	}
-	return failed
 }
 
 func windowConverged(ws []*wanglandau.Walker) bool {
@@ -714,14 +493,6 @@ func firstAlive(alive []bool) int {
 	return -1
 }
 
-// lastLnFOr prefers a live walker's ln f over the frozen value.
-func lastLnFOr(frozen float64, aw []*wanglandau.Walker) float64 {
-	if len(aw) > 0 {
-		return aw[0].LnF()
-	}
-	return frozen
-}
-
 // mergeWindowDOS averages ln g over the walkers of one window (over bins
 // visited by at least one walker) and writes the consensus back to all,
 // the standard multi-walker REWL reduction.
@@ -750,25 +521,6 @@ func mergeWindowDOS(ws []*wanglandau.Walker) {
 	for _, w := range ws {
 		copy(w.DOS().LogG, avg)
 	}
-}
-
-// tryExchange attempts a replica exchange between walkers in adjacent
-// windows: configurations swap if each walker's energy lies inside the
-// other's window and the flat-histogram acceptance test passes.
-func tryExchange(a, b *wanglandau.Walker, src *rng.Source) bool {
-	ea, eb := a.Energy(), b.Energy()
-	da, db := a.DOS(), b.DOS()
-	if da.Bin(eb) < 0 || db.Bin(ea) < 0 {
-		return false
-	}
-	logA := lookup(da, ea) - lookup(da, eb) + lookup(db, eb) - lookup(db, ea)
-	if logA < 0 && math.Log(src.Float64()+1e-300) >= logA {
-		return false
-	}
-	sa, sb := a.Sampler(), b.Sampler()
-	sa.Cfg, sb.Cfg = sb.Cfg, sa.Cfg
-	sa.E, sb.E = sb.E, sa.E
-	return true
 }
 
 // lookup reads ln g at energy e, treating unvisited bins as ln g = 0.

@@ -3,15 +3,18 @@ package rewl
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"sync"
 	"testing"
-	"time"
 
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/dos"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
+	"deepthermo/internal/transport"
 	"deepthermo/internal/wanglandau"
 )
 
@@ -366,39 +369,98 @@ func TestREWLDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunContextCancel: cancelling mid-run must stop within a round and
-// return the partial merged DOS alongside the context error.
+// cancelAfter is a proposal that cancels a context on its n-th Propose
+// call, which lands a cancellation inside a chosen sweep of a chosen round.
+type cancelAfter struct {
+	mc.Proposal
+	left   int
+	cancel context.CancelFunc
+}
+
+func (p *cancelAfter) Propose(cfg lattice.Config, e float64, src *rng.Source) (float64, float64) {
+	if p.left--; p.left == 0 {
+		p.cancel()
+	}
+	return p.Proposal.Propose(cfg, e, src)
+}
+
+// TestRunContextCancel: cancelling mid-sweep must stop within the round,
+// skip that round's coordination and checkpoint, and return the partial
+// merged DOS alongside the context error; resuming from what is on disk
+// must then finish exactly like the run that was never interrupted (the
+// static_2walkers golden). The same holds at every world size.
 func TestRunContextCancel(t *testing.T) {
-	m, exact := exact8(t)
-	wins, _ := SplitWindows(exact.EMin, exact.EMax(), 2, 0.5, exact.BinWidth)
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	factory := func(win, widx int, s *rng.Source) mc.Proposal {
-		select {
-		case <-started:
-		default:
-			close(started)
+	var row goldenRow
+	for _, r := range goldenRows() {
+		if r.name == "static_2walkers" {
+			row = r
 		}
-		return mc.NewSwapProposal(m)
 	}
-	go func() {
-		<-started
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	src := rng.New(3)
-	seed := lattice.EquiatomicConfig(m.Lattice(), 2, src)
-	// An unreachable LnFFinal would keep this running for a long time.
-	res, err := RunContext(ctx, m, seed, wins,
-		factory, Options{Seed: 4, WL: wanglandau.Options{LnFFinal: 1e-300}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	m, exact := row.system(t)
+	wins, err := SplitWindows(exact.EMin, exact.EMax(), row.windows, row.overlap, exact.BinWidth)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res == nil || res.DOS == nil {
-		t.Fatal("no partial result after cancellation")
-	}
-	if res.AllConverged {
-		t.Error("cancelled run claims convergence")
+	seed := lattice.EquiatomicConfig(m.Lattice(), 2, rng.New(row.cfgSeed))
+	// Walker 0 of window 0 proposes once per site per sweep; its 40th
+	// proposal of round 5 is well inside that round's sweep phase.
+	const fullRounds = 4
+	cancelAt := fullRounds*row.opts.ExchangeInterval*m.Lattice().NumSites() + 40
+
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("world%d", ranks), func(t *testing.T) {
+			opts := row.opts
+			opts.CheckpointDir, opts.CheckpointEvery = t.TempDir(), 1
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			factory := func(win, widx int, s *rng.Source) mc.Proposal {
+				if win == 0 && widx == 0 {
+					return &cancelAfter{Proposal: mc.NewSwapProposal(m), left: cancelAt, cancel: cancel}
+				}
+				return mc.NewSwapProposal(m)
+			}
+			world := transport.NewChanWorld(ranks)
+			var wg sync.WaitGroup
+			var res *Result
+			var runErr error
+			for r := 0; r < ranks; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					// Worker ranks share the cancelled context and fail; only
+					// the leader's outcome is specified.
+					got, err := RunDistributed(ctx, world.Endpoint(r), m, seed, wins, factory, opts)
+					if r == 0 {
+						res, runErr = got, err
+					}
+				}(r)
+			}
+			wg.Wait()
+			if !errors.Is(runErr, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", runErr)
+			}
+			if res == nil || res.DOS == nil {
+				t.Fatal("no partial result after cancellation")
+			}
+			if res.AllConverged || res.Rounds != fullRounds+1 {
+				t.Errorf("cancelled in round %d, result reports %d rounds, converged=%v", fullRounds+1, res.Rounds, res.AllConverged)
+			}
+			for r := 0; r < ranks; r++ {
+				if got := availableRounds(opts.CheckpointDir, r, ranks); len(got) == 0 || got[0] != fullRounds {
+					t.Errorf("rank %d holds rounds %v, want newest %d", r, got, fullRounds)
+				}
+				if _, err := os.Stat(distRoundPath(opts.CheckpointDir, r, fullRounds+1)); err == nil {
+					t.Errorf("rank %d checkpointed the cancelled round %d", r, fullRounds+1)
+				}
+			}
+
+			opts.Resume = true
+			resumed := runDistChan(t, ranks, m, seed, wins, opts)
+			if !resumed.Resumed {
+				t.Error("run not flagged as resumed")
+			}
+			requireGolden(t, row.name, resumed)
+		})
 	}
 }
 

@@ -385,8 +385,13 @@ func (w *Walker) Run() *Result {
 // with a geometric temperature schedule from the initial distance down to
 // a fraction of a bin width. Returns the final energy or an error if
 // maxSweeps was insufficient (low-energy windows may be unreachable from a
-// random start; seed from an annealed configuration in that case).
+// random start; seed from an annealed configuration in that case). A nil
+// error guarantees NewWalker accepts cfg for w.
 func PrepareInWindow(m *alloy.Model, cfg lattice.Config, w Window, src *rng.Source, maxSweeps int) (float64, error) {
+	grid, err := dos.New(w.EMin, w.EMax, w.Bins)
+	if err != nil {
+		return 0, err
+	}
 	e := m.Energy(cfg)
 	dist := func(e float64) float64 {
 		switch {
@@ -419,7 +424,15 @@ func PrepareInWindow(m *alloy.Model, cfg lattice.Config, w Window, src *rng.Sour
 				e += dE
 				d = nd
 				if d == 0 {
-					return e, nil
+					// The incrementally tracked e can sit an ulp on the other
+					// side of a window edge that coincides with an energy
+					// level. Succeed only on what NewWalker tests — the energy
+					// recomputed from scratch, binned on the window's grid —
+					// and keep steering otherwise.
+					if e = m.Energy(cfg); grid.Bin(e) >= 0 {
+						return e, nil
+					}
+					d = dist(e)
 				}
 			}
 		}

@@ -133,6 +133,28 @@ func TestPrepareInWindowFailsGracefully(t *testing.T) {
 	}
 }
 
+// TestPrepareInWindowAgreesWithNewWalker: a window whose lower edge is an
+// exact energy level of the model. Configurations of that level evaluate
+// to energies an ulp apart depending on summation order, so the energy
+// PrepareInWindow tracks incrementally can read "inside" while the energy
+// NewWalker recomputes reads "outside". Whatever PrepareInWindow accepts,
+// NewWalker must accept too.
+func TestPrepareInWindowAgreesWithNewWalker(t *testing.T) {
+	m, _ := smallSystem(t)
+	const level = -0.8 // second level of the 8-site spectrum {-1.2, -0.8, -0.6, -0.4}
+	win := Window{EMin: level, EMax: level + 0.3, Bins: 4}
+	for seed := uint64(1); seed <= 60; seed++ {
+		src := rng.New(seed)
+		cfg := lattice.EquiatomicConfig(m.Lattice(), 2, src)
+		if _, err := PrepareInWindow(m, cfg, win, src, 2000); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if _, err := NewWalker(m, cfg, mc.NewSwapProposal(m), src, win, Options{}); err != nil {
+			t.Fatalf("seed %d: PrepareInWindow accepted a configuration NewWalker rejects: %v", seed, err)
+		}
+	}
+}
+
 func TestMaxSweepsCutoff(t *testing.T) {
 	m, exact := smallSystem(t)
 	src := rng.New(6)

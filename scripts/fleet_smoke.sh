@@ -121,7 +121,7 @@ log "replica $owner owns the lease; $survivor will survive"
 
 # The survivor can only resume from a checkpoint that reached the shared
 # dir before the crash.
-ckpt="$tmp/fleet/checkpoints/$job/rewl.ckpt"
+ckpt="$tmp/fleet/checkpoints/$job/rewl-rank0.manifest"
 deadline=$((SECONDS + 60))
 until [[ -f "$ckpt" ]]; do
     ((SECONDS < deadline)) || fail "no shared checkpoint appeared at $ckpt"
