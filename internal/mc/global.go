@@ -89,6 +89,12 @@ func (m GlobalMode) String() string {
 // Composition is preserved exactly by construction (quota-constrained
 // decoding), keeping the chain in the canonical fixed-concentration
 // ensemble the paper evaluates.
+//
+// Layout: the struct is 512 bytes, a whole number of cache lines, so the
+// scalars every move rewrites (encCache*, last*, hammingAccum) share no
+// line with another walker's proposal. 512 is also the ceiling for a
+// struct that holds pointers (package cacheline): a new field must displace
+// one, not grow the struct. The rewl layout test holds both.
 type GlobalProposal struct {
 	model    Inferencer
 	ham      *alloy.Model

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"deepthermo/internal/alloy"
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 )
@@ -39,7 +40,9 @@ type Proposal interface {
 	Reject(cfg lattice.Config)
 }
 
-// Sampler is one Monte Carlo walker.
+// Sampler is one Monte Carlo walker. Every step writes E and the counters,
+// so the struct is padded to whole cache lines: parallel walkers' Samplers
+// never share one (see package cacheline).
 type Sampler struct {
 	Model    *alloy.Model
 	Cfg      lattice.Config
@@ -52,6 +55,8 @@ type Sampler struct {
 	Accepted, Proposed int64
 
 	stepsSinceResync int
+
+	_ [2*cacheline.Size - 88]byte
 }
 
 // NewSampler creates a walker over cfg. The configuration is owned by the

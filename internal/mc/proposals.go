@@ -2,6 +2,7 @@ package mc
 
 import (
 	"deepthermo/internal/alloy"
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 )
@@ -10,9 +11,14 @@ import (
 // species of two random sites. It is symmetric (logQRatio = 0) and changes
 // O(1) sites per step, which is exactly the locality the paper identifies
 // as the scalability bottleneck.
+//
+// Like every proposal here it is padded to whole cache lines (package
+// cacheline): i and j are rewritten on every step, and proposals of
+// parallel walkers are allocated back to back.
 type SwapProposal struct {
 	m    *alloy.Model
 	i, j int
+	_    [cacheline.Size - 24]byte
 }
 
 // NewSwapProposal returns a two-site swap proposal for model m.
@@ -62,6 +68,7 @@ type KSwapProposal struct {
 	m     *alloy.Model
 	K     int
 	sites []int // 2K sites of the applied swaps, for rollback
+	_     [cacheline.Size - 40]byte
 }
 
 // NewKSwapProposal returns a K-simultaneous-swap proposal.
@@ -69,7 +76,7 @@ func NewKSwapProposal(m *alloy.Model, k int) *KSwapProposal {
 	if k < 1 {
 		k = 1
 	}
-	return &KSwapProposal{m: m, K: k, sites: make([]int, 0, 2*k)}
+	return &KSwapProposal{m: m, K: k, sites: cacheline.Make[int](2 * k)[:0]}
 }
 
 // Name implements Proposal.
@@ -114,7 +121,8 @@ func (p *KSwapProposal) Reject(cfg lattice.Config) {
 
 // Mixture alternates between proposals at fixed probabilities, e.g. mostly
 // cheap local swaps with periodic global DL updates — the production
-// configuration of DeepThermo.
+// configuration of DeepThermo. The struct is one cache line as it stands
+// (last is rewritten on every step); weights and props are only read there.
 type Mixture struct {
 	props   []Proposal
 	weights []float64 // cumulative

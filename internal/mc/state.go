@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 )
@@ -41,9 +42,13 @@ func (s *Sampler) State() SamplerState {
 // RestoreState overwrites the sampler's chain state from a snapshot,
 // including its RNG stream position. The sampler's existing Src is
 // rewound in place (callers typically construct the sampler with a
-// throwaway stream and then restore the checkpointed one).
+// throwaway stream and then restore the checkpointed one), and so is its
+// configuration when the lattice size matches: the snapshot is copied into
+// the array the sampler already owns.
 func (s *Sampler) RestoreState(st SamplerState) {
-	s.Cfg = make(lattice.Config, len(st.Cfg))
+	if len(s.Cfg) != len(st.Cfg) {
+		s.Cfg = cacheline.Make[lattice.Species](len(st.Cfg))
+	}
 	copy(s.Cfg, st.Cfg)
 	s.E = st.E
 	s.Src.Restore(st.RNG)

@@ -31,6 +31,7 @@ import (
 	"math"
 
 	"deepthermo/internal/alloy"
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/dos"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
@@ -174,6 +175,7 @@ type ownerState struct {
 	lo      int                    // first owned window
 	walkers [][]*wanglandau.Walker // [wi-lo][k], one entry per owned window
 	alive   [][]bool
+	sweep   *sweepScratch // reused across rounds; nil until the first sweep
 }
 
 // newOwnerState builds the rank's walkers fresh. Walker k of window wi
@@ -209,7 +211,7 @@ func newOwnerState(m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.
 // then the within-window ln g consensus merge — the two steps of a round
 // that only ever touch one rank's walkers.
 func (o *ownerState) sweepAndMerge(ctx context.Context) {
-	sweepPhase(ctx, o.opts, o.lo, o.walkers, o.alive)
+	o.sweepPhase(ctx)
 	for i := range o.walkers {
 		mergeWindowDOS(aliveIn(o.walkers[i], o.alive[i]))
 	}
@@ -274,15 +276,18 @@ func (o *ownerState) getCfg(wi, k int) (e float64, cfg []float64) {
 }
 
 // setCfg installs the partner's configuration and energy — the walker's
-// half of an accepted configuration swap.
+// half of an accepted configuration swap — by copying into the
+// configuration the walker owns: re-pointing Cfg at a fresh slice would
+// move it out of the walker's cache lines. Only a payload of another
+// lattice size, which no well-formed peer sends, still replaces the slice.
 func (o *ownerState) setCfg(wi, k int, e float64, cfg []float64) {
-	w := o.walkers[wi-o.lo][k]
-	s := w.Sampler()
-	nc := make(lattice.Config, len(cfg))
-	for i, v := range cfg {
-		nc[i] = lattice.Species(v)
+	s := o.walkers[wi-o.lo][k].Sampler()
+	if len(s.Cfg) != len(cfg) {
+		s.Cfg = cacheline.Make[lattice.Species](len(cfg))
 	}
-	s.Cfg = nc
+	for i, v := range cfg {
+		s.Cfg[i] = lattice.Species(v)
+	}
 	s.E = e
 }
 

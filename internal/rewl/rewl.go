@@ -165,8 +165,8 @@ func (o *Options) setDefaults() {
 // well below the requested fraction, so callers that care should read the
 // achieved numbers rather than trust the request.
 type WindowLayout struct {
-	Windows   []wanglandau.Window
-	TotalBins int // bins covering [eMin, eMax) at binWidth
+	Windows    []wanglandau.Window
+	TotalBins  int // bins covering [eMin, eMax) at binWidth
 	WindowBins int // bins per window
 	StrideBins int // bin offset between adjacent window starts
 	// SharedBins is the number of bins each adjacent pair shares
@@ -327,33 +327,57 @@ func RunContext(ctx context.Context, m *alloy.Model, seedCfg lattice.Config, win
 	return RunDistributed(ctx, transport.NewChanWorld(1).Endpoint(0), m, seedCfg, windows, newProposal, opts)
 }
 
+// sweepScratch is the sweep phase's per-round bookkeeping, kept on the
+// ownerState and reused from round to round. done and dead are indexed by
+// the flat walker index offsets[wi]+k.
+type sweepScratch struct {
+	offsets      []int
+	done, dead   []atomic.Bool
+	participants []int
+	wg           sync.WaitGroup
+}
+
 // sweepPhase is one round's parallel sweep: every live, unconverged walker
 // advances by opts.ExchangeInterval sweeps independently, polling for
 // cancellation and abandonment between sweeps. Fault injection is keyed on
-// the walker's global slot — (winOffset+wi)·WalkersPerWindow+k — and the
+// the walker's global slot — (o.lo+wi)·WalkersPerWindow+k — and the
 // walker's own sweep count, so it is independent of goroutine scheduling,
 // survives checkpoint/restart, and addresses the same walker whether the
-// windows sit on one rank (winOffset 0, all windows) or are sharded across
-// transport ranks (winOffset = the rank's first window). Walker slices may
+// windows sit on one rank (o.lo 0, all windows) or are sharded across
+// transport ranks (o.lo = the rank's first window). Walker slices may
 // be longer than WalkersPerWindow when the adaptive controller has
 // migrated walkers in; migrant slots (k ≥ WalkersPerWindow) carry slot -1,
 // which no chaos plan addresses, so fault plans keep targeting the static
 // population they were written against. Newly dead walkers (crashes,
-// panics, straggler timeouts) are cleared from alive.
-func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*wanglandau.Walker, alive [][]bool) {
+// panics, straggler timeouts) are cleared from o.alive.
+func (o *ownerState) sweepPhase(ctx context.Context) {
+	opts, walkers, alive := &o.opts, o.walkers, o.alive
 	nWalk := opts.WalkersPerWindow
 	done := ctx.Done()
-	// Flat index over the (possibly ragged) walker slices.
-	offsets := make([]int, len(walkers)+1)
-	for wi := range walkers {
-		offsets[wi+1] = offsets[wi] + len(walkers[wi])
+	if o.sweep == nil {
+		o.sweep = new(sweepScratch)
 	}
-	doneFlags := make([]atomic.Bool, offsets[len(walkers)])
-	deadFlags := make([]atomic.Bool, offsets[len(walkers)])
+	sc := o.sweep
+	// Flat index over the (possibly ragged) walker slices.
+	sc.offsets = append(sc.offsets[:0], 0)
+	for wi := range walkers {
+		sc.offsets = append(sc.offsets, sc.offsets[wi]+len(walkers[wi]))
+	}
+	offsets := sc.offsets
+	if n := offsets[len(walkers)]; n > len(sc.done) {
+		sc.done, sc.dead = make([]atomic.Bool, n), make([]atomic.Bool, n)
+	}
+	for i := range sc.dead {
+		sc.dead[i].Store(false)
+	}
+	sc.participants = sc.participants[:0]
 
-	abandon := make(chan struct{})
-	var participants []int
-	var wg sync.WaitGroup
+	// abandon stays nil — a select case that never fires — unless a
+	// straggler timeout is set.
+	var abandon chan struct{}
+	if opts.WalkerTimeout > 0 {
+		abandon = make(chan struct{})
+	}
 	for wi := range walkers {
 		for k, w := range walkers[wi] {
 			if w == nil || !alive[wi][k] || w.Converged() {
@@ -362,12 +386,11 @@ func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*w
 			local := offsets[wi] + k
 			slot := -1
 			if k < nWalk {
-				slot = (winOffset+wi)*nWalk + k
+				slot = (o.lo+wi)*nWalk + k
 			}
-			doneFlags[local].Store(false)
-			deadFlags[local].Store(false)
-			participants = append(participants, local)
-			wg.Add(1)
+			sc.done[local].Store(false)
+			sc.participants = append(sc.participants, local)
+			sc.wg.Add(1)
 			// Join the cross-walker batching quorum for this round when the
 			// proposal batches (engine-backed DL proposals; a no-op
 			// otherwise). Joining happens HERE, before the goroutine spawns,
@@ -382,11 +405,11 @@ func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*w
 				bp.BeginBatch()
 			}
 			go func(w *wanglandau.Walker, local, slot int) {
-				defer wg.Done()
-				defer doneFlags[local].Store(true)
+				defer sc.wg.Done()
+				defer sc.done[local].Store(true)
 				defer func() {
 					if r := recover(); r != nil {
-						deadFlags[local].Store(true)
+						sc.dead[local].Store(true)
 					}
 				}()
 				if batching {
@@ -401,7 +424,7 @@ func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*w
 					default:
 					}
 					if opts.Faults.ShouldCrash(slot, w.Sweeps()) {
-						deadFlags[local].Store(true)
+						sc.dead[local].Store(true)
 						return
 					}
 					if d := opts.Faults.SweepDelay(slot, w.Sweeps()); d > 0 {
@@ -421,9 +444,9 @@ func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*w
 			}(w, local, slot)
 		}
 	}
-	roundDone := make(chan struct{})
-	go func() { wg.Wait(); close(roundDone) }()
 	if opts.WalkerTimeout > 0 {
+		roundDone := make(chan struct{})
+		go func() { sc.wg.Wait(); close(roundDone) }()
 		timer := time.NewTimer(opts.WalkerTimeout)
 		select {
 		case <-roundDone:
@@ -432,20 +455,23 @@ func sweepPhase(ctx context.Context, opts Options, winOffset int, walkers [][]*w
 			// Stragglers are declared dead and abandoned: the driver
 			// never reads their state again, and their goroutines exit
 			// at the next sweep boundary (injected stalls are
-			// interruptible, so chaos tests converge promptly).
-			for _, local := range participants {
-				if !doneFlags[local].Load() {
-					deadFlags[local].Store(true)
+			// interruptible, so chaos tests converge promptly). They
+			// still hold this round's scratch — its wait group and
+			// flags — so the next round starts a fresh one.
+			for _, local := range sc.participants {
+				if !sc.done[local].Load() {
+					sc.dead[local].Store(true)
 				}
 			}
 			close(abandon)
+			o.sweep = nil
 		}
 	} else {
-		<-roundDone
+		sc.wg.Wait()
 	}
 	for wi := range walkers {
 		for k := range walkers[wi] {
-			if deadFlags[offsets[wi]+k].Load() {
+			if sc.dead[offsets[wi]+k].Load() {
 				alive[wi][k] = false
 			}
 		}

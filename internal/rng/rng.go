@@ -10,14 +10,24 @@
 // regenerated bit-for-bit from its seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+
+	"deepthermo/internal/cacheline"
+)
 
 // Source is a xoshiro256** pseudo-random generator. It is not safe for
 // concurrent use; give each goroutine its own Source (see NewStreams).
+//
+// A Source is exactly one cache line: every draw rewrites its state, so two
+// walkers' Sources in one line would bounce that line between their cores
+// on every Monte Carlo step.
 type Source struct {
 	s         [4]uint64
 	haveSpare bool
 	spare     float64
+	_         [cacheline.Size - 48]byte
 }
 
 // splitmix64 advances the state and returns the next output. It is used to
@@ -77,22 +87,11 @@ func (src *Source) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := src.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
-	lo = a * b
-	return
 }
 
 // NormFloat64 returns a standard normal variate via the Marsaglia polar

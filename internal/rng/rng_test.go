@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +201,52 @@ func BenchmarkIntn(b *testing.B) {
 	src := New(1)
 	for i := 0; i < b.N; i++ {
 		src.Intn(1000)
+	}
+}
+
+// mul64 is the hand-rolled 128-bit product Intn used before math/bits.Mul64,
+// kept as the reference the intrinsic is held to.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	aLo, aHi := a&mask, a>>32
+	bLo, bHi := b&mask, b>>32
+	t := aHi*bLo + (aLo*bLo)>>32
+	hi = aHi*bHi + t>>32 + (t&mask+aLo*bHi)>>32
+	lo = a * b
+	return
+}
+
+// TestIntnMatchesReferenceMul64 replays Intn's rejection loop on the
+// reference product: same draws consumed, same values returned. The last
+// bound does not fit an int, so there the loop itself is the subject.
+func TestIntnMatchesReferenceMul64(t *testing.T) {
+	refIntn := func(src *Source, bound uint64) uint64 {
+		for {
+			hi, lo := mul64(src.Uint64(), bound)
+			if lo >= bound || lo >= (-bound)%bound {
+				return hi
+			}
+		}
+	}
+	for _, bound := range []uint64{1, 2, 54, 1<<31 + 1, 1<<63 + 5} {
+		got, ref := New(bound), New(bound)
+		for i := 0; i < 1_000_000; i++ {
+			want := refIntn(ref, bound)
+			var v uint64
+			if bound <= math.MaxInt {
+				v = uint64(got.Intn(int(bound)))
+			} else {
+				x := got.Uint64()
+				hi, lo := bits.Mul64(x, bound)
+				for lo < bound && lo < (-bound)%bound {
+					x = got.Uint64()
+					hi, lo = bits.Mul64(x, bound)
+				}
+				v = hi
+			}
+			if v != want || got.s != ref.s {
+				t.Fatalf("bound %d draw %d: got %d (state %x), reference %d (state %x)", bound, i, v, got.s, want, ref.s)
+			}
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"deepthermo/internal/alloy"
-	"deepthermo/internal/dos"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
 )
@@ -60,31 +59,23 @@ func (w *Walker) State() WalkerState {
 // bit-identical to the uninterrupted one regardless of any draws the
 // factory consumed while rebuilding.
 func RestoreWalker(m *alloy.Model, prop mc.Proposal, src *rng.Source, st WalkerState, opts Options) (*Walker, error) {
-	opts.setDefaults()
 	if len(st.LogG) != st.Window.Bins || len(st.Hist) != st.Window.Bins || len(st.Visited) != st.Window.Bins {
 		return nil, fmt.Errorf("wanglandau: checkpoint arrays (%d/%d/%d bins) disagree with window (%d bins)",
 			len(st.LogG), len(st.Hist), len(st.Visited), st.Window.Bins)
 	}
-	d, err := dos.New(st.Window.EMin, st.Window.EMax, st.Window.Bins)
+	w, err := newWalker(m, len(st.Sampler.Cfg), prop, src, st.Window, opts)
 	if err != nil {
 		return nil, err
 	}
-	copy(d.LogG, st.LogG)
-	s := mc.Sampler{Model: m, Cfg: st.Sampler.Cfg, Src: src, Proposal: prop}
-	w := &Walker{
-		sampler:  &s,
-		dosEst:   d,
-		hist:     append([]int64(nil), st.Hist...),
-		visited:  append([]bool(nil), st.Visited...),
-		lnF:      st.LnF,
-		opts:     opts,
-		sweeps:   st.Sweeps,
-		steps:    st.Steps,
-		oneOverT: st.OneOverT,
-	}
-	w.weightFn = w.logWeight
+	copy(w.dosEst.LogG, st.LogG)
+	copy(w.hist, st.Hist)
+	copy(w.visited, st.Visited)
+	w.lnF = st.LnF
+	w.sweeps = st.Sweeps
+	w.steps = st.Steps
+	w.oneOverT = st.OneOverT
 	w.sampler.RestoreState(st.Sampler)
-	if b := d.Bin(w.sampler.E); b < 0 && !math.IsInf(w.sampler.E, 0) {
+	if b := w.dosEst.Bin(w.sampler.E); b < 0 && !math.IsInf(w.sampler.E, 0) {
 		return nil, fmt.Errorf("wanglandau: checkpointed energy %g outside window [%g,%g)", w.sampler.E, st.Window.EMin, st.Window.EMax)
 	}
 	return w, nil

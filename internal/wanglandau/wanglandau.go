@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"deepthermo/internal/alloy"
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/dos"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
@@ -93,9 +94,16 @@ type Result struct {
 // Walker is a single Wang-Landau walker confined to an energy window. Use
 // NewWalker then Run, or drive stages manually with RunStage for the
 // replica-exchange driver in package rewl.
+//
+// A walker owns the cache lines it writes on the step path (package
+// cacheline): the sampler and the ln g header live inside the Walker, which
+// is a whole number of lines, and ln g, hist, visited and the configuration
+// are arrays of whole lines that newWalker allocates and nothing re-points
+// afterwards. Walkers of a parallel run are built back to back from one
+// goroutine, so without this their state would interleave line by line.
 type Walker struct {
-	sampler  *Sampler
-	dosEst   *dos.LogDOS
+	sampler  Sampler
+	dosEst   dos.LogDOS
 	hist     []int64
 	visited  []bool
 	lnF      float64
@@ -107,32 +115,49 @@ type Walker struct {
 	// weightFn caches the w.logWeight method value: binding it fresh on
 	// every step would allocate a closure in the innermost sampling loop.
 	weightFn func(e float64) float64
+
+	// The fields above come to 320 bytes, five whole lines, so there is no
+	// pad; the rewl layout test fails when a new field needs one.
 }
 
 // Sampler aliases mc.Sampler to keep the public surface of this package
 // self-describing.
 type Sampler = mc.Sampler
 
-// NewWalker creates a walker over window w starting from cfg, whose energy
-// must lie inside the window (see PrepareInWindow).
+// NewWalker creates a walker over window w starting from a copy of cfg,
+// whose energy must lie inside the window (see PrepareInWindow).
 func NewWalker(m *alloy.Model, cfg lattice.Config, prop mc.Proposal, src *rng.Source, w Window, opts Options) (*Walker, error) {
+	wk, err := newWalker(m, len(cfg), prop, src, w, opts)
+	if err != nil {
+		return nil, err
+	}
+	copy(wk.sampler.Cfg, cfg)
+	wk.sampler.E = m.Energy(wk.sampler.Cfg)
+	if wk.dosEst.Bin(wk.sampler.E) < 0 {
+		return nil, fmt.Errorf("wanglandau: initial energy %g outside window [%g,%g)", wk.sampler.E, w.EMin, w.EMax)
+	}
+	wk.lnF = wk.opts.LnFInit
+	return wk, nil
+}
+
+// newWalker allocates everything a walker owns — the Walker itself and its
+// four arrays, each a whole number of cache lines — with ln g unvisited and
+// the configuration, energy and schedule left for the caller to fill in.
+func newWalker(m *alloy.Model, sites int, prop mc.Proposal, src *rng.Source, w Window, opts Options) (*Walker, error) {
 	opts.setDefaults()
 	d, err := dos.New(w.EMin, w.EMax, w.Bins)
 	if err != nil {
 		return nil, err
 	}
-	s := mc.NewSampler(m, cfg, prop, src)
-	if d.Bin(s.E) < 0 {
-		return nil, fmt.Errorf("wanglandau: initial energy %g outside window [%g,%g)", s.E, w.EMin, w.EMax)
-	}
 	wk := &Walker{
-		sampler: s,
-		dosEst:  d,
-		hist:    make([]int64, w.Bins),
-		visited: make([]bool, w.Bins),
-		lnF:     opts.LnFInit,
+		sampler: mc.Sampler{Model: m, Cfg: cacheline.Make[lattice.Species](sites), Src: src, Proposal: prop},
+		dosEst:  *d,
+		hist:    cacheline.Make[int64](w.Bins),
+		visited: cacheline.Make[bool](w.Bins),
 		opts:    opts,
 	}
+	wk.dosEst.LogG = cacheline.Make[float64](w.Bins)
+	copy(wk.dosEst.LogG, d.LogG)
 	wk.weightFn = wk.logWeight
 	return wk, nil
 }
@@ -145,7 +170,7 @@ func (w *Walker) Converged() bool { return w.lnF < w.opts.LnFFinal }
 
 // DOS returns the walker's current density-of-states estimate (live; clone
 // before mutating).
-func (w *Walker) DOS() *dos.LogDOS { return w.dosEst }
+func (w *Walker) DOS() *dos.LogDOS { return &w.dosEst }
 
 // Energy returns the walker's current configuration energy.
 func (w *Walker) Energy() float64 { return w.sampler.E }
@@ -154,7 +179,7 @@ func (w *Walker) Energy() float64 { return w.sampler.E }
 func (w *Walker) Config() lattice.Config { return w.sampler.Cfg }
 
 // Sampler returns the underlying Metropolis sampler.
-func (w *Walker) Sampler() *mc.Sampler { return w.sampler }
+func (w *Walker) Sampler() *mc.Sampler { return &w.sampler }
 
 // logWeight is the Wang-Landau stationary log-density: −ln g(E), with
 // moves out of the window rejected outright.
