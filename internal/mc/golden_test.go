@@ -193,3 +193,20 @@ func TestResyncDriftWithReusedBuffers(t *testing.T) {
 		t.Fatalf("incremental energy drifted by %g over %d steps (> 1e-9)", drift, steps)
 	}
 }
+
+// TestGlobalProposeZeroAllocs is the allocation budget of the DL proposal
+// as a plain test: once the warm-up move has sized the lazily allocated
+// scratch, a full Metropolis step through GlobalProposal.Propose —
+// encode, decode, constrained sample, reverse density — allocates
+// nothing, in either latent mode. The tensor kernels are on that path, so
+// this also holds their arguments to the stack.
+func TestGlobalProposeZeroAllocs(t *testing.T) {
+	beta := 1 / (alloy.KB * 1200)
+	for _, mode := range []GlobalMode{WalkPosterior, JumpPrior} {
+		s := benchGlobalSampler(t, mode)
+		s.StepCanonical(beta)
+		if allocs := testing.AllocsPerRun(200, func() { s.StepCanonical(beta) }); allocs != 0 {
+			t.Errorf("mode %v: %.2f allocations per steady-state DL step, want 0", mode, allocs)
+		}
+	}
+}

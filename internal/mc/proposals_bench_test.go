@@ -10,9 +10,10 @@ import (
 )
 
 // benchGlobalSampler builds the pinned 54-site DL-proposal walker used by
-// the hot-path benchmarks (seeds match the golden-trace chains so the work
-// measured here is the work the regression tests pin).
-func benchGlobalSampler(b *testing.B, mode GlobalMode) *Sampler {
+// the hot-path benchmarks and the zero-allocation gate (seeds match the
+// golden-trace chains so the work measured here is the work the regression
+// tests pin).
+func benchGlobalSampler(b testing.TB, mode GlobalMode) *Sampler {
 	b.Helper()
 	lat := lattice.MustNew(lattice.BCC, 3, 3, 3)
 	m := alloy.NbMoTaW(lat)
@@ -38,7 +39,7 @@ func benchGlobalSampler(b *testing.B, mode GlobalMode) *Sampler {
 // BenchmarkGlobalPropose measures one full DL-proposal Metropolis step
 // (encode, decode, constrained sample, reverse density, accept/reject) in
 // steady state. The acceptance budget for this benchmark is 0 allocs/op
-// after the warm-up move (enforced by cmd/dtbench in CI).
+// after the warm-up move (enforced by TestGlobalProposeZeroAllocs).
 func BenchmarkGlobalPropose(b *testing.B) {
 	s := benchGlobalSampler(b, WalkPosterior)
 	beta := 1 / (alloy.KB * 1200)

@@ -1,0 +1,152 @@
+//go:build amd64 && !purego
+
+package tensor
+
+import (
+	"math"
+	"testing"
+
+	"deepthermo/internal/rng"
+)
+
+// The tests below run every assembler body against its portable body on
+// the same inputs and compare math.Float64bits over the whole backing
+// array, guard elements included, so a lane that rounds differently, a
+// tail that is skipped and a store past the end all fail.
+
+// TestKernelPathLogged records which kernel bodies ran, so a CI log of
+// `go test -v` shows whether the goldens were checked against the
+// assembler or the portable loops (kernels_noasm_test.go is its twin).
+func TestKernelPathLogged(t *testing.T) {
+	if useAVX2 {
+		t.Log("tensor kernels: AVX2 assembler")
+	} else {
+		t.Log("tensor kernels: portable Go (no AVX2 on this CPU or OS)")
+	}
+}
+
+func needAVX2(t *testing.T) {
+	t.Helper()
+	if !useAVX2 {
+		t.Skip("no AVX2: the portable bodies are the only ones that run here")
+	}
+}
+
+// edgeValues are the operands where a fused or reordered operation would
+// show first: signed zeros, the smallest and largest denormals, the
+// smallest normal, values whose product overflows, and infinities (whose
+// products with zero and sums with each other are NaN).
+var edgeValues = []float64{
+	0, math.Copysign(0, -1), 1, -1,
+	5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+	1e-160, -1e-160, 1e200, -1e200, math.MaxFloat64,
+	math.Inf(1), math.Inf(-1),
+}
+
+// fillMixed writes ordinary normal draws with an edge value in about one
+// slot of six.
+func fillMixed(x []float64, src *rng.Source) {
+	for i := range x {
+		if src.Intn(6) == 0 {
+			x[i] = edgeValues[src.Intn(len(edgeValues))]
+		} else {
+			x[i] = src.NormFloat64()
+		}
+	}
+}
+
+func TestSaxpyScaleAVX2MatchPortable(t *testing.T) {
+	needAVX2(t)
+	src := rng.New(11)
+	const guard = 4
+	xbuf := make([]float64, 130+3+guard)
+	ybuf := make([]float64, 130+3+guard)
+	got := make([]float64, len(ybuf))
+	want := make([]float64, len(ybuf))
+	alphas := append([]float64{0.37, -1.9e3}, edgeValues...)
+	for n := 0; n <= 130; n++ {
+		for ox := 0; ox < 4; ox++ {
+			for oy := 0; oy < 4; oy++ {
+				fillMixed(xbuf, src)
+				fillMixed(ybuf, src)
+				alpha := alphas[(n+ox+4*oy)%len(alphas)]
+				x := xbuf[ox : ox+n]
+
+				copy(got, ybuf)
+				copy(want, ybuf)
+				saxpyAVX2(alpha, x, got[oy:oy+n])
+				saxpyGo(alpha, x, want[oy:oy+n])
+				sameBits(t, got, want, "saxpy n=%d x+%d y+%d alpha=%g", n, ox, oy, alpha)
+
+				copy(got, ybuf)
+				copy(want, ybuf)
+				scaleAVX2(alpha, x, got[oy:oy+n])
+				scaleGo(alpha, x, want[oy:oy+n])
+				sameBits(t, got, want, "scale n=%d x+%d y+%d alpha=%g", n, ox, oy, alpha)
+			}
+		}
+		// In place, as Scale uses it.
+		fillMixed(xbuf, src)
+		copy(got, xbuf)
+		copy(want, xbuf)
+		scaleAVX2(alphas[n%len(alphas)], got[1:1+n], got[1:1+n])
+		scaleGo(alphas[n%len(alphas)], want[1:1+n], want[1:1+n])
+		sameBits(t, got, want, "scale in place n=%d", n)
+	}
+}
+
+func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
+	needAVX2(t)
+	src := rng.New(12)
+	const guard = 4
+	for n := 0; n <= 130; n++ {
+		for rows := 1; rows <= 9; rows++ {
+			for _, stride := range []int{n, n + 1, n + 3, 2*n + 5} {
+				ox, oy := (n+rows)%4, (n+stride)%4
+				xbuf := make([]float64, ox+n+guard)
+				ybuf := make([]float64, oy+(rows-1)*stride+n+guard)
+				coef := make([]float64, rows)
+				fillMixed(xbuf, src)
+				fillMixed(ybuf, src)
+				fillMixed(coef, src)
+				got := append([]float64(nil), ybuf...)
+				want := append([]float64(nil), ybuf...)
+				x := xbuf[ox : ox+n]
+				axpyRowsAVX2(coef, x, got[oy:oy+(rows-1)*stride+n], stride)
+				axpyRowsGo(coef, x, want[oy:], stride)
+				sameBits(t, got, want, "axpyRows n=%d rows=%d stride=%d x+%d y+%d", n, rows, stride, ox, oy)
+			}
+		}
+	}
+	// Empty inputs never reach the assembler.
+	axpyRows(nil, []float64{1}, nil, 1)
+	axpyRows([]float64{1}, nil, nil, 0)
+}
+
+func TestMulTransBAVX2MatchesPortable(t *testing.T) {
+	needAVX2(t)
+	src := rng.New(13)
+	const guard = 4
+	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 20, 33} // 12 and up span several row bands
+	ks := []int{0, 1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 64, 65, 130}
+	for _, rows := range dims {
+		for _, n := range dims {
+			for _, k := range ks {
+				od, oa, ob := (rows+k)%4, (n+k)%4, (rows+n)%4
+				dbuf := make([]float64, od+rows*n+guard)
+				abuf := make([]float64, oa+rows*k+guard)
+				bbuf := make([]float64, ob+n*k+guard)
+				fillMixed(dbuf, src) // stale contents must be overwritten, not added to
+				fillMixed(abuf, src)
+				fillMixed(bbuf, src)
+				got := append([]float64(nil), dbuf...)
+				want := append([]float64(nil), dbuf...)
+				// mulTransB, not mulTransBAVX2: the wrapper owns the k tail
+				// and the fallback below four rows or columns.
+				mulTransB(got[od:], abuf[oa:], bbuf[ob:], rows, n, k)
+				mulTransBGo(want[od:], abuf[oa:], bbuf[ob:], rows, n, k)
+				sameBits(t, got, want, "mulTransB rows=%d n=%d k=%d dst+%d a+%d b+%d", rows, n, k, od, oa, ob)
+			}
+		}
+	}
+}

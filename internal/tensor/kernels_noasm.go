@@ -1,0 +1,11 @@
+//go:build !amd64 || purego
+
+package tensor
+
+func saxpy(alpha float64, x, y []float64) { saxpyGo(alpha, x, y) }
+
+func scale(alpha float64, x, y []float64) { scaleGo(alpha, x, y) }
+
+func axpyRows(coef, x, y []float64, stride int) { axpyRowsGo(coef, x, y, stride) }
+
+func mulTransB(dst, a, b []float64, rows, n, k int) { mulTransBGo(dst, a, b, rows, n, k) }

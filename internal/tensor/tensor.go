@@ -1,9 +1,12 @@
 // Package tensor implements the dense linear algebra kernels that back the
 // neural-network proposal models. It stands in for the GPU BLAS library of
-// the original system: matrix multiply is blocked for cache reuse and
-// parallelized across goroutines, so training throughput scales with cores
-// the way the paper's per-GPU throughput scales with streaming
-// multiprocessors.
+// the original system. Every matmul driver is a loop nest over four
+// primitives (kernels.go) — row update, row assignment, grouped-row update
+// and a transposed dot product — which run as AVX2 assembler on amd64 and
+// as portable Go elsewhere, with identical bits either way; the loops are
+// ordered so a weight row is streamed once per batch, not cache-blocked
+// (the benchmarked model is 264 KB and lives in L2). Products large enough
+// to repay the hand-off fan out across goroutines by output row.
 package tensor
 
 import (
@@ -59,16 +62,37 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// parallelThreshold is the flop count above which matmul fans out to
-// goroutines; below it the goroutine overhead exceeds the win.
-const parallelThreshold = 1 << 17
+// parallelThreshold is the multiply-add count from which matmul fans out
+// to goroutines; below it the hand-off costs more than the second worker
+// returns. Sized by `go test -bench MatMul -cpu 1,2` with the AVX2 kernels
+// on the two-core benchmark guest, whose host schedules the second vCPU
+// only part of the time, so there are two populations. Serial → two
+// workers, median of all 24 rounds (rounds two workers won):
+//
+//	 32×96·96     0.3 M    43 →  58 µs   (1)    a training step
+//	 64×96·96     0.6 M    98 → 120 µs   (1)
+//	 64×128·128   1.0 M   199 → 189 µs  (21)
+//	128×128·128   2.1 M   418 → 443 µs   (5)
+//	 64×256·256   4.2 M   837 → 856 µs  (12)
+//	256×256·256  16.8 M  3.36 → 3.56 ms (11)
+//	128×512·512  33.5 M  7.30 → 7.18 ms (12)
+//
+// and in the runs where both workers had a core (user/real > 1.5; 4 of 24
+// separate runs): 2.1 M 375 → 308 µs, 4.2 M 809 → 696 µs, 16.8 M 3.35 →
+// 2.26 ms, 33.5 M 6.77 → 3.69 ms. So from 2.1 M a second core returns
+// 1.2–1.8× and its absence costs at most 6 %; at 0.6 M and below two
+// workers lose either way. 1.0 M wins only because half of that shape's
+// dst (32 of 64 KB) drops into L1, which is the shape, not the size. No
+// product of the benchmarked model comes near the constant; the fan-out
+// is for wider models and batches.
+const parallelThreshold = 1 << 21
 
 // nestedDepth counts callers that are themselves running inside an
 // already-parallel region (REWL walker pools, DDP rank goroutines). While
 // it is positive, every kernel takes the serial path regardless of size:
 // fanning out goroutines from dozens of walker goroutines oversubscribes
-// the scheduler and destroys the cache locality the blocked kernels rely
-// on. The counter nests, so overlapping runs (e.g. concurrent server jobs)
+// the scheduler and evicts the weights each walker keeps streaming. The
+// counter nests, so overlapping runs (e.g. concurrent server jobs)
 // compose correctly.
 var nestedDepth atomic.Int32
 
@@ -210,68 +234,42 @@ func matMulRangeKOuter(dst, a, b *Matrix, lo, hi int) {
 	for i := range first {
 		first[i] = true
 	}
+	// a's column k is strided, so a run's coefficients are gathered here
+	// for axpyRows; the array stays on this frame.
+	var coef [8]float64
 	acols, dcols := a.Cols, dst.Cols
 	ad, dd := a.Data, dst.Data
 	for k := 0; k < b.Rows; k++ {
 		brow := b.Row(k)
-		i := lo
-		for i < hi {
-			// Group up to 4 consecutive plain-accumulate rows (nonzero
-			// coefficient, past their first k) so they share a single
-			// streaming pass over brow: one x load feeds 4 independent
-			// accumulator chains instead of 1. Row grouping only changes
-			// the interleaving ACROSS rows — each dst element still
-			// receives the identical op at the identical k — so results
-			// stay bit-for-bit. In steady state (dense activations) the
-			// 4-wide path takes nearly every iteration.
-			if i+7 < hi &&
-				!first[i-lo] && !first[i+1-lo] && !first[i+2-lo] && !first[i+3-lo] &&
-				!first[i+4-lo] && !first[i+5-lo] && !first[i+6-lo] && !first[i+7-lo] {
-				a0, a1 := ad[i*acols+k], ad[(i+1)*acols+k]
-				a2, a3 := ad[(i+2)*acols+k], ad[(i+3)*acols+k]
-				a4, a5 := ad[(i+4)*acols+k], ad[(i+5)*acols+k]
-				a6, a7 := ad[(i+6)*acols+k], ad[(i+7)*acols+k]
-				if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 &&
-					a4 != 0 && a5 != 0 && a6 != 0 && a7 != 0 {
-					saxpy8(a0, a1, a2, a3, a4, a5, a6, a7, brow,
-						dd[i*dcols:(i+1)*dcols], dd[(i+1)*dcols:(i+2)*dcols],
-						dd[(i+2)*dcols:(i+3)*dcols], dd[(i+3)*dcols:(i+4)*dcols],
-						dd[(i+4)*dcols:(i+5)*dcols], dd[(i+5)*dcols:(i+6)*dcols],
-						dd[(i+6)*dcols:(i+7)*dcols], dd[(i+7)*dcols:(i+8)*dcols])
-					i += 8
-					continue
-				}
-			}
-			if i+3 < hi && !first[i-lo] && !first[i+1-lo] && !first[i+2-lo] && !first[i+3-lo] {
-				a0, a1 := ad[i*acols+k], ad[(i+1)*acols+k]
-				a2, a3 := ad[(i+2)*acols+k], ad[(i+3)*acols+k]
-				if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-					saxpy4(a0, a1, a2, a3, brow,
-						dd[i*dcols:(i+1)*dcols], dd[(i+1)*dcols:(i+2)*dcols],
-						dd[(i+2)*dcols:(i+3)*dcols], dd[(i+3)*dcols:(i+4)*dcols])
-					i += 4
-					continue
-				}
-			}
-			if i+1 < hi && !first[i-lo] && !first[i+1-lo] {
-				a0, a1 := ad[i*acols+k], ad[(i+1)*acols+k]
-				if a0 != 0 && a1 != 0 {
-					saxpy2(a0, a1, brow,
-						dd[i*dcols:(i+1)*dcols], dd[(i+1)*dcols:(i+2)*dcols])
-					i += 2
-					continue
-				}
-			}
+		for i := lo; i < hi; {
 			av := ad[i*acols+k]
-			if av != 0 {
-				if first[i-lo] {
-					scale(av, brow, dst.Row(i))
-					first[i-lo] = false
-				} else {
-					saxpy(av, brow, dst.Row(i))
-				}
+			if av == 0 {
+				i++
+				continue
 			}
-			i++
+			if first[i-lo] {
+				scale(av, brow, dst.Row(i))
+				first[i-lo] = false
+				i++
+				continue
+			}
+			// A run of consecutive plain-accumulate rows (nonzero
+			// coefficient, past their first k) shares a single streaming
+			// pass over brow. Row grouping only changes the interleaving
+			// ACROSS rows — each dst element still receives the identical
+			// op at the identical k — so results stay bit-for-bit. In
+			// steady state (dense activations) nearly every run is full.
+			n := 0
+			for n < len(coef) && i+n < hi && !first[i+n-lo] {
+				c := ad[(i+n)*acols+k]
+				if c == 0 {
+					break
+				}
+				coef[n] = c
+				n++
+			}
+			axpyRows(coef[:n], brow, dd[i*dcols:], dcols)
+			i += n
 		}
 	}
 	for i, f := range first {
@@ -281,98 +279,6 @@ func matMulRangeKOuter(dst, a, b *Matrix, lo, hi int) {
 				drow[j] = 0
 			}
 		}
-	}
-}
-
-// saxpy computes y += alpha*x with a 4-way unroll. Each y[j] receives the
-// same single fused add per call as the naive loop, so results are
-// bit-identical to it (the golden-trace tests rely on this).
-func saxpy(alpha float64, x, y []float64) {
-	n := len(x)
-	y = y[:n] // hoist the bounds check out of the loops
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		y[j] += alpha * x[j]
-		y[j+1] += alpha * x[j+1]
-		y[j+2] += alpha * x[j+2]
-		y[j+3] += alpha * x[j+3]
-	}
-	for ; j < n; j++ {
-		y[j] += alpha * x[j]
-	}
-}
-
-// saxpy2 computes y0 += a0*x and y1 += a1*x in one streaming pass over x.
-// Every element update is the same single expression saxpy performs, so
-// results are bit-identical to two saxpy calls; the fusion exists to load
-// each x[j] once for two accumulator rows.
-func saxpy2(a0, a1 float64, x, y0, y1 []float64) {
-	n := len(x)
-	y0 = y0[:n]
-	y1 = y1[:n]
-	for j := 0; j < n; j++ {
-		xv := x[j]
-		y0[j] += a0 * xv
-		y1[j] += a1 * xv
-	}
-}
-
-// saxpy4 is saxpy2 over four rows: one x load feeds four independent
-// multiply-add chains, the inner kernel of the batched k-outer matmul.
-func saxpy4(a0, a1, a2, a3 float64, x, y0, y1, y2, y3 []float64) {
-	n := len(x)
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
-	for j := 0; j < n; j++ {
-		xv := x[j]
-		y0[j] += a0 * xv
-		y1[j] += a1 * xv
-		y2[j] += a2 * xv
-		y3[j] += a3 * xv
-	}
-}
-
-// saxpy8 is saxpy2 over eight rows — one x load per eight multiply-add
-// chains, so a full REWL window of 8 walkers is a single streaming group.
-func saxpy8(a0, a1, a2, a3, a4, a5, a6, a7 float64, x, y0, y1, y2, y3, y4, y5, y6, y7 []float64) {
-	n := len(x)
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
-	y4 = y4[:n]
-	y5 = y5[:n]
-	y6 = y6[:n]
-	y7 = y7[:n]
-	for j := 0; j < n; j++ {
-		xv := x[j]
-		y0[j] += a0 * xv
-		y1[j] += a1 * xv
-		y2[j] += a2 * xv
-		y3[j] += a3 * xv
-		y4[j] += a4 * xv
-		y5[j] += a5 * xv
-		y6[j] += a6 * xv
-		y7[j] += a7 * xv
-	}
-}
-
-// scale computes y = alpha*x (assignment, not accumulation), with the same
-// unroll structure as saxpy.
-func scale(alpha float64, x, y []float64) {
-	n := len(x)
-	y = y[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		y[j] = alpha * x[j]
-		y[j+1] = alpha * x[j+1]
-		y[j+2] = alpha * x[j+2]
-		y[j+3] = alpha * x[j+3]
-	}
-	for ; j < n; j++ {
-		y[j] = alpha * x[j]
 	}
 }
 
@@ -390,18 +296,7 @@ func MatMulTransB(dst, a, b *Matrix) {
 }
 
 func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
-		}
-	}
+	mulTransB(dst.Data[lo*dst.Cols:hi*dst.Cols], a.Data[lo*a.Cols:hi*a.Cols], b.Data, hi-lo, b.Rows, a.Cols)
 }
 
 // MatMulTransA computes dst = aᵀ·b (dst: a.Cols × b.Cols). Used in backprop
@@ -421,15 +316,23 @@ func MatMulTransA(dst, a, b *Matrix) {
 }
 
 func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
+	dcols, dd := dst.Cols, dst.Data
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
+		// Consecutive dst rows are consecutive entries of arow, so each
+		// run of nonzero coefficients is one grouped-row update.
+		for i := lo; i < hi; {
+			if arow[i] == 0 {
+				i++
 				continue
 			}
-			saxpy(av, brow, dst.Row(i))
+			n := 1
+			for i+n < hi && arow[i+n] != 0 {
+				n++
+			}
+			axpyRows(arow[i:i+n], brow, dd[i*dcols:], dcols)
+			i += n
 		}
 	}
 }
@@ -520,11 +423,7 @@ func Axpy(alpha float64, x, y []float64) {
 }
 
 // Scale multiplies every element of x by alpha.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
+func Scale(alpha float64, x []float64) { scale(alpha, x, x) }
 
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +45,17 @@ func matricesClose(t *testing.T, got, want *Matrix, tol float64) {
 	}
 }
 
+// sameBits requires got and want to agree in every bit of every element.
+func sameBits(t *testing.T, got, want []float64, format string, args ...any) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf(format+": element %d is %x (%g), want %x (%g)",
+				append(args, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])...)
+		}
+	}
+}
+
 func TestMatMulMatchesNaive(t *testing.T) {
 	src := rng.New(1)
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {16, 16, 16}, {33, 7, 12}} {
@@ -54,15 +67,36 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// parallelVsSerial runs mul into two drows×dcols matrices on a shape
+// large enough to fan out — once as is, once under the nested hint, which
+// forces the serial path — and requires identical bits: a row range
+// changes which goroutine computes a row, never the row's operation
+// order. rows and flops are what the driver hands to serialRows.
+func parallelVsSerial(t *testing.T, rows, flops, drows, dcols int, mul func(dst *Matrix)) *Matrix {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) >= 2 && serialRows(rows, flops) {
+		t.Fatalf("%d rows, %d multiply-adds no longer reach the parallel path", rows, flops)
+	}
+	got, want := NewMatrix(drows, dcols), NewMatrix(drows, dcols)
+	mul(got)
+	EnterNested()
+	mul(want)
+	LeaveNested()
+	sameBits(t, got.Data, want.Data, "parallel against serial")
+	return got
+}
+
 // TestMatMulParallelPath forces the goroutine fan-out path (large flops)
-// and compares against the naive result.
+// and compares against the serial path and the naive result.
 func TestMatMulParallelPath(t *testing.T) {
 	src := rng.New(2)
-	a := randomMatrix(80, 90, src)
-	b := randomMatrix(90, 70, src)
-	got := NewMatrix(80, 70)
-	MatMul(got, a, b)
+	a := randomMatrix(160, 180, src)
+	b := randomMatrix(180, 150, src)
+	got := parallelVsSerial(t, 160, 160*180*150, 160, 150, func(dst *Matrix) { MatMul(dst, a, b) })
 	matricesClose(t, got, naiveMatMul(a, b), 1e-9)
+
+	w := randomMatrix(150, 180, src)
+	parallelVsSerial(t, 160, 160*180*150, 160, 150, func(dst *Matrix) { MatMulTransB(dst, a, w) })
 }
 
 func TestMatMulTransB(t *testing.T) {
@@ -97,13 +131,12 @@ func TestMatMulTransA(t *testing.T) {
 
 func TestMatMulTransALargeParallel(t *testing.T) {
 	src := rng.New(5)
-	a := randomMatrix(64, 100, src)
-	b := randomMatrix(64, 80, src)
-	got := NewMatrix(100, 80)
-	MatMulTransA(got, a, b)
-	at := NewMatrix(100, 64)
-	for i := 0; i < 64; i++ {
-		for j := 0; j < 100; j++ {
+	a := randomMatrix(128, 200, src)
+	b := randomMatrix(128, 180, src)
+	got := parallelVsSerial(t, 200, 128*200*180, 200, 180, func(dst *Matrix) { MatMulTransA(dst, a, b) })
+	at := NewMatrix(200, 128)
+	for i := 0; i < 128; i++ {
+		for j := 0; j < 200; j++ {
 			at.Set(j, i, a.At(i, j))
 		}
 	}
@@ -235,24 +268,167 @@ func TestMatMulLinearity(t *testing.T) {
 	}
 }
 
-func BenchmarkMatMul128(b *testing.B) {
-	src := rng.New(1)
-	x := randomMatrix(128, 128, src)
-	y := randomMatrix(128, 128, src)
-	out := NewMatrix(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(out, x, y)
+// sparseRows fills m so that the drivers' per-row cases all occur: rows
+// that are all zero, rows whose first nonzero coefficient sits at k = 0,
+// 1 or the last k, rows with scattered exact zeros, and dense rows.
+func sparseRows(m *Matrix, src *rng.Source) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		for k := range row {
+			row[k] = src.NormFloat64()
+		}
+		switch src.Intn(6) {
+		case 0:
+			clear(row)
+		case 1:
+			clear(row[:1])
+		case 2:
+			clear(row[:len(row)-1])
+		case 3:
+			for k := range row {
+				if src.Intn(3) == 0 {
+					row[k] = 0
+				}
+			}
+		}
 	}
 }
 
-func BenchmarkMatMul512(b *testing.B) {
-	src := rng.New(1)
-	x := randomMatrix(512, 512, src)
-	y := randomMatrix(512, 512, src)
-	out := NewMatrix(512, 512)
+// TestDriversMatchScalarReference pins the three matmul drivers, bit for
+// bit, to scalar loops that spell out each dst element's operation
+// sequence: MatMul assigns at the first nonzero a[i][k] and accumulates
+// at later ones in ascending k (a row with none is zero), MatMulTransA
+// accumulates onto zero skipping zero coefficients, MatMulTransB sums
+// every k from zero. The i-outer, k-outer and row-run groupings may only
+// change which elements are updated together, never an element's own
+// sequence.
+func TestDriversMatchScalarReference(t *testing.T) {
+	src := rng.New(7)
+	for rows := 1; rows <= 19; rows++ {
+		for _, k := range []int{1, 2, 5, 12} {
+			for _, n := range []int{1, 4, 7, 21} {
+				a, b := NewMatrix(rows, k), randomMatrix(k, n, src)
+				sparseRows(a, src)
+				got, want := randomMatrix(rows, n, src), NewMatrix(rows, n)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < n; j++ {
+						var s float64
+						first := true
+						for kk := 0; kk < k; kk++ {
+							switch av := a.At(i, kk); {
+							case av == 0:
+							case first:
+								s, first = av*b.At(kk, j), false
+							default:
+								s += av * b.At(kk, j)
+							}
+						}
+						want.Set(i, j, s)
+					}
+				}
+				MatMul(got, a, b)
+				sameBits(t, got.Data, want.Data, "MatMul %dx%d·%d", rows, k, n)
+
+				// aᵀ·g with a as the (sparse) layer input: dst is k×n.
+				g := randomMatrix(rows, n, src)
+				got, want = randomMatrix(k, n, src), NewMatrix(k, n)
+				for kk := 0; kk < rows; kk++ {
+					for i := 0; i < k; i++ {
+						if av := a.At(kk, i); av != 0 {
+							for j := 0; j < n; j++ {
+								want.Data[i*n+j] += av * g.At(kk, j)
+							}
+						}
+					}
+				}
+				MatMulTransA(got, a, g)
+				sameBits(t, got.Data, want.Data, "MatMulTransA (%dx%d)ᵀ·%d", rows, k, n)
+
+				// a·wᵀ with w n×k: dst is rows×n.
+				w := randomMatrix(n, k, src)
+				got, want = randomMatrix(rows, n, src), NewMatrix(rows, n)
+				for i := 0; i < rows; i++ {
+					for j := 0; j < n; j++ {
+						var s float64
+						for kk := 0; kk < k; kk++ {
+							s += a.At(i, kk) * w.At(j, kk)
+						}
+						want.Set(i, j, s)
+					}
+				}
+				MatMulTransB(got, a, w)
+				sameBits(t, got.Data, want.Data, "MatMulTransB %dx%d·(%dx%d)ᵀ", rows, k, n, k)
+			}
+		}
+	}
+}
+
+// TestMatMulZeroAllocs holds the serial drivers to the stack: the first-k
+// flags and the coefficient array the k-outer driver hands to axpyRows
+// must not escape through the kernel call.
+func TestMatMulZeroAllocs(t *testing.T) {
+	src := rng.New(8)
+	x1, x8, w := randomMatrix(1, 96, src), randomMatrix(8, 96, src), randomMatrix(96, 96, src)
+	y1, y8, gw := NewMatrix(1, 96), NewMatrix(8, 96), NewMatrix(96, 96)
+	for name, mul := range map[string]func(){
+		"MatMul batch 1": func() { MatMul(y1, x1, w) },
+		"MatMul batch 8": func() { MatMul(y8, x8, w) },
+		"MatMulTransA":   func() { MatMulTransA(gw, x8, y8) },
+		"MatMulTransB":   func() { MatMulTransB(y8, x8, w) },
+	} {
+		if allocs := testing.AllocsPerRun(20, mul); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per call, want 0", name, allocs)
+		}
+	}
+}
+
+// benchShapes are batch × k · k × n products: the three batch-1 layer
+// shapes of the benchmarked model (65 → 96 → 96 encoder, 96 → 64 decoder
+// head), its batch-8 engine flush and batch-32 training step, and two
+// larger products, twice and sixteen times parallelThreshold.
+var benchShapes = [][3]int{
+	{1, 65, 96}, {1, 96, 96}, {1, 96, 64}, {8, 96, 96}, {32, 96, 96},
+	{64, 256, 256}, {128, 512, 512},
+}
+
+// benchMul times mul(dst, x, y) and reports GFLOP/s at 2 flops per
+// multiply-add.
+func benchMul(b *testing.B, macs int, mul func(dst, x, y *Matrix), dst, x, y *Matrix) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(out, x, y)
+		mul(dst, x, y)
+	}
+	b.ReportMetric(2*float64(macs)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+func BenchmarkMatMul(b *testing.B) {
+	for _, s := range benchShapes {
+		m, k, n := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%d·%d", m, k, n), func(b *testing.B) {
+			src := rng.New(1)
+			benchMul(b, m*k*n, MatMul, NewMatrix(m, n), randomMatrix(m, k, src), randomMatrix(k, n, src))
+		})
+	}
+}
+
+// BenchmarkMatMulTransA is the weight gradient xᵀ·g of a batch-32 step.
+func BenchmarkMatMulTransA(b *testing.B) {
+	for _, s := range [][2]int{{65, 96}, {96, 96}, {96, 64}} {
+		in, out := s[0], s[1]
+		b.Run(fmt.Sprintf("32x%dᵀ·%d", in, out), func(b *testing.B) {
+			src := rng.New(1)
+			benchMul(b, 32*in*out, MatMulTransA, NewMatrix(in, out), randomMatrix(32, in, src), randomMatrix(32, out, src))
+		})
+	}
+}
+
+// BenchmarkMatMulTransB is the input gradient g·Wᵀ of a batch-32 step.
+func BenchmarkMatMulTransB(b *testing.B) {
+	for _, s := range [][2]int{{65, 96}, {96, 96}, {96, 64}} {
+		in, out := s[0], s[1]
+		b.Run(fmt.Sprintf("32x%d·%dᵀ", out, in), func(b *testing.B) {
+			src := rng.New(1)
+			benchMul(b, 32*in*out, MatMulTransB, NewMatrix(32, in), randomMatrix(32, out, src), randomMatrix(in, out, src))
+		})
 	}
 }
