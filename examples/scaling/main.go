@@ -1,10 +1,10 @@
 // Scaling study: reproduces the paper's scalability evaluation — REWL
 // weak/strong scaling and distributed data-parallel training throughput up
 // to 3,072 devices on models of the Summit (NVIDIA V100) and Crusher
-// (AMD MI250X) supercomputers. The functional algorithms run in this
-// repository's goroutine-based comm layer; this example extends their
-// measured behaviour to machine scale with the calibrated performance
-// model (see DESIGN.md, substitutions).
+// (AMD MI250X) supercomputers. The functional algorithms run over this
+// repository's in-process transport backend, one goroutine per rank; this
+// example extends their measured behaviour to machine scale with the
+// calibrated performance model (see DESIGN.md, substitutions).
 package main
 
 import (

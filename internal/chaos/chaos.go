@@ -1,6 +1,6 @@
 // Package chaos provides deterministic, seed-driven fault plans for
 // exercising the fault-tolerance paths of the parallel samplers (package
-// rewl) and the message-passing layer (package comm).
+// rewl) and the message-passing layer (package transport).
 //
 // At the scale the DeepThermo paper targets — thousands of GPUs on
 // Summit/Crusher — node failures and stragglers are routine, and a
@@ -13,7 +13,7 @@
 //
 // The "step" axis is interpreted by the consumer: package rewl queries
 // faults by a walker's own sweep count (scheduling-independent), package
-// comm by a rank's operation sequence number.
+// transport by an endpoint's operation sequence number.
 package chaos
 
 import (
@@ -30,7 +30,7 @@ type Kind int
 
 const (
 	// Crash permanently fails the rank at the configured step: a rewl
-	// walker exits mid-run; a comm rank's later operations error with
+	// walker exits mid-run; a transport rank's later operations error with
 	// ErrRankFailed.
 	Crash Kind = iota
 	// DropSend silently discards the rank's send with the configured
@@ -92,7 +92,7 @@ func (k Kind) String() string {
 }
 
 // Fault schedules one fault: rank Rank experiences Kind at step Step (a
-// sweep count for walker faults, an op sequence number for comm faults).
+// sweep count for walker faults, an op sequence number for transport faults).
 type Fault struct {
 	Rank  int
 	Step  int64

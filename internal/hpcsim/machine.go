@@ -9,7 +9,7 @@
 // per-device compute rates and per-node network parameters. A stochastic
 // straggler term reproduces the load-imbalance droop real bulk-synchronous
 // runs show at thousands of ranks. Nothing here executes physics; the
-// functional algorithms live in packages rewl, train, and comm, and the
+// functional algorithms live in packages rewl, train, and transport, and the
 // benchmark harness (experiments E7-E10) uses this package only to extend
 // their measured single-node behaviour to 3,000 simulated GPUs.
 package hpcsim

@@ -4,7 +4,7 @@
 // DeepThermo proposal model (package vae) is built entirely from these
 // pieces. Parameters and gradients expose flat views so the distributed
 // data-parallel trainer (package train) can broadcast and allreduce them
-// through the comm layer exactly like the original's NCCL/RCCL path.
+// through package transport exactly like the original's NCCL/RCCL path.
 package nn
 
 import (

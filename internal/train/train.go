@@ -3,9 +3,9 @@
 //
 // The DDP path reproduces the paper's multi-GPU training structure: every
 // worker holds a model replica, computes gradients on its data shard, and
-// joins a ring allreduce (package comm) before an identical optimizer step,
-// so replicas stay bit-identical — the same invariant NCCL/RCCL-based DDP
-// maintains. The active-learning loop (retraining on fresh samples
+// joins a ring allreduce (package transport) before an identical optimizer
+// step, so replicas stay bit-identical — the same invariant NCCL/RCCL-based
+// DDP maintains. The active-learning loop (retraining on fresh samples
 // mid-run) at the bottom is the paper's sample→train→propose cycle.
 package train
 

@@ -175,7 +175,7 @@ func TestFitDDPSingleWorkerMatchesFit(t *testing.T) {
 
 // TestFitDDPMultiWorker: training across 3 replicas must converge and
 // return finite stats; the replicas' gradient averaging is exercised by
-// the comm ring underneath.
+// the transport ring underneath.
 func TestFitDDPMultiWorker(t *testing.T) {
 	_, ds, vcfg := testSetup(t)
 	model, stats, err := FitDDP(vcfg, ds, 3, Options{Epochs: 6, BatchSize: 8, LR: 3e-3, Seed: 8})

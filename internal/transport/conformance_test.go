@@ -10,6 +10,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -597,4 +598,224 @@ func TestConformanceBlockingOpsHealthyWorld(t *testing.T) {
 			return nil
 		})
 	})
+}
+
+// TestConformanceRankOutsideWorld: a peer rank outside the world is an
+// error on both backends, not a crash, and consumes no operation step.
+func TestConformanceRankOutsideWorld(t *testing.T) {
+	eachBackend(t, 2, fixtureConfig{}, func(t *testing.T, fx *fixture) {
+		ctx := context.Background()
+		ep := fx.eps[0]
+		for _, r := range []int{5, -1} {
+			err := ep.SendCtx(ctx, r, []float64{1})
+			if want := fmt.Sprintf("transport: send to rank %d outside world of 2", r); err == nil || err.Error() != want {
+				t.Errorf("SendCtx to rank %d: got %v, want %q", r, err, want)
+			}
+			_, err = ep.RecvCtx(ctx, r)
+			if want := fmt.Sprintf("transport: recv from rank %d outside world of 2", r); err == nil || err.Error() != want {
+				t.Errorf("RecvCtx from rank %d: got %v, want %q", r, err, want)
+			}
+		}
+	})
+}
+
+// TestConformanceDelayHonoursTimeout: an injected send delay sleeps on the
+// operation context, so a delay within the timeout only slows the send and
+// a delay beyond it turns into ErrTimeout when the timeout fires.
+func TestConformanceDelayHonoursTimeout(t *testing.T) {
+	plan := chaos.NewPlan(
+		chaos.Fault{Rank: 0, Step: 0, Kind: chaos.DelaySend, Delay: 20 * time.Millisecond},
+		chaos.Fault{Rank: 0, Step: 1, Kind: chaos.DelaySend, Delay: time.Second},
+	)
+	eachBackend(t, 2, fixtureConfig{inject: plan, timeout: 150 * time.Millisecond}, func(t *testing.T, fx *fixture) {
+		ctx := context.Background()
+		start := time.Now()
+		if err := fx.eps[0].SendCtx(ctx, 1, []float64{1}); err != nil {
+			t.Fatalf("send delayed within the timeout: %v", err)
+		}
+		if d := time.Since(start); d < 20*time.Millisecond {
+			t.Errorf("delayed send returned after %v, want ≥ 20ms", d)
+		}
+		if msg, err := fx.eps[1].RecvCtx(ctx, 0); err != nil || msg[0] != 1 {
+			t.Fatalf("recv of the delayed message: %v %v", msg, err)
+		}
+		start = time.Now()
+		if err := fx.eps[0].SendCtx(ctx, 1, []float64{2}); !errors.Is(err, ErrTimeout) {
+			t.Errorf("send delayed past the timeout: got %v, want ErrTimeout", err)
+		}
+		if d := time.Since(start); d > 750*time.Millisecond {
+			t.Errorf("timed-out send returned after %v; the delay ignored the timeout", d)
+		}
+	})
+}
+
+// TestConformanceBroadcastAllRoots: the binomial tree delivers from every
+// root at every world size up to 4, including the degenerate world of one.
+func TestConformanceBroadcastAllRoots(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			eachBackend(t, n, fixtureConfig{}, func(t *testing.T, fx *fixture) {
+				for root := 0; root < n; root++ {
+					runRanks(t, fx, func(ep Endpoint) error {
+						buf := make([]float64, 4)
+						if ep.Rank() == root {
+							for i := range buf {
+								buf[i] = float64(100*root + i)
+							}
+						}
+						if err := ep.BroadcastCtx(context.Background(), root, buf); err != nil {
+							return err
+						}
+						for i, v := range buf {
+							if want := float64(100*root + i); v != want {
+								t.Errorf("root %d rank %d buf[%d] = %v, want %v", root, ep.Rank(), i, v, want)
+							}
+						}
+						return nil
+					})
+				}
+			})
+		})
+	}
+}
+
+// TestConformanceAllreduceOps: Sum, Max and Min across the ring, with
+// payloads that do not divide by the rank count and payloads shorter than
+// it (empty chunks), against exact sequential reductions.
+func TestConformanceAllreduceOps(t *testing.T) {
+	val := func(r, i int) float64 { return float64((r*7+i*3)%5) - 2 + 0.25*float64(r) }
+	for _, n := range []int{3, 4} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			eachBackend(t, n, fixtureConfig{}, func(t *testing.T, fx *fixture) {
+				for _, op := range []Op{Sum, Max, Min} {
+					for _, m := range []int{1, 2, 5, 7} {
+						want := make([]float64, m)
+						for i := range want {
+							want[i] = val(0, i)
+							for r := 1; r < n; r++ {
+								switch op {
+								case Sum:
+									want[i] += val(r, i)
+								case Max:
+									want[i] = math.Max(want[i], val(r, i))
+								case Min:
+									want[i] = math.Min(want[i], val(r, i))
+								}
+							}
+						}
+						runRanks(t, fx, func(ep Endpoint) error {
+							buf := make([]float64, m)
+							for i := range buf {
+								buf[i] = val(ep.Rank(), i)
+							}
+							if err := ep.AllreduceCtx(context.Background(), buf, op); err != nil {
+								return err
+							}
+							for i := range buf {
+								if buf[i] != want[i] {
+									t.Errorf("op %d payload %d rank %d elem %d = %v, want %v", op, m, ep.Rank(), i, buf[i], want[i])
+								}
+							}
+							return nil
+						})
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestConformanceAllgatherLengthMismatch: a dst that is not contrib × Size
+// long is an error before any message moves, and a panic when blocking.
+func TestConformanceAllgatherLengthMismatch(t *testing.T) {
+	eachBackend(t, 2, fixtureConfig{}, func(t *testing.T, fx *fixture) {
+		ep := fx.eps[0]
+		if err := ep.AllgatherCtx(context.Background(), []float64{1}, make([]float64, 3)); err == nil {
+			t.Error("AllgatherCtx accepted dst of 3 for 1 × 2 ranks")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("blocking Allgather accepted dst of 3 for 1 × 2 ranks")
+				}
+			}()
+			ep.Allgather([]float64{1}, make([]float64, 3))
+		}()
+		if got := fx.worldBytes(); got != 0 {
+			t.Errorf("rejected allgather sent %d bytes", got)
+		}
+	})
+}
+
+// TestConformancePeerFailure: once rank 1 has failed, a send to it is
+// ErrPeerFailed and rank 1's own operations are ErrRankFailed.
+func TestConformancePeerFailure(t *testing.T) {
+	eachBackend(t, 2, fixtureConfig{timeout: 5 * time.Second}, func(t *testing.T, fx *fixture) {
+		fx.failRank(1)
+		deadline := time.Now().Add(5 * time.Second)
+		for !fx.eps[0].PeerFailed(1) {
+			if time.Now().After(deadline) {
+				t.Fatal("rank 0 never observed rank 1's failure")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		ctx := context.Background()
+		if err := fx.eps[0].SendCtx(ctx, 1, []float64{1}); !errors.Is(err, ErrPeerFailed) {
+			t.Errorf("send to failed peer: got %v, want ErrPeerFailed", err)
+		}
+		if err := fx.eps[1].SendCtx(ctx, 0, []float64{1}); !errors.Is(err, ErrRankFailed) {
+			t.Errorf("failed rank's own send: got %v, want ErrRankFailed", err)
+		}
+		if _, err := fx.eps[1].RecvCtx(ctx, 0); !errors.Is(err, ErrRankFailed) {
+			t.Errorf("failed rank's own recv: got %v, want ErrRankFailed", err)
+		}
+	})
+}
+
+// TestConformanceCollectiveCrash: a rank that crashes at its first
+// operation leaves the ring allreduce unfinishable; every survivor gets an
+// error instead of hanging or completing a broken collective.
+func TestConformanceCollectiveCrash(t *testing.T) {
+	const n = 4
+	plan := chaos.NewPlan(chaos.Fault{Rank: 2, Step: 0, Kind: chaos.Crash})
+	eachBackend(t, n, fixtureConfig{inject: plan, timeout: 300 * time.Millisecond}, func(t *testing.T, fx *fixture) {
+		errs := make([]error, n)
+		runRanks(t, fx, func(ep Endpoint) error {
+			errs[ep.Rank()] = ep.AllreduceCtx(context.Background(), []float64{1, 2, 3, 4}, Sum)
+			return nil
+		})
+		if !errors.Is(errs[2], ErrRankFailed) {
+			t.Errorf("crashed rank: got %v, want ErrRankFailed", errs[2])
+		}
+		for r, err := range errs {
+			if r != 2 && err == nil {
+				t.Errorf("survivor rank %d completed a broken collective", r)
+			}
+		}
+	})
+}
+
+// Chan-only contracts; the world's other chan-only checks are in
+// internal/comm.
+
+// TestChanBarrierWithdrawsOnTimeout: a rank that times out of a barrier
+// withdraws its arrival, so the next full barrier still completes rather
+// than releasing early or counting a ghost.
+func TestChanBarrierWithdrawsOnTimeout(t *testing.T) {
+	cw := NewChanWorld(2)
+	cw.SetTimeout(20 * time.Millisecond)
+	e0, e1 := cw.Endpoint(0), cw.Endpoint(1)
+	ctx := context.Background()
+	if err := e0.BarrierCtx(ctx); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("lone barrier: got %v, want ErrTimeout", err)
+	}
+	cw.SetTimeout(5 * time.Second)
+	done := make(chan error, 1)
+	go func() { done <- e1.BarrierCtx(ctx) }()
+	if err := e0.BarrierCtx(ctx); err != nil {
+		t.Errorf("rank 0: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("rank 1: %v", err)
+	}
 }

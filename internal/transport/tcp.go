@@ -8,12 +8,13 @@ package transport
 // Topology. Rank j dials every lower rank i < j after the coordinator's
 // address exchange, so each pair shares exactly one connection. Frames on
 // a connection are FIFO, which gives the same per-pair message ordering as
-// the chan backend's channels. A per-peer reader goroutine decodes frames
+// the chan backend's mailboxes. A per-peer reader goroutine decodes frames
 // into a buffered inbox channel; Recv semantics (including draining
-// messages that arrived before a peer died) therefore match comm.Comm.
+// messages that arrived before a peer died) therefore match the chan
+// backend's.
 //
 // Failure model. A connection error or EOF without a clean goodbye marks
-// the peer permanently failed — exactly comm.World.FailRank, but detected
+// the peer permanently failed — exactly ChanWorld.FailRank, but detected
 // by the kernel instead of declared by a test. The coordinator broadcasts
 // framePeerFailed so ranks with no direct traffic to the dead peer also
 // observe the death, and barriers release with a failure count instead of
@@ -112,8 +113,8 @@ type barrierRelease struct {
 // TCPEndpoint is one rank of a TCP world. See Endpoint for the contract;
 // like an MPI rank it belongs to a single thread of execution.
 type TCPEndpoint struct {
-	rank, size int
-	logf       func(format string, args ...any)
+	core
+	logf func(format string, args ...any)
 
 	coord *peerConn
 
@@ -123,13 +124,8 @@ type TCPEndpoint struct {
 	coordDead chan struct{}
 	coordOnce sync.Once
 
-	bytesSent atomic.Int64
-	sendSeq   int64
-	recvSeq   int64
-	inject    FaultInjector
-	timeout   time.Duration
-	rejoins   atomic.Int64
-	frozen    atomic.Bool // test hook: stop answering heartbeats
+	rejoins atomic.Int64
+	frozen  atomic.Bool // test hook: stop answering heartbeats
 
 	barrierCh  chan barrierRelease
 	barrierSeq uint64
@@ -217,14 +213,13 @@ func Join(ctx context.Context, coordAddr string, opts JoinOptions) (*TCPEndpoint
 	}
 
 	e := &TCPEndpoint{
-		rank:      rank,
-		size:      size,
 		logf:      logf,
 		coord:     coord,
 		slots:     make([]*peerSlot, size),
 		coordDead: make(chan struct{}),
 		barrierCh: make(chan barrierRelease, 8),
 	}
+	e.core = core{link: e, rank: rank, size: size, cfg: &opConfig{}, sent: new(atomic.Int64)}
 	e.slots[rank] = newPeerSlot(nil)
 
 	if rejoining {
@@ -578,88 +573,17 @@ func (e *TCPEndpoint) markPeerFailed(r int) {
 	e.markSlotFailed(e.slot(r))
 }
 
-// Rank returns this endpoint's rank.
-func (e *TCPEndpoint) Rank() int { return e.rank }
-
-// Size returns the world size.
-func (e *TCPEndpoint) Size() int { return e.size }
-
-// BytesSent returns this endpoint's cumulative sent payload bytes.
-func (e *TCPEndpoint) BytesSent() int64 { return e.bytesSent.Load() }
-
 // PeerFailed reports whether rank r's current incarnation is known dead.
 func (e *TCPEndpoint) PeerFailed(r int) bool { return e.slot(r).failed.Load() }
 
 // Rejoins returns how many replacement peers this endpoint has installed.
 func (e *TCPEndpoint) Rejoins() int64 { return e.rejoins.Load() }
 
-// AwaitRejoin blocks until a replacement for failed rank r has been
-// installed (the coordinator re-admitted a worker and the mesh connection
-// is up), or ctx expires. Returns nil immediately if r is not failed.
-func (e *TCPEndpoint) AwaitRejoin(ctx context.Context, r int) error {
-	if r < 0 || r >= e.size || r == e.rank {
-		return fmt.Errorf("transport: await rejoin of rank %d outside world of %d", r, e.size)
-	}
-	t := time.NewTicker(10 * time.Millisecond)
-	defer t.Stop()
-	for {
-		if !e.PeerFailed(r) {
-			return nil
-		}
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
+func (e *TCPEndpoint) selfFailed() bool { return e.slot(e.rank).failed.Load() }
 
-// SetTimeout bounds every Ctx operation (0 = caller's context alone).
-// Call before the endpoint starts communicating.
-func (e *TCPEndpoint) SetTimeout(d time.Duration) { e.timeout = d }
-
-// SetFaultInjector installs a deterministic fault plan for this rank.
-// Call before the endpoint starts communicating.
-func (e *TCPEndpoint) SetFaultInjector(fi FaultInjector) { e.inject = fi }
-
-// opCtx applies the endpoint timeout to ctx.
-func (e *TCPEndpoint) opCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.timeout > 0 {
-		return context.WithTimeout(ctx, e.timeout)
-	}
-	return ctx, func() {}
-}
-
-// opDeadline converts the operation context into a socket write deadline.
-func (e *TCPEndpoint) opDeadline(ctx context.Context) time.Time {
-	if d, ok := ctx.Deadline(); ok {
-		return d
-	}
-	return time.Time{}
-}
-
-// mapCtxErr mirrors comm's timeout-vs-cancellation disambiguation.
-func mapCtxErr(outer context.Context, op string, peer int) error {
-	if outer.Err() != nil {
-		return outer.Err()
-	}
-	return fmt.Errorf("%w: %s involving rank %d", ErrTimeout, op, peer)
-}
-
-// checkFaults consumes one operation step, mirroring comm.Comm.checkFaults:
-// self-failure first, then a scheduled crash keyed on the rank's cumulative
-// operation count. An injected crash closes every connection abruptly, so
-// peers observe the same wire signature as a killed process.
-func (e *TCPEndpoint) checkFaults() error {
-	if e.slot(e.rank).failed.Load() {
-		return fmt.Errorf("%w: rank %d", ErrRankFailed, e.rank)
-	}
-	if e.inject != nil && e.inject.ShouldCrash(e.rank, e.sendSeq+e.recvSeq) {
-		e.Kill()
-		return fmt.Errorf("%w: rank %d (injected crash)", ErrRankFailed, e.rank)
-	}
-	return nil
-}
+// crash enacts an injected crash: Kill closes every connection abruptly,
+// so peers observe the same wire signature as a killed process.
+func (e *TCPEndpoint) crash() { e.Kill() }
 
 // Kill abruptly terminates this endpoint without a goodbye: every
 // connection is closed with a zero linger (RST on most stacks), which is
@@ -717,30 +641,20 @@ func (e *TCPEndpoint) Close() error {
 	return err
 }
 
-// SendCtx delivers data to dst or returns an error; semantics mirror
-// comm.Comm.SendCtx, including fault injection by send sequence number.
+// SendCtx delivers data to dst or returns an error, with the chan
+// backend's semantics, including fault injection by send sequence number.
 func (e *TCPEndpoint) SendCtx(ctx context.Context, dst int, data []float64) error {
-	if dst < 0 || dst >= e.size {
-		return fmt.Errorf("transport: send to rank %d outside world of %d", dst, e.size)
+	if err := e.checkPeer("send to", dst); err != nil {
+		return err
 	}
 	if err := e.checkFaults(); err != nil {
 		return err
 	}
-	seq := e.sendSeq
-	e.sendSeq++
 	opCtx, cancel := e.opCtx(ctx)
 	defer cancel()
-	if e.inject != nil {
-		drop, delay := e.inject.SendFault(e.rank, seq)
-		if delay > 0 {
-			if err := sleepCtx(opCtx, delay); err != nil {
-				return mapCtxErr(ctx, "send", dst)
-			}
-		}
-		if drop {
-			e.bytesSent.Add(int64(8 * len(data))) // sent, then lost on the wire
-			return nil
-		}
+	drop, err := e.sendFault(ctx, opCtx, dst, data)
+	if err != nil || drop {
+		return err
 	}
 	s := e.slot(dst)
 	if s.failed.Load() {
@@ -751,13 +665,13 @@ func (e *TCPEndpoint) SendCtx(ctx context.Context, dst int, data []float64) erro
 		copy(cp, data)
 		select {
 		case s.inbox <- cp:
-			e.bytesSent.Add(int64(8 * len(data)))
+			e.sent.Add(int64(8 * len(data)))
 			return nil
 		case <-opCtx.Done():
 			return mapCtxErr(ctx, "send", dst)
 		}
 	}
-	deadline := e.opDeadline(opCtx)
+	deadline, _ := opCtx.Deadline() // zero, so no socket deadline, when unbounded
 	if err := s.pc.write(deadline, frameData, encodeFloats(data)); err != nil {
 		if opCtx.Err() != nil {
 			return mapCtxErr(ctx, "send", dst)
@@ -765,15 +679,15 @@ func (e *TCPEndpoint) SendCtx(ctx context.Context, dst int, data []float64) erro
 		e.markSlotFailed(s)
 		return fmt.Errorf("%w: send to rank %d: %v", ErrPeerFailed, dst, err)
 	}
-	e.bytesSent.Add(int64(8 * len(data)))
+	e.sent.Add(int64(8 * len(data)))
 	return nil
 }
 
 // RecvCtx returns the next message from src, draining frames that arrived
 // before a peer death, or ErrPeerFailed once src is dead and drained.
 func (e *TCPEndpoint) RecvCtx(ctx context.Context, src int) ([]float64, error) {
-	if src < 0 || src >= e.size {
-		return nil, fmt.Errorf("transport: recv from rank %d outside world of %d", src, e.size)
+	if err := e.checkPeer("recv from", src); err != nil {
+		return nil, err
 	}
 	if err := e.checkFaults(); err != nil {
 		return nil, err
@@ -810,8 +724,8 @@ func (e *TCPEndpoint) RecvCtx(ctx context.Context, src int) ([]float64, error) {
 
 // BarrierCtx blocks until every live rank has entered the barrier. If any
 // rank in the world has failed, the release reports it and BarrierCtx
-// returns ErrPeerFailed — the prompt-detection analogue of comm's
-// timeout-based dead-rank discovery.
+// returns ErrPeerFailed — the prompt-detection analogue of the chan
+// backend's timeout-based dead-rank discovery.
 func (e *TCPEndpoint) BarrierCtx(ctx context.Context) error {
 	if err := e.checkFaults(); err != nil {
 		return err
@@ -822,7 +736,8 @@ func (e *TCPEndpoint) BarrierCtx(ctx context.Context) error {
 	defer cancel()
 	var payload [8]byte
 	putUint64(payload[:], seq)
-	if err := e.coord.write(e.opDeadline(opCtx), frameBarrierEnter, payload[:]); err != nil {
+	deadline, _ := opCtx.Deadline()
+	if err := e.coord.write(deadline, frameBarrierEnter, payload[:]); err != nil {
 		return fmt.Errorf("%w: barrier (coordinator unreachable): %v", ErrPeerFailed, err)
 	}
 	for {
@@ -843,72 +758,6 @@ func (e *TCPEndpoint) BarrierCtx(ctx context.Context) error {
 	}
 }
 
-// BroadcastCtx, AllreduceCtx, and AllgatherCtx run the shared collective
-// schedules (collectives.go) over this endpoint's point-to-point ops —
-// the same binomial tree and ring as package comm, so results are
-// bit-identical across backends.
-func (e *TCPEndpoint) BroadcastCtx(ctx context.Context, root int, buf []float64) error {
-	return broadcastCtx(ctx, e, root, buf)
-}
-
-// AllreduceCtx reduces buf elementwise across all ranks (ring schedule).
-func (e *TCPEndpoint) AllreduceCtx(ctx context.Context, buf []float64, op Op) error {
-	return allreduceCtx(ctx, e, buf, op)
-}
-
-// AllgatherCtx concatenates per-rank contributions into dst (ring schedule).
-func (e *TCPEndpoint) AllgatherCtx(ctx context.Context, contrib, dst []float64) error {
-	return allgatherCtx(ctx, e, contrib, dst)
-}
-
-// Blocking variants: healthy-world wrappers over the Ctx operations. A
-// failure (dead peer, closed socket) panics — distributed code should use
-// the Ctx variants.
-
-// Send delivers data to dst, panicking on transport failure.
-func (e *TCPEndpoint) Send(dst int, data []float64) {
-	if err := e.SendCtx(context.Background(), dst, data); err != nil {
-		panic(fmt.Sprintf("transport: blocking Send over TCP failed (use SendCtx): %v", err))
-	}
-}
-
-// Recv returns the next message from src, panicking on transport failure.
-func (e *TCPEndpoint) Recv(src int) []float64 {
-	msg, err := e.RecvCtx(context.Background(), src)
-	if err != nil {
-		panic(fmt.Sprintf("transport: blocking Recv over TCP failed (use RecvCtx): %v", err))
-	}
-	return msg
-}
-
-// Barrier blocks until every rank enters, panicking on transport failure.
-func (e *TCPEndpoint) Barrier() {
-	if err := e.BarrierCtx(context.Background()); err != nil {
-		panic(fmt.Sprintf("transport: blocking Barrier over TCP failed (use BarrierCtx): %v", err))
-	}
-}
-
-// Broadcast copies root's buf to every rank, panicking on failure.
-func (e *TCPEndpoint) Broadcast(root int, buf []float64) {
-	if err := e.BroadcastCtx(context.Background(), root, buf); err != nil {
-		panic(fmt.Sprintf("transport: blocking Broadcast over TCP failed (use BroadcastCtx): %v", err))
-	}
-}
-
-// Allreduce reduces buf across ranks, panicking on failure.
-func (e *TCPEndpoint) Allreduce(buf []float64, op Op) {
-	if err := e.AllreduceCtx(context.Background(), buf, op); err != nil {
-		panic(fmt.Sprintf("transport: blocking Allreduce over TCP failed (use AllreduceCtx): %v", err))
-	}
-}
-
-// Allgather concatenates contributions into dst, panicking on failure.
-func (e *TCPEndpoint) Allgather(contrib, dst []float64) {
-	if err := e.AllgatherCtx(context.Background(), contrib, dst); err != nil {
-		panic(fmt.Sprintf("transport: blocking Allgather over TCP failed (use AllgatherCtx): %v", err))
-	}
-}
-
 // abortConns tears down a partially joined endpoint.
 func (e *TCPEndpoint) abortConns() {
 	for _, s := range e.slots {
@@ -917,18 +766,6 @@ func (e *TCPEndpoint) abortConns() {
 		}
 	}
 	e.coord.conn.Close()
-}
-
-// sleepCtx waits for d respecting cancellation.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 var _ Endpoint = (*TCPEndpoint)(nil)

@@ -1,23 +1,20 @@
-// Package transport abstracts the message-passing layer behind a backend
-// interface so the same parallel code — the REWL driver (package rewl), the
-// DDP trainer (package train) — runs unchanged over goroutine channels in
-// one process or over TCP sockets spanning OS processes and machines.
+// Package transport is the message-passing layer with MPI semantics that
+// the parallel code — the REWL driver (package rewl), the DDP trainer
+// (package train) — is written against, so it runs unchanged over
+// goroutine channels in one process or over TCP sockets spanning OS
+// processes and machines.
 //
-// The operation set mirrors package comm, which mirrors MPI: point-to-point
-// sends, barriers, binomial-tree broadcast, ring allreduce/allgather, each
-// in a blocking flavor (healthy-world BSP code) and a Ctx flavor
+// The operations are MPI's: point-to-point sends, barriers, binomial-tree
+// broadcast, ring allreduce/allgather, each in a fault-aware Ctx flavor
 // (cancellation, timeouts, failed-peer observation, deterministic fault
-// injection — see comm/faults.go). Two backends implement it:
-//
-//   - the chan backend (chan.go) wraps a comm.World: every operation
-//     delegates to the corresponding comm.Comm method, so in-process runs
-//     are bit-identical to code written against package comm directly;
-//   - the TCP backend (tcp.go, rendezvous.go, wire.go) carries the same
-//     operations over length-prefixed binary frames between processes that
-//     met through a rendezvous coordinator.
-//
-// Chaos plans (package chaos) plug into either backend through the shared
-// comm.FaultInjector interface, so a fault schedule exercised in-process
+// injection) and a blocking flavor for healthy-world code. A backend
+// implements only the point-to-point operations and the barrier: the chan
+// backend (chan.go) over per-pair buffered channels between goroutines,
+// the TCP backend (tcp.go, rendezvous.go, wire.go) over length-prefixed
+// frames between processes that met through a rendezvous coordinator.
+// Everything else is written once, in collectives.go, so a collective is
+// bit-identical on either backend. Chaos plans (package chaos) plug into
+// both through FaultInjector, so a fault schedule exercised in-process
 // replays over real sockets: a crash closes the rank's connections
 // mid-protocol, a dropped send is a frame never written, a delayed send is
 // a stalled socket write.
@@ -25,42 +22,73 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"time"
-
-	"deepthermo/internal/comm"
 )
 
-// Op re-exports the reduction operator type so transport users need not
-// import comm.
-type Op = comm.Op
+// Op is a reduction operator.
+type Op int
 
 // Reduction operators.
 const (
-	Sum = comm.Sum
-	Max = comm.Max
-	Min = comm.Min
+	Sum Op = iota
+	Max
+	Min
 )
 
-// Errors re-exported from package comm: both backends report failures
-// through the same sentinel values, so callers' errors.Is checks are
-// backend-independent.
+// apply reduces src into dst elementwise, in index order.
+func (op Op) apply(dst, src []float64) {
+	switch op {
+	case Sum:
+		for i, v := range src {
+			dst[i] += v
+		}
+	case Max:
+		for i, v := range src {
+			if v > dst[i] {
+				dst[i] = v
+			}
+		}
+	case Min:
+		for i, v := range src {
+			if v < dst[i] {
+				dst[i] = v
+			}
+		}
+	}
+}
+
+// Errors reported by the Ctx operations of both backends, so callers'
+// errors.Is checks are backend-independent.
 var (
-	ErrRankFailed = comm.ErrRankFailed
-	ErrPeerFailed = comm.ErrPeerFailed
-	ErrTimeout    = comm.ErrTimeout
+	// ErrRankFailed is returned by a rank's own operations after it has
+	// permanently failed (fault-injected crash, FailRank, or Kill).
+	ErrRankFailed = errors.New("transport: rank permanently failed")
+	// ErrPeerFailed is returned when the operation's peer rank has
+	// permanently failed and no buffered message remains.
+	ErrPeerFailed = errors.New("transport: peer rank failed")
+	// ErrTimeout is returned when an operation exceeds the endpoint timeout.
+	ErrTimeout = errors.New("transport: operation timed out")
 )
 
-// FaultInjector is the per-operation fault oracle shared with package comm;
-// chaos.Plan satisfies it.
-type FaultInjector = comm.FaultInjector
+// FaultInjector supplies per-operation fault verdicts. Implementations
+// must be safe for concurrent use by all ranks; chaos.Plan satisfies that
+// (it is immutable after construction). Step numbers are the rank's
+// cumulative operation count (sends + recvs).
+type FaultInjector interface {
+	// ShouldCrash reports whether rank must fail permanently at step.
+	ShouldCrash(rank int, step int64) bool
+	// SendFault returns the drop/delay verdict for rank's seq-th send.
+	SendFault(rank int, seq int64) (drop bool, delay time.Duration)
+}
 
-// Endpoint is one rank's communicator. Like an MPI rank (and like
-// comm.Comm), an Endpoint belongs to one thread of execution and is not
-// safe for concurrent use by multiple goroutines.
+// Endpoint is one rank's communicator. Like an MPI rank, an Endpoint
+// belongs to one thread of execution and is not safe for concurrent use by
+// multiple goroutines.
 //
-// The blocking operations assume a healthy world; on the TCP backend they
-// panic if the underlying operation fails (a dead peer, a closed socket),
-// so distributed code should use the Ctx variants, which return errors.
+// The blocking operations assume a healthy world and panic if the
+// underlying operation fails (a dead peer, a closed socket), so
+// distributed code should use the Ctx variants, which return errors.
 // SetTimeout and SetFaultInjector must be called before the endpoint
 // starts communicating.
 type Endpoint interface {
