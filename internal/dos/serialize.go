@@ -2,6 +2,7 @@ package dos
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,7 +64,11 @@ func (d *LogDOS) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a density of states previously written by Save.
+var errCorrupt = errors.New("dos: corrupt DOS file")
+
+// Load reads a density of states previously written by Save. The grid
+// must be finite and a visited bin's ln g must be finite or -Inf: a NaN
+// or +Inf would poison every thermodynamic average derived from it.
 func Load(r io.Reader) (*LogDOS, error) {
 	var f dosFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
@@ -76,18 +81,22 @@ func Load(r io.Reader) (*LogDOS, error) {
 		return nil, fmt.Errorf("dos: unsupported version %d", f.Version)
 	}
 	if len(f.LogG) != len(f.Visited) || len(f.LogG) == 0 || !(f.BinWidth > 0) {
-		return nil, fmt.Errorf("dos: corrupt DOS file")
+		return nil, errCorrupt
 	}
-	d, err := New(f.EMin, f.EMin+f.BinWidth*float64(len(f.LogG)), len(f.LogG))
-	if err != nil {
-		return nil, err
+	d := &LogDOS{EMin: f.EMin, BinWidth: f.BinWidth, LogG: make([]float64, len(f.LogG))}
+	// A finite EMax above EMin needs a finite EMin and BinWidth too.
+	if eMax := d.EMax(); math.IsInf(eMax, 0) || !(eMax > d.EMin) {
+		return nil, errCorrupt
 	}
 	for i, v := range f.Visited {
-		if v {
-			d.LogG[i] = f.LogG[i]
-		} else {
-			d.LogG[i] = math.Inf(-1)
+		lg := f.LogG[i]
+		switch {
+		case !v:
+			lg = math.Inf(-1)
+		case math.IsNaN(lg) || math.IsInf(lg, 1):
+			return nil, errCorrupt
 		}
+		d.LogG[i] = lg
 	}
 	return d, nil
 }

@@ -155,3 +155,91 @@ func TestGoldenBatchTrace(t *testing.T) {
 		})
 	}
 }
+
+// servingSteps is the number of canonical steps every walker takes per
+// round of the serving-shape workload, all at 1200 K.
+const servingSteps = 8
+
+var servingBeta = testfix.WalkerSpec{TKelvin: 1200}.Beta()
+
+// servingSamplers builds width DL walk-posterior walkers on the deployed
+// model shape (Latent 6, Hidden 96) over the 54-site NbMoTaW quota, each
+// warmed up by one step. Batched walkers are clients of one shared engine;
+// the others each hold a private copy of the same weights.
+func servingSamplers(width int, batched bool) []*mc.Sampler {
+	f := testfix.Small()
+	f.VAE.Latent, f.VAE.Hidden, f.ModelSeed = 6, 96, 101
+	eng := infer.NewEngine(f.NewModel())
+	samplers := make([]*mc.Sampler, width)
+	for i := range samplers {
+		spec := testfix.WalkerSpec{TKelvin: 1200, ChainSeed: uint64(202 + i), Mode: mc.WalkPosterior}
+		var backend mc.Inferencer = f.NewModel()
+		if batched {
+			backend = eng.NewClient()
+		}
+		samplers[i] = f.NewSampler(spec, backend)
+		samplers[i].StepCanonical(servingBeta)
+	}
+	return samplers
+}
+
+// engineRound runs one quorum round: every walker takes servingSteps steps
+// in its own goroutine inside BeginBatch/EndBatch, as the REWL sweep phase
+// schedules them.
+func engineRound(samplers []*mc.Sampler) {
+	var wg sync.WaitGroup
+	for _, s := range samplers {
+		bp := s.Proposal.(mc.BatchParticipant)
+		bp.BeginBatch()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer bp.EndBatch()
+			for st := 0; st < servingSteps; st++ {
+				s.StepCanonical(servingBeta)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEngineRoundAllocs is the engine path's allocation budget: at 16
+// walkers, coalescing may cost at most 2 allocations per walker-step, so
+// it never regresses into per-request heap churn.
+func TestEngineRoundAllocs(t *testing.T) {
+	const width = 16
+	samplers := servingSamplers(width, true)
+	allocs := testing.AllocsPerRun(20, func() { engineRound(samplers) })
+	perStep := allocs / (width * servingSteps)
+	t.Logf("%.0f allocations per round, %.3f per walker-step", allocs, perStep)
+	if perStep > 2 {
+		t.Fatalf("engine path: %.3f allocations per walker-step, budget 2", perStep)
+	}
+}
+
+// BenchmarkEngServingW8 and BenchmarkSeqServingW8 time one round of 8
+// serving-shape walkers through the shared engine and on private weight
+// copies, for pprof:
+//
+//	go test -run '^$' -bench ServingW8 -cpuprofile eng.prof ./internal/mc/
+func BenchmarkEngServingW8(b *testing.B) {
+	samplers := servingSamplers(8, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engineRound(samplers)
+	}
+}
+
+func BenchmarkSeqServingW8(b *testing.B) {
+	samplers := servingSamplers(8, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for st := 0; st < servingSteps; st++ {
+			for _, s := range samplers {
+				s.StepCanonical(servingBeta)
+			}
+		}
+	}
+}

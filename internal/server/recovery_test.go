@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -299,13 +300,19 @@ func TestDrainKilledMidWriteCompactsJournal(t *testing.T) {
 
 	// Compaction: openJournal rewrote the transition log to one record
 	// per job, plus the single interrupted re-append for the slow job.
+	// jm2's worker may already be rerunning that job; its records carry
+	// attempt 2 and are not part of the compaction.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := 0
 	for _, ln := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		if strings.TrimSpace(ln) != "" {
+		var jb Job
+		if err := json.Unmarshal([]byte(ln), &jb); err != nil {
+			t.Fatalf("journal line %q: %v", ln, err)
+		}
+		if jb.ID != slow.ID || jb.Attempts != 2 {
 			lines++
 		}
 	}

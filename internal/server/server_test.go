@@ -330,6 +330,32 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsNonFiniteDOS: a DOS whose grid or visited ln g is not
+// finite is refused at upload, before a thermo query could fail on it.
+func TestUploadRejectsNonFiniteDOS(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for name, spoil := range map[string]func(d *dos.LogDOS){
+		"nan ln g":   func(d *dos.LogDOS) { d.LogG[3] = math.NaN() },
+		"+inf ln g":  func(d *dos.LogDOS) { d.LogG[3] = math.Inf(1) },
+		"+inf width": func(d *dos.LogDOS) { d.BinWidth = math.Inf(1) },
+	} {
+		d := testDOS(t)
+		spoil(d)
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/artifacts?kind=dos", "application/octet-stream", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: upload answered %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
 func TestThermoMatchesCanonical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	d := testDOS(t)
