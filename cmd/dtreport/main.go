@@ -1,7 +1,7 @@
 // Command dtreport runs the complete DeepThermo evaluation suite —
-// experiments E1-E12 and ablations A1-A5 — and writes a single markdown
-// report with every regenerated table. It is the tool behind
-// EXPERIMENTS.md:
+// experiments E1-E13 and ablations A1, A3-A6 — and writes a single
+// markdown report with every regenerated table. It is the only front-end
+// of package experiments and the tool behind EXPERIMENTS.md:
 //
 //	dtreport -out report.md            # full suite (several minutes)
 //	dtreport -only E1,E2,A4            # a subset
@@ -14,6 +14,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,15 +22,50 @@ import (
 	"deepthermo/internal/hpcsim"
 )
 
+// tableIDs lists every table dtreport regenerates, in report order.
+var tableIDs = []string{
+	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13",
+	"A1", "A3", "A4", "A5", "A6",
+}
+
+// parseOnly turns the -only flag (comma-separated table IDs, or "all")
+// into the selected set. IDs are case-insensitive; an unknown ID is an
+// error rather than an empty section.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, raw := range strings.Split(only, ",") {
+		id := strings.ToUpper(strings.TrimSpace(raw))
+		switch {
+		case id == "ALL":
+			for _, t := range tableIDs {
+				want[t] = true
+			}
+		case id == "A2":
+			return nil, fmt.Errorf("A2 (latent-draw mode) has no section of its own: it is the dl-walk and dl-jump columns of E1")
+		case slices.Contains(tableIDs, id):
+			want[id] = true
+		default:
+			return nil, fmt.Errorf("unknown table ID %q", strings.TrimSpace(raw))
+		}
+	}
+	return want, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dtreport: ")
 
 	outPath := flag.String("out", "", "output file (default stdout)")
-	only := flag.String("only", "all", "comma-separated experiment ids (E1..E12, A1..A5) or 'all'")
+	only := flag.String("only", "all", "comma-separated table IDs ("+strings.Join(tableIDs, ",")+") or 'all'")
 	cells := flag.Int("cells", 3, "testbed BCC cells for the sampling experiments")
 	seed := flag.Uint64("seed", 1, "master seed")
 	flag.Parse()
+
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dtreport: -only: %v\nvalid IDs: %s, all\n", err, strings.Join(tableIDs, ", "))
+		os.Exit(2)
+	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
@@ -41,21 +77,12 @@ func main() {
 		out = f
 	}
 
-	want := map[string]bool{}
-	all := *only == "all"
-	for _, id := range strings.Split(*only, ",") {
-		want[strings.ToUpper(strings.TrimSpace(id))] = true
-	}
-	sel := func(id string) bool { return all || want[id] }
-
 	fmt.Fprintf(out, "# DeepThermo evaluation report\n\ngenerated %s\n\n", time.Now().Format(time.RFC3339))
 
 	// The sampling experiments share one trained testbed.
 	var tb *experiments.Testbed
-	needTB := sel("E1") || sel("E2") || sel("E5") || sel("E6") || sel("A1") || sel("A3")
-	if needTB {
+	if want["E1"] || want["E2"] || want["E5"] || want["E6"] || want["A1"] || want["A3"] || want["A6"] {
 		log.Printf("training the shared testbed (cells=%d)...", *cells)
-		var err error
 		tb, err = experiments.NewTestbed(experiments.TestbedOptions{Cells: *cells, Seed: *seed})
 		if err != nil {
 			log.Fatal(err)
@@ -63,7 +90,7 @@ func main() {
 	}
 
 	section := func(id string, run func() (string, error)) {
-		if !sel(id) {
+		if !want[id] {
 			return
 		}
 		log.Printf("running %s...", id)
@@ -156,6 +183,13 @@ func main() {
 		}
 		return r.Format(), nil
 	})
+	section("E13", func() (string, error) {
+		r, err := experiments.ChaosResilience(experiments.E13Options{})
+		if err != nil {
+			return "", err
+		}
+		return r.Format(), nil
+	})
 	section("A1", func() (string, error) {
 		r, err := experiments.AblationKLWeight(tb, nil, 0)
 		if err != nil {
@@ -183,6 +217,13 @@ func main() {
 			b.WriteString(experiments.AblationAllreduce(m, 0, nil).Format())
 		}
 		return b.String(), nil
+	})
+	section("A6", func() (string, error) {
+		r, err := experiments.AblationScheduledMixture(tb, 0)
+		if err != nil {
+			return "", err
+		}
+		return r.Format(), nil
 	})
 
 	log.Print("done")

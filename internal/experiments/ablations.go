@@ -17,9 +17,10 @@ import (
 
 // This file implements the ablation studies DESIGN.md calls out for the
 // reproduction's own design choices: the KL weight of the proposal VAE
-// (A1), the latent-draw mode (A2), the DL fraction in the production
-// mixture (A3), the Wang-Landau schedule (A4), and the allreduce schedule
-// of the machine model (A5).
+// (A1), the DL fraction in the production mixture (A3), the Wang-Landau
+// schedule (A4), the allreduce schedule of the machine model (A5), and the
+// ln f-driven mixture schedule (A6). The latent-draw mode (A2) needs no
+// function of its own: it is E1's dl-walk and dl-jump columns.
 
 // A1Row is one KL weight's outcome.
 type A1Row struct {

@@ -1,8 +1,8 @@
 // Package experiments implements the DeepThermo evaluation suite: one
-// entry point per reconstructed table/figure (E1-E11, see DESIGN.md).
-// The benchmark harness (bench_test.go), the CLI tools (cmd/...), and the
-// examples all drive these functions, so every number in EXPERIMENTS.md is
-// regenerated from a single implementation.
+// entry point per reconstructed table/figure (E1-E13) and per ablation
+// (A1, A3-A6; see DESIGN.md). cmd/dtreport is its only front-end — each
+// table is the section `dtreport -only <ID>` writes — so every number in
+// EXPERIMENTS.md is regenerated from a single implementation.
 package experiments
 
 import (
@@ -32,14 +32,14 @@ type Testbed struct {
 
 // TestbedOptions sizes a testbed. Zero values select the defaults noted.
 type TestbedOptions struct {
-	Cells          int    // BCC cells per axis (default 3 → 54 atoms)
-	Seed           uint64 // master seed (default 1)
-	SamplesPerTemp int    // training configurations per ladder rung (default 250)
-	Epochs         int    // VAE training epochs (default 40)
-	Latent         int    // latent dimension (default 6)
-	Hidden         int    // hidden width (default 96)
-	TempLo, TempHi float64
-	LadderLen      int
+	Cells          int     // BCC cells per axis (default 3 → 54 atoms)
+	Seed           uint64  // master seed (default 1)
+	SamplesPerTemp int     // training configurations per ladder rung (default 300)
+	Epochs         int     // VAE training epochs (default 60)
+	Latent         int     // latent dimension (default 8)
+	Hidden         int     // hidden width (default 96)
+	TempLo, TempHi float64 // training-data temperature ladder (default 250..3000 K)
+	LadderLen      int     // ladder rungs (default 10)
 }
 
 func (o *TestbedOptions) setDefaults() {

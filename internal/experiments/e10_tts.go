@@ -13,7 +13,7 @@ type E10Options struct {
 	Sites      int     // default 8192
 	WalkersPer int     // default 2
 	WinBins    int     // default 200
-	BaseSweeps float64 // conventional REWL sweeps to convergence (default 2e6)
+	BaseSweeps float64 // conventional REWL sweeps to convergence (default 5e8)
 	Speedup    float64 // measured E2 sweep reduction (required, >0)
 	TrainSteps int     // DL training steps amortized into the run (default 20000)
 	Seed       uint64

@@ -13,7 +13,7 @@ import (
 type E1Options struct {
 	Temps       []float64 // default 300..3000 in 6 points
 	StepsPerT   int       // Metropolis decisions per proposal kind (default 400)
-	EquilSweeps int       // swap equilibration before measuring (default 200)
+	EquilSweeps int       // swap equilibration before measuring (default 300)
 	KSwap       int       // K for the unguided global baseline (default N/4)
 	IncludeJump bool      // also measure the JumpPrior DL mode
 	Seed        uint64

@@ -19,8 +19,8 @@ type E2Options struct {
 	Repeats  int     // independent repetitions averaged per proposal (default 3)
 	Seed     uint64
 	// WindowFrac restricts the run to the lower fraction of the sampled
-	// energy range (default 1.0 = full range). Low-energy windows are where
-	// local proposals struggle most.
+	// energy range (default 0.55; 1.0 = full range). Low-energy windows are
+	// where local proposals struggle most.
 	WindowFrac float64
 }
 

@@ -17,10 +17,10 @@ import (
 // E3Options configures the density-of-states range study.
 type E3Options struct {
 	CellSizes  []int   // BCC cells per axis to sample (default {2, 3, 4})
-	Windows    int     // REWL windows per run (default 6)
+	Windows    int     // REWL windows per run (default 16)
 	Overlap    float64 // window overlap (default 0.75)
-	Bins       int     // total energy bins (default 40)
-	LnFFinal   float64 // WL convergence target (default 1e-3)
+	Bins       int     // total energy bins (default 48)
+	LnFFinal   float64 // WL convergence target (default 3e-4)
 	Flatness   float64 // histogram flatness criterion (default 0.75)
 	MaxRounds  int     // REWL round cap (default 100000)
 	Seed       uint64

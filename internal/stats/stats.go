@@ -1,88 +1,13 @@
-// Package stats provides the statistical estimators used throughout the
-// DeepThermo reproduction: numerically stable running moments, integrated
-// autocorrelation times for Monte Carlo time series, jackknife error bars,
-// and simple fixed-width histograms.
+// Package stats provides Monte Carlo error-analysis estimators: integrated
+// autocorrelation times, effective sample size, blocking and jackknife
+// error bars, the Gelman-Rubin diagnostic, and fixed-width histograms.
+// No production package imports it.
 package stats
 
 import (
 	"fmt"
 	"math"
 )
-
-// Running accumulates mean and variance with Welford's algorithm, which is
-// stable for the long correlated series produced by MC sampling. The zero
-// value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates x.
-func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of samples.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the sample mean (0 with no samples).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the unbiased sample variance (0 with <2 samples).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest sample (0 with no samples).
-func (r *Running) Max() float64 { return r.max }
-
-// Merge combines another accumulator into r (parallel reduction), using
-// Chan et al.'s pairwise update.
-func (r *Running) Merge(o Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	r.mean += d * float64(o.n) / float64(n)
-	r.m2 += o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	if o.min < r.min {
-		r.min = o.min
-	}
-	if o.max > r.max {
-		r.max = o.max
-	}
-	r.n = n
-}
 
 // Mean returns the arithmetic mean of xs (NaN for empty input).
 func Mean(xs []float64) float64 {

@@ -3,83 +3,9 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"deepthermo/internal/rng"
 )
-
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range xs {
-		r.Add(x)
-	}
-	if r.N() != 8 {
-		t.Errorf("N = %d", r.N())
-	}
-	if math.Abs(r.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %g", r.Mean())
-	}
-	// Unbiased variance of this set is 32/7.
-	if math.Abs(r.Variance()-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %g", r.Variance())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("Min/Max = %g/%g", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Variance() != 0 || r.StdDev() != 0 {
-		t.Error("empty accumulator not zero")
-	}
-}
-
-// TestRunningMergeEqualsSequential: merging partial accumulators must give
-// the same moments as a single pass (the parallel-reduction property).
-func TestRunningMergeEqualsSequential(t *testing.T) {
-	src := rng.New(1)
-	err := quick.Check(func(split uint8) bool {
-		xs := make([]float64, 64)
-		for i := range xs {
-			xs[i] = src.NormFloat64()*3 + 1
-		}
-		k := int(split) % 63
-		var a, b, whole Running
-		for _, x := range xs[:k] {
-			a.Add(x)
-		}
-		for _, x := range xs[k:] {
-			b.Add(x)
-		}
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		a.Merge(b)
-		return math.Abs(a.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-9 &&
-			a.Min() == whole.Min() && a.Max() == whole.Max() && a.N() == whole.N()
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunningMergeWithEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // empty other
-	if a.Mean() != before.Mean() || a.N() != before.N() {
-		t.Error("merge with empty changed state")
-	}
-	b.Merge(a)
-	if b.Mean() != 2 || b.N() != 2 {
-		t.Error("merge into empty wrong")
-	}
-}
 
 func TestMeanVariance(t *testing.T) {
 	if !math.IsNaN(Mean(nil)) {

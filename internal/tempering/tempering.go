@@ -8,8 +8,9 @@
 // equilibration across free-energy barriers but — unlike Wang-Landau —
 // yields observables only at the ladder temperatures, which is precisely
 // the contrast the paper draws when it targets g(E) directly. The package
-// serves as the comparison baseline and as the equilibrium sampler behind
-// high-quality training-set generation.
+// is the comparison baseline: experiment E12 checks the DOS route's
+// canonical curves against it. Training data comes from package workload,
+// not from here.
 package tempering
 
 import (
@@ -21,7 +22,6 @@ import (
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
-	"deepthermo/internal/stats"
 )
 
 // Options configures a parallel-tempering run.
@@ -37,10 +37,41 @@ type Options struct {
 // ReplicaStat is one temperature's measured observables.
 type ReplicaStat struct {
 	T          float64
-	Energy     stats.Running // per-configuration energy samples
-	Acceptance float64       // Metropolis acceptance at this temperature
+	Energy     running // per-configuration energy samples
+	Acceptance float64 // Metropolis acceptance at this temperature
 	// Cv is the fluctuation estimate (⟨E²⟩−⟨E⟩²)/(k_B T²) in eV/K.
 	Cv float64
+}
+
+// running accumulates mean and variance with Welford's algorithm, which is
+// stable for the long correlated series MC sampling produces. The zero
+// value is ready to use.
+type running struct {
+	n    int
+	mean float64
+	m2   float64
+}
+
+// Add incorporates x.
+func (r *running) Add(x float64) {
+	r.n++
+	d := x - r.mean
+	r.mean += d / float64(r.n)
+	r.m2 += d * (x - r.mean)
+}
+
+// N returns the number of samples.
+func (r *running) N() int { return r.n }
+
+// Mean returns the sample mean (0 with no samples).
+func (r *running) Mean() float64 { return r.mean }
+
+// Variance returns the unbiased sample variance (0 with <2 samples).
+func (r *running) Variance() float64 {
+	if r.n < 2 {
+		return 0
+	}
+	return r.m2 / float64(r.n-1)
 }
 
 // Result is a completed parallel-tempering run.
@@ -48,8 +79,7 @@ type Result struct {
 	Replicas       []ReplicaStat
 	ExchangeTried  int64
 	ExchangeAccept int64
-	// FinalConfigs are the last configurations, ladder-ordered: input for
-	// training-set pipelines.
+	// FinalConfigs are the last configurations, ladder-ordered.
 	FinalConfigs []lattice.Config
 }
 

@@ -185,3 +185,32 @@ func TestGeometricLadder(t *testing.T) {
 		t.Error("degenerate ladder not clamped")
 	}
 }
+
+func TestRunningMoments(t *testing.T) {
+	var r running
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	for _, x := range xs {
+		r.Add(x)
+	}
+	if r.N() != 8 {
+		t.Errorf("N = %d", r.N())
+	}
+	if math.Abs(r.Mean()-5) > 1e-12 {
+		t.Errorf("Mean = %g", r.Mean())
+	}
+	// Unbiased variance of this set is 32/7.
+	if math.Abs(r.Variance()-32.0/7) > 1e-12 {
+		t.Errorf("Variance = %g", r.Variance())
+	}
+}
+
+func TestRunningEmpty(t *testing.T) {
+	var r running
+	if r.N() != 0 || r.Mean() != 0 || r.Variance() != 0 {
+		t.Error("empty accumulator not zero")
+	}
+	r.Add(3)
+	if r.Mean() != 3 || r.Variance() != 0 {
+		t.Errorf("one sample: Mean = %g, Variance = %g", r.Mean(), r.Variance())
+	}
+}
