@@ -5,94 +5,31 @@ package train
 // because the transport backends share the exact collective schedules.
 
 import (
-	"context"
-	"math"
-	"sync"
+	"reflect"
 	"testing"
-	"time"
-
-	"deepthermo/internal/nn"
-	"deepthermo/internal/rng"
-	"deepthermo/internal/transport"
-	"deepthermo/internal/vae"
 )
 
 func TestFitDDPEndpointTCPMatchesChan(t *testing.T) {
 	_, ds, vcfg := testSetup(t)
-	const workers = 2
 	opts := Options{Epochs: 2, BatchSize: 16, LR: 1e-3, Seed: 11}
 
 	// Reference: the in-process backend via FitDDP.
-	refModel, refStats, err := FitDDP(vcfg, ds, workers, opts)
+	refModel, refStats, err := FitDDP(vcfg, ds, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := goldenOf(refModel, refStats)
 
 	// TCP: each rank is an independent replica that initializes its own
 	// model from the shared seed and joins the world over loopback —
 	// exactly what cmd/dtworker does across OS processes.
-	co, err := transport.NewCoordinator("127.0.0.1:0", workers)
-	if err != nil {
-		t.Fatal(err)
+	models, stats := runTCP(t, vcfg, ds, 2, opts)
+	if got := goldenOf(models[0], stats); !reflect.DeepEqual(got, want) {
+		t.Errorf("rank 0 differs across backends:\n tcp  %+v\n chan %+v", got, want)
 	}
-	defer co.Close()
-	models := make([]*vae.Model, workers)
-	statsByRank := make([][]EpochStats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ep, err := transport.Join(context.Background(), co.Addr(), transport.JoinOptions{Timeout: 20 * time.Second})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer ep.Close()
-			m, err := vae.New(vcfg, rng.New(opts.Seed))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			models[ep.Rank()] = m
-			stats, err := FitDDPEndpoint(context.Background(), m, ep, ds, opts)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			statsByRank[ep.Rank()] = stats
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("tcp replica %d: %v", i, err)
-		}
-	}
-
-	// Rank-0 stats bit-identical to the chan run.
-	if len(statsByRank[0]) != len(refStats) {
-		t.Fatalf("tcp produced %d epochs, chan %d", len(statsByRank[0]), len(refStats))
-	}
-	for i := range refStats {
-		if math.Float64bits(statsByRank[0][i].Recon) != math.Float64bits(refStats[i].Recon) ||
-			math.Float64bits(statsByRank[0][i].KL) != math.Float64bits(refStats[i].KL) {
-			t.Errorf("epoch %d stats differ across backends: tcp %+v chan %+v", i, statsByRank[0][i], refStats[i])
-		}
-	}
-
-	// All replicas' weights bit-identical to the chan model.
-	ref := nn.FlattenValues(refModel.Params(), nil)
-	for r := 0; r < workers; r++ {
-		got := nn.FlattenValues(models[r].Params(), nil)
-		if len(got) != len(ref) {
-			t.Fatalf("rank %d weight count %d != %d", r, len(got), len(ref))
-		}
-		for i := range ref {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("rank %d weight %d differs across backends: %g vs %g", r, i, got[i], ref[i])
-			}
+	for r, m := range models {
+		if weightsHash(m) != want.Weights {
+			t.Errorf("tcp rank %d weights differ from the chan model", r)
 		}
 	}
 }

@@ -1,12 +1,13 @@
-// Package train drives VAE proposal-model training, both single-device and
-// distributed data parallel (DDP).
+// Package train drives VAE proposal-model training as distributed data
+// parallel (DDP), the paper's multi-GPU training structure: every worker
+// holds a model replica, computes gradients on its data shard, and joins a
+// ring allreduce (package transport) before an identical optimizer step,
+// so replicas stay bit-identical — the same invariant NCCL/RCCL-based DDP
+// maintains.
 //
-// The DDP path reproduces the paper's multi-GPU training structure: every
-// worker holds a model replica, computes gradients on its data shard, and
-// joins a ring allreduce (package transport) before an identical optimizer
-// step, so replicas stay bit-identical — the same invariant NCCL/RCCL-based
-// DDP maintains. The active-learning loop (retraining on fresh samples
-// mid-run) at the bottom is the paper's sample→train→propose cycle.
+// There is one epoch loop, FitDDPEndpoint. Single-device training (Fit)
+// is that loop over a world of one rank, which skips the gradient round
+// trip.
 package train
 
 import (
@@ -15,9 +16,7 @@ import (
 	"math"
 	"sync"
 
-	"deepthermo/internal/alloy"
 	"deepthermo/internal/lattice"
-	"deepthermo/internal/mc"
 	"deepthermo/internal/nn"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/tensor"
@@ -31,11 +30,10 @@ type Options struct {
 	Epochs    int
 	BatchSize int
 	LR        float64
-	ClipNorm  float64 // 0 disables clipping
 	Seed      uint64
 	// KLWarmupEpochs linearly ramps the KL weight from 0 to the model's
 	// configured BetaKL over this many epochs. Warmup prevents posterior
-	// collapse in the small-data regime of the active-learning loop.
+	// collapse in the small-data regime of the proposal training sets.
 	KLWarmupEpochs int
 }
 
@@ -49,10 +47,10 @@ func (o *Options) setDefaults() {
 	if o.LR == 0 {
 		o.LR = 1e-3
 	}
-	if o.ClipNorm == 0 {
-		o.ClipNorm = 5
-	}
 }
+
+// clipNorm bounds the global gradient norm of every step.
+const clipNorm = 5
 
 // EpochStats records the mean losses of one epoch.
 type EpochStats struct {
@@ -77,7 +75,7 @@ func TotalDiverged(stats []EpochStats) int {
 }
 
 // maxDivergences bounds rollback-and-halve recovery attempts across a
-// whole Fit run before training gives up. Generous: halving 50 times
+// whole training run before training gives up. Generous: halving 50 times
 // shrinks any learning rate by ~1e15.
 const maxDivergences = 50
 
@@ -97,94 +95,11 @@ func Fit(model *vae.Model, ds *workload.Dataset, opts Options) ([]EpochStats, er
 	return FitContext(context.Background(), model, ds, opts)
 }
 
-// FitContext is Fit with cooperative cancellation, polled once per batch.
-// On cancellation the statistics of the epochs completed so far are
-// returned alongside ctx's error; the model keeps the weights of the last
-// optimizer step, so a partially trained model remains usable.
-//
-// Training is divergence-guarded: if a batch produces a NaN/Inf loss or
-// gradient norm, the weights roll back to the last snapshot that
-// completed a finite epoch, the learning rate is halved (with fresh
-// optimizer moments), and the epoch is retried. The events are surfaced
-// as EpochStats.Diverged rather than silently baked into a NaN model
-// artifact; exceeding maxDivergences fails the run.
+// FitContext is Fit with cooperative cancellation: FitDDPEndpoint over a
+// world of one rank, so it shares that loop's divergence guard and
+// returns the statistics of the completed epochs alongside ctx's error.
 func FitContext(ctx context.Context, model *vae.Model, ds *workload.Dataset, opts Options) ([]EpochStats, error) {
-	opts.setDefaults()
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("train: empty dataset")
-	}
-	ds = ds.Copy() // epoch shuffles must not reorder the caller's data
-	src := rng.New(opts.Seed)
-	lr := opts.LR
-	opt := nn.NewAdam(lr)
-	params := model.Params()
-	betaFinal := model.Config().BetaKL
-	snapshot := nn.FlattenValues(params, nil) // last known-finite weights
-	clipNorm := opts.ClipNorm
-	if clipNorm <= 0 {
-		// ClipGradNorm with an infinite bound is a no-op clip that still
-		// reports the global norm the guard needs.
-		clipNorm = math.Inf(1)
-	}
-	totalDiverged, epochDiverged := 0, 0
-	var stats []EpochStats
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		if opts.KLWarmupEpochs > 0 {
-			ramp := float64(epoch+1) / float64(opts.KLWarmupEpochs)
-			if ramp > 1 {
-				ramp = 1
-			}
-			model.SetBetaKL(betaFinal * ramp)
-		}
-		ds.Shuffle(src)
-		var agg vae.Losses
-		steps := 0
-		diverged := false
-		for lo := 0; lo < ds.Len(); lo += opts.BatchSize {
-			if err := ctx.Err(); err != nil {
-				return stats, err
-			}
-			hi := lo + opts.BatchSize
-			if hi > ds.Len() {
-				hi = ds.Len()
-			}
-			x, conds, targets := batch(model, ds, lo, hi)
-			nn.ZeroGrads(params)
-			l := model.Step(x, conds, targets, src)
-			norm := nn.ClipGradNorm(params, clipNorm)
-			if !isFinite(l.Recon) || !isFinite(l.KL) || !isFinite(norm) {
-				diverged = true
-				break
-			}
-			opt.Step(params)
-			agg.Recon += l.Recon
-			agg.KL += l.KL
-			agg.Accuracy += l.Accuracy
-			steps++
-		}
-		if diverged {
-			totalDiverged++
-			epochDiverged++
-			if totalDiverged > maxDivergences {
-				return stats, fmt.Errorf("train: diverged %d times (lr halved to %g) without recovering", totalDiverged, lr)
-			}
-			nn.SetValues(params, snapshot)
-			lr /= 2
-			opt = nn.NewAdam(lr) // stale Adam moments point at the blow-up
-			epoch--              // retry this epoch at the reduced rate
-			continue
-		}
-		stats = append(stats, EpochStats{
-			Epoch:    epoch,
-			Recon:    agg.Recon / float64(steps),
-			KL:       agg.KL / float64(steps),
-			Accuracy: agg.Accuracy / float64(steps),
-			Diverged: epochDiverged,
-		})
-		epochDiverged = 0
-		snapshot = nn.FlattenValues(params, snapshot)
-	}
-	return stats, nil
+	return FitDDPEndpoint(ctx, model, transport.NewChanWorld(1).Endpoint(0), ds, opts)
 }
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
@@ -201,15 +116,9 @@ func gradsFinite(gs []float64) bool {
 // FitDDP trains with `workers` data-parallel replicas over the in-process
 // transport backend and returns the converged model (identical on all
 // replicas) plus rank-0 epoch statistics. The per-step effective batch is
-// workers × BatchSize, as in the paper's scaled training.
+// workers × BatchSize, as in the paper's scaled training. On error the
+// rank-0 model and the statistics of its completed epochs come with it.
 func FitDDP(cfg vae.Config, ds *workload.Dataset, workers int, opts Options) (*vae.Model, []EpochStats, error) {
-	return FitDDPContext(context.Background(), cfg, ds, workers, opts)
-}
-
-// FitDDPContext is FitDDP with cooperative cancellation: a cancelled
-// context aborts the replicas at their next communication operation.
-func FitDDPContext(ctx context.Context, cfg vae.Config, ds *workload.Dataset, workers int, opts Options) (*vae.Model, []EpochStats, error) {
-	opts.setDefaults()
 	if workers < 1 {
 		return nil, nil, fmt.Errorf("train: need at least one worker")
 	}
@@ -228,27 +137,27 @@ func FitDDPContext(ctx context.Context, cfg vae.Config, ds *workload.Dataset, wo
 		models[i] = m
 	}
 
-	allStats := make([][]EpochStats, workers)
-	errCh := make(chan error, workers)
+	var stats []EpochStats
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for r := 0; r < workers; r++ {
+	for r := range models {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			stats, err := FitDDPEndpoint(ctx, models[rank], world.Endpoint(rank), ds, opts)
-			if err != nil {
-				errCh <- err
-				return
+			s, err := FitDDPEndpoint(context.Background(), models[rank], world.Endpoint(rank), ds, opts)
+			if rank == 0 {
+				stats = s
 			}
-			allStats[rank] = stats
+			errs[rank] = err
 		}(r)
 	}
 	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return nil, nil, err
+	for _, err := range errs {
+		if err != nil {
+			return models[0], stats, err
+		}
 	}
-	return models[0], allStats[0], nil
+	return models[0], stats, nil
 }
 
 // FitDDPEndpoint runs one replica's DDP training loop over any transport
@@ -256,7 +165,22 @@ func FitDDPContext(ctx context.Context, cfg vae.Config, ds *workload.Dataset, wo
 // world spans machines. model must be initialized identically on every
 // rank (same config, same init seed); ds is the FULL dataset, sharded here
 // by the endpoint's rank. Epoch statistics are returned on rank 0 and nil
-// elsewhere.
+// elsewhere. A world of one rank is single-device training: it has no
+// gradients to average, so it skips the allreduce.
+//
+// Cancellation is polled once per batch. On cancellation or a
+// communication error the statistics of the epochs completed so far are
+// returned alongside the error; the model keeps the weights of the last
+// optimizer step, so a partially trained model remains usable.
+//
+// Training is divergence-guarded: if a batch produces a NaN/Inf loss or
+// gradient norm, the weights roll back to the last snapshot that
+// completed a finite epoch, the learning rate is halved (with fresh
+// optimizer moments), and the epoch is retried. The events are surfaced
+// as EpochStats.Diverged rather than silently baked into a NaN model
+// artifact; exceeding maxDivergences fails the run. At world > 1 the
+// decision is taken on the allreduced gradients, which every rank holds
+// identically, so the replicas roll back in lockstep.
 //
 // Determinism note: every replica shuffles its own shard with its own
 // stream; the allreduced gradients (and therefore the weights) are
@@ -272,51 +196,62 @@ func FitDDPEndpoint(ctx context.Context, model *vae.Model, ep transport.Endpoint
 		return nil, fmt.Errorf("train: rank %d received an empty shard", rank)
 	}
 	src := rng.New(opts.Seed + uint64(rank)*0x9e37)
-	opt := nn.NewAdam(opts.LR)
+	lr := opts.LR
+	opt := nn.NewAdam(lr)
 	params := model.Params()
-	grads := make([]float64, nn.NumParams(params))
+	betaFinal := model.Config().BetaKL
+	snapshot := nn.FlattenValues(params, nil) // last known-finite weights
+	var grads []float64                       // allreduce buffer; a world of one needs none
+	if workers > 1 {
+		grads = make([]float64, len(snapshot))
+	}
 	stepsPerEpoch := (shard.Len() + opts.BatchSize - 1) / opts.BatchSize
 
+	totalDiverged, epochDiverged := 0, 0
 	var stats []EpochStats
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
+		if opts.KLWarmupEpochs > 0 {
+			model.SetBetaKL(betaFinal * math.Min(1, float64(epoch+1)/float64(opts.KLWarmupEpochs)))
+		}
 		shard.Shuffle(src)
 		var agg vae.Losses
+		diverged := false
 		for step := 0; step < stepsPerEpoch; step++ {
+			if err := ctx.Err(); err != nil {
+				return stats, err
+			}
 			lo := step * opts.BatchSize
-			if lo >= shard.Len() {
-				lo = shard.Len() - 1 // degenerate tiny shard: repeat last sample
-			}
-			hi := lo + opts.BatchSize
-			if hi > shard.Len() {
-				hi = shard.Len()
-			}
-			x, conds, targets := batch(model, shard, lo, hi)
+			x, conds, targets := batch(model, shard, lo, min(lo+opts.BatchSize, shard.Len()))
 			nn.ZeroGrads(params)
 			l := model.Step(x, conds, targets, src)
-			if opts.ClipNorm > 0 {
-				nn.ClipGradNorm(params, opts.ClipNorm)
+			norm := nn.ClipGradNorm(params, clipNorm)
+			finite := isFinite(l.Recon) && isFinite(l.KL) && isFinite(norm)
+			if workers > 1 {
+				var err error
+				if finite, err = averageGrads(ctx, ep, params, grads, finite); err != nil {
+					return stats, fmt.Errorf("train: rank %d: allreduce at epoch %d step %d: %w", rank, epoch, step, err)
+				}
 			}
-			// Gradient averaging across replicas: the DDP allreduce. The
-			// fault-aware variant keeps a dead or disconnected peer from
-			// hanging the surviving replicas forever.
-			nn.FlattenGrads(params, grads)
-			if err := ep.AllreduceCtx(ctx, grads, transport.Sum); err != nil {
-				return nil, fmt.Errorf("train: rank %d: allreduce at epoch %d step %d: %w", rank, epoch, step, err)
+			if !finite {
+				diverged = true
+				break
 			}
-			tensor.Scale(1/float64(workers), grads)
-			// Divergence guard: the allreduced gradients are identical on
-			// every replica, so every rank takes this branch in lockstep
-			// and the replicas stay bit-identical. DDP has no per-rank
-			// rollback protocol, so fail loudly instead of stepping a NaN
-			// into every replica.
-			if !gradsFinite(grads) {
-				return nil, fmt.Errorf("train: rank %d: non-finite allreduced gradient at epoch %d step %d", rank, epoch, step)
-			}
-			nn.SetGrads(params, grads)
 			opt.Step(params)
 			agg.Recon += l.Recon
 			agg.KL += l.KL
 			agg.Accuracy += l.Accuracy
+		}
+		if diverged {
+			totalDiverged++
+			epochDiverged++
+			if totalDiverged > maxDivergences {
+				return stats, fmt.Errorf("train: diverged %d times (lr halved to %g) without recovering", totalDiverged, lr)
+			}
+			nn.SetValues(params, snapshot)
+			lr /= 2
+			opt = nn.NewAdam(lr) // stale Adam moments point at the blow-up
+			epoch--              // retry this epoch at the reduced rate
+			continue
 		}
 		if rank == 0 {
 			stats = append(stats, EpochStats{
@@ -324,115 +259,39 @@ func FitDDPEndpoint(ctx context.Context, model *vae.Model, ep transport.Endpoint
 				Recon:    agg.Recon / float64(stepsPerEpoch),
 				KL:       agg.KL / float64(stepsPerEpoch),
 				Accuracy: agg.Accuracy / float64(stepsPerEpoch),
+				Diverged: epochDiverged,
 			})
 		}
-		if err := ep.BarrierCtx(ctx); err != nil {
-			return nil, fmt.Errorf("train: rank %d: barrier after epoch %d: %w", rank, epoch, err)
+		epochDiverged = 0
+		snapshot = nn.FlattenValues(params, snapshot)
+		if workers > 1 {
+			if err := ep.BarrierCtx(ctx); err != nil {
+				return stats, fmt.Errorf("train: rank %d: barrier after epoch %d: %w", rank, epoch, err)
+			}
 		}
 	}
 	return stats, nil
 }
 
-// ActiveLoopOptions configures the sample→train→propose cycle.
-type ActiveLoopOptions struct {
-	Rounds     int // retraining rounds (default 3)
-	Gen        workload.GenOptions
-	Train      Options
-	UseDLInGen bool    // after round 0, generate with a DL+swap mixture
-	DLWeight   float64 // mixture weight of the DL proposal (default 0.1)
-	VAE        vae.Config
-}
-
-// ActiveLoop runs the full DeepThermo training cycle: generate data with
-// the current best proposal, retrain the VAE, repeat. Returns the final
-// model and the loss trajectory across rounds.
-func ActiveLoop(m *alloy.Model, opts ActiveLoopOptions) (*vae.Model, [][]EpochStats, error) {
-	if opts.Rounds == 0 {
-		opts.Rounds = 3
+// averageGrads replaces this replica's gradients with their mean over the
+// world: the DDP allreduce. A replica whose own step was not finite
+// poisons its contribution, so every rank sees the divergence in the
+// allreduced gradients. It reports whether those are finite — a value
+// every rank holds identically.
+func averageGrads(ctx context.Context, ep transport.Endpoint, params []nn.Param, grads []float64, finite bool) (bool, error) {
+	nn.FlattenGrads(params, grads)
+	if !finite {
+		grads[0] = math.NaN()
 	}
-	if opts.DLWeight == 0 {
-		opts.DLWeight = 0.1
+	// The fault-aware allreduce keeps a dead or disconnected peer from
+	// hanging the surviving replicas forever.
+	if err := ep.AllreduceCtx(ctx, grads, transport.Sum); err != nil {
+		return false, err
 	}
-	var model *vae.Model
-	var history [][]EpochStats
-	for round := 0; round < opts.Rounds; round++ {
-		gen := opts.Gen
-		gen.Seed = opts.Gen.Seed + uint64(round)
-		ds, err := generateRound(m, model, gen, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if model == nil {
-			model, err = vae.New(opts.VAE, rng.New(opts.Train.Seed))
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		tr := opts.Train
-		tr.Seed = opts.Train.Seed + uint64(round)*31
-		stats, err := Fit(model, ds, tr)
-		if err != nil {
-			return nil, nil, err
-		}
-		history = append(history, stats)
+	tensor.Scale(1/float64(ep.Size()), grads)
+	if !gradsFinite(grads) {
+		return false, nil
 	}
-	return model, history, nil
-}
-
-// generateRound produces a round's dataset, optionally mixing the current
-// DL proposal into the generator chains.
-func generateRound(m *alloy.Model, model *vae.Model, gen workload.GenOptions, opts ActiveLoopOptions) (*workload.Dataset, error) {
-	if model == nil || !opts.UseDLInGen {
-		return workload.Generate(m, gen)
-	}
-	// Mixture generation: one chain per temperature with swap + DL moves.
-	if gen.Quota == nil {
-		n, k := m.Lattice().NumSites(), m.NumSpecies()
-		gen.Quota = make([]int, k)
-		for i := range gen.Quota {
-			gen.Quota[i] = n / k
-		}
-		gen.Quota[k-1] += n - (n/k)*k
-	}
-	streams := rng.NewStreams(gen.Seed, len(gen.Temps))
-	ds := &workload.Dataset{}
-	for ti, t := range gen.Temps {
-		src := streams[ti]
-		// Build the start configuration from the quota so its composition
-		// matches the DL proposal's constraint exactly.
-		cfg := make(lattice.Config, 0, m.Lattice().NumSites())
-		for sp, q := range gen.Quota {
-			for i := 0; i < q; i++ {
-				cfg = append(cfg, lattice.Species(sp))
-			}
-		}
-		src.Shuffle(len(cfg), func(i, j int) { cfg[i], cfg[j] = cfg[j], cfg[i] })
-		prop := mc.NewMixture(
-			[]mc.Proposal{
-				mc.NewSwapProposal(m),
-				mc.NewGlobalProposal(model.CloneWeights(src), m, gen.Quota, mc.CondForT(t)),
-			},
-			[]float64{1 - opts.DLWeight, opts.DLWeight},
-		)
-		s := mc.NewSampler(m, cfg, prop, src)
-		equil := gen.EquilSweeps
-		if equil == 0 {
-			equil = 200
-		}
-		gap := gen.GapSweeps
-		if gap == 0 {
-			gap = 10
-		}
-		for i := 0; i < equil; i++ {
-			s.Sweep(t)
-		}
-		for i := 0; i < gen.SamplesPerTemp; i++ {
-			for g := 0; g < gap; g++ {
-				s.Sweep(t)
-			}
-			ds.Append(s.Cfg.Clone(), mc.CondForT(t), s.E)
-		}
-	}
-	ds.Shuffle(rng.New(gen.Seed ^ 0x5a5a))
-	return ds, nil
+	nn.SetGrads(params, grads)
+	return true, nil
 }

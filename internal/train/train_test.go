@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/nn"
 	"deepthermo/internal/rng"
+	"deepthermo/internal/transport"
 	"deepthermo/internal/vae"
 	"deepthermo/internal/workload"
 )
@@ -133,42 +136,147 @@ func TestKLWarmupRestoresBeta(t *testing.T) {
 	}
 }
 
-// TestFitDDPSingleWorkerMatchesFit: with one worker, the DDP path must
-// reproduce single-device training exactly (allreduce is the identity).
+// cancelAfter is a context whose Err reports context.Canceled once it has
+// been polled n times, so a cancellation lands on the same batch every run.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// runChan runs FitDDPEndpoint on n replicas of a chan world, each
+// initialised from opts.Seed, and returns every replica's model with rank
+// 0's statistics.
+func runChan(t *testing.T, vcfg vae.Config, ds *workload.Dataset, n int, opts Options) ([]*vae.Model, []EpochStats) {
+	t.Helper()
+	world := transport.NewChanWorld(n)
+	models := make([]*vae.Model, n)
+	stats := make([][]EpochStats, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for r := range models {
+		m, err := vae.New(vcfg, rng.New(opts.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[r] = m
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			stats[r], errs[r] = FitDDPEndpoint(context.Background(), models[r], world.Endpoint(r), ds, opts)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	return models, stats[0]
+}
+
+// TestFitDDPSingleWorkerMatchesFit: one-worker DDP is single-device
+// training — rank 0's shuffle stream is the seed's own, its shard is the
+// whole dataset, and there is nothing to average — so it must reproduce
+// Fit bit for bit, in weights and in statistics, through the KL warm-up,
+// divergence recovery and a cancellation mid-epoch.
 func TestFitDDPSingleWorkerMatchesFit(t *testing.T) {
 	_, ds, vcfg := testSetup(t)
-	opts := Options{Epochs: 3, BatchSize: 16, LR: 1e-3, Seed: 7}
+	for _, row := range []struct {
+		name   string
+		opts   Options
+		cancel int // cancel after this many batch polls; 0 never
+	}{
+		{name: "plain", opts: Options{Epochs: 3, BatchSize: 16, LR: 1e-3, Seed: 7}},
+		{name: "kl_warmup", opts: Options{Epochs: 3, BatchSize: 16, LR: 1e-3, Seed: 7, KLWarmupEpochs: 3}},
+		{name: "lr1e158", opts: Options{Epochs: 3, BatchSize: 16, LR: 1e158, Seed: 7}},
+		// 80 samples in batches of 16: the 8th poll is batch 3 of epoch 2.
+		{name: "cancelled", opts: Options{Epochs: 3, BatchSize: 16, LR: 1e-3, Seed: 7}, cancel: 7},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ctx := context.Background()
+			if row.cancel > 0 {
+				ctx = &cancelAfter{Context: ctx, n: row.cancel}
+			}
+			serial, err := vae.New(vcfg, rng.New(row.opts.Seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			serialStats, serialErr := FitContext(ctx, serial, ds, row.opts)
 
-	serial, err := vae.New(vcfg, rng.New(opts.Seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsCopy := &workload.Dataset{
-		Configs:  append([]lattice.Config(nil), ds.Configs...),
-		Conds:    append([]float64(nil), ds.Conds...),
-		Energies: append([]float64(nil), ds.Energies...),
-	}
-	if _, err := Fit(serial, dsCopy, opts); err != nil {
-		t.Fatal(err)
-	}
+			var ddp *vae.Model
+			var ddpStats []EpochStats
+			var ddpErr error
+			if row.cancel == 0 {
+				ddp, ddpStats, ddpErr = FitDDP(vcfg, ds, 1, row.opts)
+			} else {
+				// FitDDP takes no context, so cancel the loop it runs
+				// on each replica, over a world of one.
+				if ddp, err = vae.New(vcfg, rng.New(row.opts.Seed)); err != nil {
+					t.Fatal(err)
+				}
+				ctx = &cancelAfter{Context: context.Background(), n: row.cancel}
+				ddpStats, ddpErr = FitDDPEndpoint(ctx, ddp, transport.NewChanWorld(1).Endpoint(0), ds, row.opts)
+			}
 
-	// DDP shuffles with seed + rank·0x9e37 = seed for rank 0... it uses a
-	// different offset; equality requires the same stream. Compare loss
-	// trajectories rather than exact weights if streams differ.
-	ddpModel, ddpStats, err := FitDDP(vcfg, ds, 1, opts)
+			if row.cancel > 0 {
+				if !errors.Is(serialErr, context.Canceled) || !errors.Is(ddpErr, context.Canceled) {
+					t.Fatalf("errors %v / %v, want context.Canceled from both", serialErr, ddpErr)
+				}
+				if len(ddpStats) != 1 {
+					t.Fatalf("cancelled in epoch 2 but %d epochs reported", len(ddpStats))
+				}
+			} else if serialErr != nil || ddpErr != nil {
+				t.Fatalf("Fit: %v, FitDDP: %v", serialErr, ddpErr)
+			}
+			if row.opts.LR > 1 && TotalDiverged(ddpStats) == 0 {
+				t.Fatal("lr=1e158 training reported no divergence events")
+			}
+			if got, want := goldenOf(ddp, ddpStats), goldenOf(serial, serialStats); !reflect.DeepEqual(got, want) {
+				t.Errorf("FitDDP(…, 1) differs from Fit:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestFitDDPDivergenceRecovers: at an absurd learning rate, data-parallel
+// training must recover the way single-device training does — roll back,
+// halve the rate, report the events — and every replica must roll back in
+// lockstep, so the weights stay bit-identical across ranks.
+func TestFitDDPDivergenceRecovers(t *testing.T) {
+	_, ds, vcfg := testSetup(t)
+	opts := Options{Epochs: 3, BatchSize: 16, LR: 1e158, Seed: 3}
+	model, stats, err := FitDDP(vcfg, ds, 2, opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("guarded DDP training failed outright: %v", err)
 	}
-	if len(ddpStats) != 3 {
-		t.Fatalf("%d epochs", len(ddpStats))
+	if len(stats) != 3 {
+		t.Fatalf("%d finite epochs reported, want 3", len(stats))
 	}
-	// Same seed stream (rank 0 offset is 0), same data order → identical
-	// final weights.
-	a := nn.FlattenValues(serial.Params(), nil)
-	b := nn.FlattenValues(ddpModel.Params(), nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("weight %d differs: %g vs %g", i, a[i], b[i])
+	if TotalDiverged(stats) == 0 {
+		t.Fatal("lr=1e158 training reported no divergence events")
+	}
+	for _, s := range stats {
+		if !isFinite(s.Recon) || !isFinite(s.KL) || !isFinite(s.Accuracy) {
+			t.Fatalf("reported epoch stats non-finite: %+v", s)
+		}
+	}
+	for i, w := range nn.FlattenValues(model.Params(), nil) {
+		if !isFinite(w) {
+			t.Fatalf("weight %d non-finite after guarded training: %g", i, w)
+		}
+	}
+	models, _ := runChan(t, vcfg, ds, 2, opts)
+	for r, m := range models {
+		if weightsHash(m) != weightsHash(model) {
+			t.Errorf("rank %d weights differ from FitDDP's model", r)
 		}
 	}
 }
@@ -223,37 +331,6 @@ func TestDDPDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("DDP not deterministic")
-		}
-	}
-}
-
-func TestActiveLoop(t *testing.T) {
-	m, _, vcfg := testSetup(t)
-	model, history, err := ActiveLoop(m, ActiveLoopOptions{
-		Rounds: 2,
-		Gen: workload.GenOptions{
-			Temps:          []float64{600, 2400},
-			SamplesPerTemp: 20,
-			EquilSweeps:    20,
-			GapSweeps:      2,
-			Seed:           10,
-		},
-		Train:      Options{Epochs: 4, BatchSize: 8, LR: 2e-3, Seed: 11},
-		UseDLInGen: true,
-		VAE:        vcfg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model == nil {
-		t.Fatal("no model")
-	}
-	if len(history) != 2 {
-		t.Fatalf("%d rounds of history", len(history))
-	}
-	for r, stats := range history {
-		if len(stats) != 4 {
-			t.Fatalf("round %d has %d epochs", r, len(stats))
 		}
 	}
 }
