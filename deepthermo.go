@@ -237,11 +237,11 @@ type DOSConfig struct {
 	Adaptive bool
 
 	// BatchInference routes every walker's DL-proposal forwards through one
-	// shared batched inference engine (package infer) instead of per-walker
-	// weight clones: requests from all walkers in a sweep round coalesce
-	// into batch-major matmuls on a single hot copy of the weights. The
-	// sampled DOS is bit-identical to the per-walker path — the engine's
-	// kernels are row-independent and the proposal factory burns exactly the
+	// shared inference engine (package infer) instead of per-walker weight
+	// clones: each walker runs its forwards on its own goroutine over a
+	// replica that reads a single copy of the weights. The sampled DOS is
+	// bit-identical to the per-walker path — a replica computes exactly the
+	// shared model's forwards, and the proposal factory burns exactly the
 	// RNG draws the replaced per-walker clone would have consumed (see
 	// vae.WeightDraws) — so this is purely a throughput switch.
 	BatchInference bool
@@ -283,12 +283,12 @@ type DOSResult struct {
 	// Migrations counts walkers the adaptive controller moved into
 	// straggler windows (0 unless DOSConfig.Adaptive).
 	Migrations int
-	// Batch reports the batched inference engine's activity when
+	// Batch reports the shared inference engine's activity when
 	// DOSConfig.BatchInference was set (nil otherwise).
 	Batch *BatchStats
 }
 
-// BatchStats aliases infer.Stats, the batched-engine activity counters
+// BatchStats aliases infer.Stats, the shared-engine activity counters
 // surfaced on DOSResult and in server job results.
 type BatchStats = infer.Stats
 
@@ -335,7 +335,7 @@ func (s *System) SampleDOSContext(ctx context.Context, cfg DOSConfig) (*DOSResul
 	}
 
 	// With BatchInference, one engine owns a single weight copy and every
-	// walker gets a coalescing client; the factory burns exactly the
+	// walker gets a client over it; the factory burns exactly the
 	// Float64 draws CloneWeights would have taken from the walker's stream,
 	// so every downstream draw — and therefore the whole run — stays
 	// bit-identical to the per-walker-clone path.

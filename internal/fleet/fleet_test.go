@@ -117,7 +117,10 @@ func TestTakeoverRace(t *testing.T) {
 // claimable within one TTL of the last renewal once heartbeats stop.
 func TestHeartbeatKeepsLeaseAtTTLBoundary(t *testing.T) {
 	dir := t.TempDir()
-	ttl := 60 * time.Millisecond
+	// Long enough that a loaded machine's scheduling delays (tens of
+	// milliseconds while other test binaries run) stay well inside the
+	// TTL/3 renewal margin.
+	ttl := 300 * time.Millisecond
 	owner := newStore(t, dir, "owner", ttl)
 	rival := newStore(t, dir, "rival", ttl)
 
@@ -132,8 +135,10 @@ func TestHeartbeatKeepsLeaseAtTTLBoundary(t *testing.T) {
 	// Heartbeat at TTL/3 for 4×TTL; the rival polls for takeover the whole
 	// time and must never win.
 	stop := make(chan struct{})
+	rivalDone := make(chan struct{})
 	var rivalWon atomic.Bool
 	go func() {
+		defer close(rivalDone)
 		for {
 			select {
 			case <-stop:
@@ -150,11 +155,16 @@ func TestHeartbeatKeepsLeaseAtTTLBoundary(t *testing.T) {
 	deadline := time.Now().Add(4 * ttl)
 	for time.Now().Before(deadline) {
 		if err := owner.Heartbeat("j", token); err != nil {
+			close(stop)
+			<-rivalDone
 			t.Fatalf("heartbeat while renewing: %v", err)
 		}
 		time.Sleep(ttl / 3)
 	}
+	// A rival Acquire still in flight holds the lease file under its grab
+	// name, where PeekLease cannot see it: wait for the poller to exit.
 	close(stop)
+	<-rivalDone
 	if rivalWon.Load() {
 		t.Fatal("rival acquired the lease despite live heartbeats")
 	}

@@ -1,351 +1,131 @@
-// Package infer implements the batched cross-walker inference engine: it
-// coalesces the per-walker encoder/decoder requests of many concurrent MC
-// walkers into batch-major forwards on one shared set of model weights.
+// Package infer shares one copy of the DL proposal model's weights among
+// the concurrent MC walkers of a run.
 //
-// Motivation. PR 5 made a single walker's DL proposal allocation-free, but
-// every walker still paid its own full NN forward on its own ~1 MB weight
-// clone — W walkers stream W copies of the same weights through the cache
-// per sweep. The engine keeps ONE weight copy hot and amortizes each layer
-// traversal across every walker that has a request in flight, which is the
-// paper's central batching win (model evaluation, not MC bookkeeping,
-// dominates time-to-solution at scale).
+// Motivation. Each walker's DL proposal needs a model whose inference
+// scratch it owns. The per-walker route, vae.Model.CloneWeights, gives
+// every walker a private weight copy as well, so W walkers stream W copies
+// of the same weights through the cache. The engine keeps ONE
+// weight copy and hands each walker a Client: a vae.Model.ShareWeights
+// replica that reads the engine model's weights in place and writes only
+// buffers of its own.
 //
-// Protocol. Each walker owns a Client. Around a region in which it will
-// issue requests (a sweep round), it brackets BeginBatch/EndBatch. Inside
-// the bracket, EncodeInto/DecodeProbsInto enqueue the request and block;
-// when every active client is blocked on a request (a full quorum) the last
-// arrival executes the whole queue inline: one batched encoder forward for
-// the encode group and one batched decoder forward for the decode group,
-// then wakes everyone. Walkers at different phases of their step thus
-// naturally pipeline — one flush can carry walker A's encode next to walker
-// B's reverse-density decode. Outside a bracket, calls pass through as
-// batch-1 forwards under the engine lock, so prepare/warm-up code needs no
-// special casing.
+// Protocol. A Client runs its walker's forwards directly on the caller's
+// goroutine, with no lock and no hand-off: REWL walkers sweep independently
+// between exchanges, and nothing here makes one wait for another. Distinct
+// clients may run concurrently; one client belongs to one goroutine.
 //
-// Identity. Batched results are bit-identical to the sequential path:
-// every kernel on the inference path is row-independent (see
-// vae.EncodeBatchInto), so membership and order of a flush group cannot
-// affect any request's result. The batch golden-trace tests in internal/mc
-// and the REWL parity test pin this end to end.
-//
-// Liveness. A flush fires whenever blocked == active with a non-empty
-// queue. Clients leave the quorum via EndBatch (which also flushes if the
-// remaining active clients are all blocked) — so walkers that stop issuing
-// requests (swap-only sweeps, finished windows, crashed walkers via a
-// deferred EndBatch) cannot starve the rest.
+// Identity. A client computes exactly the engine model's forwards, bit for
+// bit — the same code over the same numbers — so a run through clients is
+// bit-identical to a run on per-walker weight clones. The batch golden
+// traces in internal/mc and the REWL parity tests pin this end to end.
+// DESIGN.md ("Batched inference") records why a client does not coalesce
+// its forwards with other walkers'.
 package infer
 
 import (
 	"sync"
+	"sync/atomic"
 
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/lattice"
-	"deepthermo/internal/tensor"
 	"deepthermo/internal/vae"
 )
 
-// reqKind discriminates the batched phases. A fused request rides both:
-// its encode row and (after the engine reparameterizes z from the client's
-// pre-drawn normals) its decode row.
-type reqKind uint8
-
-const (
-	reqEncode reqKind = iota
-	reqDecode
-	reqFused
-)
-
-// request is one queued inference call. Each Client owns exactly one,
-// reused across calls, so enqueueing allocates nothing in steady state.
-type request struct {
-	kind reqKind
-	cond float64
-	// encode
-	cfg        lattice.Config
-	mu, logvar []float64
-	// decode
-	z     []float64
-	probs [][]float64
-	// fused (encode + reparameterize + decode in one round-trip)
-	eps  []float64
-	done bool
-}
-
-// Stats counts engine activity. Read with Engine.Stats after a run.
+// Stats counts engine activity. Read with Engine.Stats, during or after a
+// run. Each forward a client runs counts as a batch of one.
 type Stats struct {
-	Batches     int64 // flushes executed
-	Requests    int64 // total requests served through flushes
+	Batches     int64 // forwards run; equal to Requests
+	Requests    int64 // client calls served
 	Encodes     int64 // encode rows among them (incl. fused)
 	Decodes     int64 // decode rows among them (incl. fused)
 	Fused       int64 // fused walk-step requests among them
-	MaxBatch    int   // largest single flush (encode + decode rows)
-	PassThrough int64 // batch-1 calls outside a Begin/End bracket
+	MaxBatch    int   // 1 once anything ran
+	PassThrough int64 // always 0; kept for the callers that report it
 }
 
-// Engine owns one model replica and coalesces client requests into batched
-// forwards. Construct with NewEngine, then hand each walker a NewClient.
+// Engine owns the one weight copy its clients read. Construct with
+// NewEngine, then hand each walker a NewClient.
 type Engine struct {
-	mu    sync.Mutex
-	cv    *sync.Cond
 	model *vae.Model
 
-	active  int // clients inside a BeginBatch/EndBatch bracket
-	blocked int // active clients currently parked on a queued request
-	queue   []*request
-
-	// Flush scratch: argument slices of views into client-owned buffers,
-	// reused across flushes.
-	encCfgs  []lattice.Config
-	encConds []float64
-	encMu    [][]float64
-	encLv    [][]float64
-	decZs    [][]float64
-	decConds []float64
-	decProbs [][][]float64
-	encReqs  []*request
-	decReqs  []*request
-
-	stats Stats
+	mu      sync.Mutex
+	clients []*Client
 }
 
-// NewEngine wraps model in a batching engine. The engine owns the model:
-// nothing else may run inference on it concurrently (all access — batched
-// or pass-through — happens under the engine lock).
-func NewEngine(model *vae.Model) *Engine {
-	e := &Engine{model: model}
-	e.cv = sync.NewCond(&e.mu)
-	return e
-}
+// NewEngine shares model's weights among the clients it hands out. The
+// engine owns the model: nothing may write its weights while a client is
+// running a forward.
+func NewEngine(model *vae.Model) *Engine { return &Engine{model: model} }
 
-// Model returns the engine-owned model. Callers must not run inference on
-// it while clients are live; it exists for weight updates between runs
-// (retrains), after which each client's proposal cache must be invalidated.
+// Model returns the engine-owned model. It exists for weight updates
+// between runs (retrains): every client sees them at its next call, after
+// which each client's proposal cache must be invalidated.
 func (e *Engine) Model() *vae.Model { return e.model }
 
-// Stats returns a snapshot of the engine counters.
+// Stats sums the counters of every client handed out so far. It is safe to
+// call while clients run, and exact once they have returned.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.stats
+	var st Stats
+	for _, c := range e.clients {
+		enc, dec, fused := c.encodes.Load(), c.decodes.Load(), c.fused.Load()
+		st.Requests += enc + dec + fused
+		st.Encodes += enc + fused
+		st.Decodes += dec + fused
+		st.Fused += fused
+	}
+	st.Batches = st.Requests
+	if st.Requests > 0 {
+		st.MaxBatch = 1
+	}
+	return st
 }
 
-// Client is one walker's handle on the engine. It implements the proposal
-// backend interface (mc.Inferencer) plus the quorum hooks
-// (mc.BatchParticipant). A Client is owned by a single goroutine; distinct
+// Client is one walker's handle on the engine: a replica of the engine
+// model plus the walker's own counters. It implements mc.Inferencer and
+// mc.FusedInferencer. A Client is owned by a single goroutine; distinct
 // Clients may be used concurrently.
 type Client struct {
-	eng     *Engine
-	inBatch bool
-	req     request
+	model *vae.Model // ShareWeights replica of the engine model
+
+	// Calls served, by kind, counted after the forward returns. Written
+	// on every DL step, hence the pad: no other walker's line is touched.
+	encodes, decodes, fused atomic.Int64
+
+	_ [cacheline.Size - 32]byte
 }
 
 // NewClient returns a new handle for one walker.
-func (e *Engine) NewClient() *Client { return &Client{eng: e} }
+func (e *Engine) NewClient() *Client {
+	c := &Client{model: e.model.ShareWeights()}
+	e.mu.Lock()
+	e.clients = append(e.clients, c)
+	e.mu.Unlock()
+	return c
+}
 
 // Config returns the model hyperparameters.
-func (c *Client) Config() vae.Config { return c.eng.model.Config() }
+func (c *Client) Config() vae.Config { return c.model.Config() }
 
-// BeginBatch joins the flush quorum: until EndBatch, this client's requests
-// are queued and coalesced with every other active client's.
-func (c *Client) BeginBatch() {
-	e := c.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !c.inBatch {
-		c.inBatch = true
-		e.active++
-	}
-}
-
-// EndBatch leaves the quorum. If the remaining active clients are all
-// already parked on requests, their batch is flushed now rather than
-// waiting for a quorum this client can no longer join. Safe to call
-// without a matching BeginBatch (it is a no-op), so it can run in a defer
-// alongside panic recovery.
-func (c *Client) EndBatch() {
-	e := c.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c.inBatch {
-		c.inBatch = false
-		e.active--
-		if len(e.queue) > 0 && e.blocked >= e.active {
-			e.flushLocked()
-		}
-	}
-}
-
-// EncodeInto implements the encoder half of the backend interface: inside a
-// bracket it enqueues and blocks until the quorum flush computes it; outside
-// it runs batch-1 under the engine lock. mu and logvar must be
-// caller-allocated with length Latent (the proposal hot path always passes
-// its arena buffers, so the nil-allocating convenience of vae.Model is
-// deliberately not replicated here).
+// EncodeInto is vae.Model.EncodeInto on the client's replica.
 func (c *Client) EncodeInto(cfg lattice.Config, cond float64, mu, logvar []float64) ([]float64, []float64) {
-	if mu == nil || logvar == nil {
-		l := c.eng.model.Config().Latent
-		if mu == nil {
-			mu = make([]float64, l)
-		}
-		if logvar == nil {
-			logvar = make([]float64, l)
-		}
-	}
-	c.req.kind = reqEncode
-	c.req.cfg = cfg
-	c.req.cond = cond
-	c.req.mu, c.req.logvar = mu, logvar
-	c.submit()
+	mu, logvar = c.model.EncodeInto(cfg, cond, mu, logvar)
+	c.encodes.Add(1)
 	return mu, logvar
 }
 
-// DecodeProbsInto implements the decoder half of the backend interface;
-// the same queueing rules as EncodeInto apply. dst must be caller-allocated
-// (vae.NewProbs-shaped) — the hot path always reuses its arena table.
+// DecodeProbsInto is vae.Model.DecodeProbsInto on the client's replica.
 func (c *Client) DecodeProbsInto(z []float64, cond float64, dst [][]float64) [][]float64 {
-	if dst == nil {
-		cfg := c.eng.model.Config()
-		dst = vae.NewProbs(cfg.Sites, cfg.Species)
-	}
-	c.req.kind = reqDecode
-	c.req.z = z
-	c.req.cond = cond
-	c.req.probs = dst
-	c.submit()
+	dst = c.model.DecodeProbsInto(z, cond, dst)
+	c.decodes.Add(1)
 	return dst
 }
 
-// EncodeSampleDecode implements mc.FusedInferencer: the full walk-posterior
-// forward as ONE engine round-trip. All buffers are caller-allocated (the
-// proposal's arenas); eps holds the pre-drawn standard normals, and the
-// engine computes z with vae.SampleLatent between the batched encode and
-// decode phases of the same flush, so the result is bit-identical to an
+// EncodeSampleDecode implements mc.FusedInferencer: vae.Model's fused
+// walk-posterior forward on the client's replica, bit-identical to an
 // EncodeInto + SampleLatent + DecodeProbsInto sequence.
 func (c *Client) EncodeSampleDecode(cfg lattice.Config, cond float64, eps, mu, lv, z []float64, probs [][]float64) {
-	c.req.kind = reqFused
-	c.req.cfg = cfg
-	c.req.cond = cond
-	c.req.eps = eps
-	c.req.mu, c.req.logvar = mu, lv
-	c.req.z = z
-	c.req.probs = probs
-	c.submit()
-}
-
-// submit routes the prepared c.req: pass-through outside a bracket,
-// enqueue-and-park inside one. The caller holds no locks.
-func (c *Client) submit() {
-	e := c.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !c.inBatch {
-		e.runOneLocked(&c.req)
-		e.stats.PassThrough++
-		return
-	}
-	c.req.done = false
-	e.queue = append(e.queue, &c.req)
-	e.blocked++
-	if e.blocked >= e.active {
-		// Quorum complete: this client is the last arrival and executes the
-		// whole batch inline while the others are parked on the condvar.
-		e.flushLocked()
-	}
-	for !c.req.done {
-		e.cv.Wait()
-	}
-}
-
-// runOneLocked executes a single request batch-1 on the engine model.
-func (e *Engine) runOneLocked(r *request) {
-	switch r.kind {
-	case reqEncode:
-		e.model.EncodeInto(r.cfg, r.cond, r.mu, r.logvar)
-	case reqDecode:
-		e.model.DecodeProbsInto(r.z, r.cond, r.probs)
-	case reqFused:
-		e.model.EncodeSampleDecode(r.cfg, r.cond, r.eps, r.mu, r.logvar, r.z, r.probs)
-	}
-	r.done = true
-}
-
-// flushLocked executes every queued request as (at most) one batched
-// encoder forward plus one batched decoder forward, marks them done, and
-// wakes the parked clients. The flushed clients are no longer blocked on
-// the engine, so blocked decreases by the number of requests completed —
-// NOT one per waking waiter, which would let a fast walker's next request
-// see a stale quorum and trigger a premature tiny flush.
-func (e *Engine) flushLocked() {
-	q := e.queue
-	if len(q) == 0 {
-		return
-	}
-	// Settle the queue in a defer so that even a panicking kernel (a
-	// construction bug — well-formed requests cannot panic) wakes the
-	// parked clients instead of deadlocking the run; the panic itself
-	// propagates to the flushing walker, which the sweep loop reaps.
-	defer func() {
-		for _, r := range q {
-			r.done = true
-		}
-		e.blocked -= len(q)
-		e.queue = e.queue[:0]
-		e.cv.Broadcast()
-	}()
-	e.encReqs, e.decReqs = e.encReqs[:0], e.decReqs[:0]
-	fused := 0
-	for _, r := range q {
-		switch r.kind {
-		case reqEncode:
-			e.encReqs = append(e.encReqs, r)
-		case reqDecode:
-			e.decReqs = append(e.decReqs, r)
-		case reqFused:
-			// Rides both phases: encoded below, reparameterized between the
-			// phases, decoded with the plain decode rows.
-			e.encReqs = append(e.encReqs, r)
-			e.decReqs = append(e.decReqs, r)
-			fused++
-		}
-	}
-
-	// The whole quorum is parked on the condvar, so the cores the sweep's
-	// nested-parallel hint protects are idle: let the batched kernels fan
-	// out if the work justifies it (no-op on single-P runtimes).
-	tensor.EnterBatchParallel()
-	defer tensor.LeaveBatchParallel()
-
-	if len(e.encReqs) > 0 {
-		e.encCfgs, e.encConds = e.encCfgs[:0], e.encConds[:0]
-		e.encMu, e.encLv = e.encMu[:0], e.encLv[:0]
-		for _, r := range e.encReqs {
-			e.encCfgs = append(e.encCfgs, r.cfg)
-			e.encConds = append(e.encConds, r.cond)
-			e.encMu = append(e.encMu, r.mu)
-			e.encLv = append(e.encLv, r.logvar)
-		}
-		e.model.EncodeBatchInto(e.encCfgs, e.encConds, e.encMu, e.encLv)
-	}
-	for _, r := range q {
-		if r.kind == reqFused {
-			vae.SampleLatent(r.z, r.mu, r.logvar, r.eps)
-		}
-	}
-	if len(e.decReqs) > 0 {
-		e.decZs, e.decConds, e.decProbs = e.decZs[:0], e.decConds[:0], e.decProbs[:0]
-		for _, r := range e.decReqs {
-			e.decZs = append(e.decZs, r.z)
-			e.decConds = append(e.decConds, r.cond)
-			e.decProbs = append(e.decProbs, r.probs)
-		}
-		e.model.DecodeProbsBatchInto(e.decZs, e.decConds, e.decProbs)
-	}
-
-	e.stats.Batches++
-	e.stats.Requests += int64(len(q))
-	e.stats.Encodes += int64(len(e.encReqs))
-	e.stats.Decodes += int64(len(e.decReqs))
-	e.stats.Fused += int64(fused)
-	if len(q) > e.stats.MaxBatch {
-		e.stats.MaxBatch = len(q)
-	}
+	c.model.EncodeSampleDecode(cfg, cond, eps, mu, lv, z, probs)
+	c.fused.Add(1)
 }

@@ -9,10 +9,10 @@ import (
 
 // Inferencer is the model backend a GlobalProposal runs inference through:
 // the three calls the proposal hot path makes. *vae.Model satisfies it
-// directly (the sequential per-walker path); *infer.Client satisfies it by
-// coalescing calls from many walkers into batched forwards on shared
-// weights. Both produce bit-identical results for identical inputs (see
-// the batch golden-trace tests).
+// directly (a per-walker weight clone); *infer.Client satisfies it with a
+// walker-owned replica over one engine's shared weights. Both produce
+// bit-identical results for identical inputs (see the batch golden-trace
+// tests).
 type Inferencer interface {
 	Config() vae.Config
 	EncodeInto(cfg lattice.Config, cond float64, mu, logvar []float64) ([]float64, []float64)
@@ -21,22 +21,17 @@ type Inferencer interface {
 
 // FusedInferencer is the optional fast path of Inferencer: the whole
 // walk-posterior forward (encode, reparameterize with pre-drawn normals,
-// decode) in one call. Through an infer.Client that is one engine
-// round-trip — one park/wake per step instead of two — and through a
-// *vae.Model it is the same three calls inlined. Results are bit-identical
-// to the unfused sequence either way, so Propose uses it whenever the
-// backend offers it.
+// decode) in one call. *vae.Model and *infer.Client both offer it, as the
+// same three calls inlined. Results are bit-identical to the unfused
+// sequence, so Propose uses it whenever the backend offers it.
 type FusedInferencer interface {
 	EncodeSampleDecode(cfg lattice.Config, cond float64, eps, mu, lv, z []float64, probs [][]float64)
 }
 
-// BatchParticipant is implemented by proposals (and inference backends)
-// that take part in a cross-walker batching quorum. The REWL sweep phase
-// brackets each walker's sweep with BeginBatch/EndBatch when the walker's
-// proposal implements it; proposals that merely wrap others (Mixture,
-// GlobalProposal over an engine client) forward the calls down to the
-// backend. Both methods must be idempotent-safe in the sense the engine
-// defines: EndBatch without a matching BeginBatch is a no-op.
+// BatchParticipant is the sweep-bracket hook of the retired cross-walker
+// batching quorum. No sampler calls it any more and no proposal in this
+// package implements it; the type stays because the benchmark harness's
+// proposal decorator (bench/decor.go) still forwards it.
 type BatchParticipant interface {
 	BeginBatch()
 	EndBatch()
@@ -143,19 +138,19 @@ type GlobalProposal struct {
 }
 
 // NewGlobalProposal creates a walker-owned DL proposal in WalkPosterior
-// mode. model must be a per-walker replica (its inference path mutates
-// layer caches and model-owned scratch); quota is the fixed composition
-// (counts per species, summing to the lattice size); cond is the
-// conditioning scalar (see CondForT).
+// mode. model must be a per-walker replica (CloneWeights or ShareWeights:
+// its inference path mutates layer caches and model-owned scratch); quota
+// is the fixed composition (counts per species, summing to the lattice
+// size); cond is the conditioning scalar (see CondForT).
 func NewGlobalProposal(model *vae.Model, ham *alloy.Model, quota []int, cond float64) *GlobalProposal {
 	return NewGlobalProposalWith(model, ham, quota, cond)
 }
 
 // NewGlobalProposalWith is NewGlobalProposal over any inference backend —
-// in particular an infer.Client, which batches this walker's forwards with
-// every other walker sharing the engine. The backend must be exclusively
-// this walker's (clients are single-goroutine handles; models are
-// per-walker replicas).
+// in particular an infer.Client, which runs this walker's forwards on its
+// own goroutine over the weights every client of the engine shares. The
+// backend must be exclusively this walker's (clients are single-goroutine
+// handles; models are per-walker replicas).
 func NewGlobalProposalWith(model Inferencer, ham *alloy.Model, quota []int, cond float64) *GlobalProposal {
 	q := make([]int, len(quota))
 	copy(q, quota)
@@ -178,22 +173,6 @@ func NewGlobalProposalWith(model Inferencer, ham *alloy.Model, quota []int, cond
 		encCacheCfg: make(lattice.Config, n),
 		encCacheMu:  make([]float64, l),
 		encCacheLv:  make([]float64, l),
-	}
-}
-
-// BeginBatch implements BatchParticipant by forwarding to the inference
-// backend when it participates in a batching quorum; with a plain
-// *vae.Model backend it is a no-op.
-func (p *GlobalProposal) BeginBatch() {
-	if bp, ok := p.model.(BatchParticipant); ok {
-		bp.BeginBatch()
-	}
-}
-
-// EndBatch implements BatchParticipant; see BeginBatch.
-func (p *GlobalProposal) EndBatch() {
-	if bp, ok := p.model.(BatchParticipant); ok {
-		bp.EndBatch()
 	}
 }
 

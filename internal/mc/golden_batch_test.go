@@ -9,17 +9,19 @@ import (
 	"testing"
 
 	"deepthermo/internal/infer"
+	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/testfix"
+	"deepthermo/internal/vae"
 )
 
-// The batch golden traces pin the cross-walker batched inference engine
-// bit-for-bit against the sequential per-walker-model path: the fixture's
-// 8-walker population is recorded running sequentially (each walker on its
-// own copy of the shared weights), and the batched runs — at every tested
-// batch size — must reproduce every walker's accept/reject stream and
-// per-step energies exactly. Regenerate only when a change is *meant* to
-// alter the chains:
+// The batch golden traces pin the shared-weight inference engine bit for
+// bit against the sequential per-walker-model path: the fixture's 8-walker
+// population is recorded running sequentially (each walker on its own copy
+// of the shared weights), and the engine runs — at every tested group size,
+// each walker on its own goroutine with its own engine client — must
+// reproduce every walker's accept/reject stream and per-step energies
+// exactly. Regenerate only when a change is *meant* to alter the chains:
 //
 //	go test ./internal/mc/ -run TestGoldenBatchTrace -update-batch-golden
 var updateBatchGolden = flag.Bool("update-batch-golden", false, "rewrite batched golden traces")
@@ -35,22 +37,47 @@ func batchGoldenPath(name string) string {
 	return filepath.Join("testdata", "dl_batch_"+name+".golden")
 }
 
+// countingModel is a sequential backend that counts the forwards it
+// serves, as an engine client does, so the engine runs can be held to the
+// sequential path's forward count.
+type countingModel struct {
+	*vae.Model
+	calls int64
+}
+
+func (m *countingModel) EncodeInto(cfg lattice.Config, cond float64, mu, logvar []float64) ([]float64, []float64) {
+	m.calls++
+	return m.Model.EncodeInto(cfg, cond, mu, logvar)
+}
+
+func (m *countingModel) DecodeProbsInto(z []float64, cond float64, dst [][]float64) [][]float64 {
+	m.calls++
+	return m.Model.DecodeProbsInto(z, cond, dst)
+}
+
+func (m *countingModel) EncodeSampleDecode(cfg lattice.Config, cond float64, eps, mu, lv, z []float64, probs [][]float64) {
+	m.calls++
+	m.Model.EncodeSampleDecode(cfg, cond, eps, mu, lv, z, probs)
+}
+
 // runSequentialWalker records the reference trace: the spec's walker on a
-// private model holding the fixture's shared weights.
-func runSequentialWalker(f testfix.Fixture, spec testfix.WalkerSpec) []testfix.TraceStep {
-	s := f.NewSampler(spec, f.NewModel())
+// private model holding the fixture's shared weights. It also returns the
+// number of forwards the walker asked of its model.
+func runSequentialWalker(f testfix.Fixture, spec testfix.WalkerSpec) ([]testfix.TraceStep, int64) {
+	model := &countingModel{Model: f.NewModel()}
+	s := f.NewSampler(spec, model)
 	beta := spec.Beta()
 	trace := make([]testfix.TraceStep, batchTotalSteps)
 	for i := range trace {
 		acc := s.StepCanonical(beta)
 		trace[i] = testfix.TraceStep{Accepted: acc, E: s.E}
 	}
-	return trace
+	return trace, model.calls
 }
 
 // runBatchedGroup drives a group of walkers concurrently through one shared
-// engine, bracketing each round with BeginBatch/EndBatch exactly as the
-// REWL sweep phase does, and returns each walker's trace.
+// engine, one goroutine per walker per round as the REWL sweep phase
+// schedules them, and returns each walker's trace.
 func runBatchedGroup(t *testing.T, f testfix.Fixture, specs []testfix.WalkerSpec) ([][]testfix.TraceStep, infer.Stats) {
 	t.Helper()
 	eng := infer.NewEngine(f.NewModel())
@@ -65,14 +92,9 @@ func runBatchedGroup(t *testing.T, f testfix.Fixture, specs []testfix.WalkerSpec
 	for round := 0; round < batchRounds; round++ {
 		var wg sync.WaitGroup
 		for i := range samplers {
-			// Join the quorum before spawning, as the REWL sweep phase does,
-			// so the first request already sees the full quorum.
-			bp := samplers[i].Proposal.(mc.BatchParticipant)
-			bp.BeginBatch()
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				defer bp.EndBatch()
 				s := samplers[i]
 				beta := specs[i].Beta()
 				for st := 0; st < batchRoundSteps; st++ {
@@ -86,10 +108,12 @@ func runBatchedGroup(t *testing.T, f testfix.Fixture, specs []testfix.WalkerSpec
 	return traces, eng.Stats()
 }
 
-// TestGoldenBatchTrace proves the batched engine is bit-identical to the
-// sequential path at batch sizes 1, 2, 4, and the full walker count: every
-// walker's 200-step trace must match its recorded sequential golden at
-// every batch size (group membership cannot affect any walker's chain).
+// TestGoldenBatchTrace proves the engine is bit-identical to the
+// sequential path for groups of 1, 2, 4, and the full walker count sharing
+// one engine: every walker's 200-step trace must match its recorded
+// sequential golden in every group (group membership cannot affect any
+// walker's chain), and the engine must serve exactly the forwards the
+// sequential walkers asked of their own models.
 func TestGoldenBatchTrace(t *testing.T) {
 	f := testfix.Small()
 	specs := testfix.Walkers(batchWalkers)
@@ -99,7 +123,7 @@ func TestGoldenBatchTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, spec := range specs {
-			trace := runSequentialWalker(f, spec)
+			trace, _ := runSequentialWalker(f, spec)
 			path := batchGoldenPath(spec.Name)
 			if err := os.WriteFile(path, []byte(testfix.FormatTrace(trace)), 0o644); err != nil {
 				t.Fatal(err)
@@ -122,9 +146,16 @@ func TestGoldenBatchTrace(t *testing.T) {
 
 	// The sequential path itself must still match its recording (guards the
 	// goldens against silent staleness before they gate the batched runs).
+	// The sequential runs also count the forwards each walker asks of its
+	// model; every engine group below must serve exactly that many.
+	seq := make([][]testfix.TraceStep, len(specs))
+	forwards := make([]int64, len(specs))
+	for i, spec := range specs {
+		seq[i], forwards[i] = runSequentialWalker(f, spec)
+	}
 	t.Run("sequential", func(t *testing.T) {
 		for i, spec := range specs {
-			if d := testfix.DiffTraces(runSequentialWalker(f, spec), golden[i]); d != "" {
+			if d := testfix.DiffTraces(seq[i], golden[i]); d != "" {
 				t.Fatalf("walker %s: sequential path diverged from golden: %s", spec.Name, d)
 			}
 		}
@@ -145,11 +176,12 @@ func TestGoldenBatchTrace(t *testing.T) {
 						t.Fatalf("walker %s at batch size %d: batched trace diverged: %s", spec.Name, b, d)
 					}
 				}
-				if stats.Requests == 0 {
-					t.Fatalf("batch group [%d,%d): engine served no requests (walkers bypassed the engine)", lo, hi)
+				var want int64
+				for _, n := range forwards[lo:hi] {
+					want += n
 				}
-				if b == batchWalkers && stats.MaxBatch < 2 {
-					t.Fatalf("full-population group never coalesced: max batch %d", stats.MaxBatch)
+				if stats.Requests == 0 || stats.Requests != want {
+					t.Fatalf("batch group [%d,%d): engine served %d forwards, the sequential walkers made %d", lo, hi, stats.Requests, want)
 				}
 			}
 		})
@@ -183,18 +215,14 @@ func servingSamplers(width int, batched bool) []*mc.Sampler {
 	return samplers
 }
 
-// engineRound runs one quorum round: every walker takes servingSteps steps
-// in its own goroutine inside BeginBatch/EndBatch, as the REWL sweep phase
-// schedules them.
+// engineRound runs one round: every walker takes servingSteps steps in its
+// own goroutine, as the REWL sweep phase schedules them.
 func engineRound(samplers []*mc.Sampler) {
 	var wg sync.WaitGroup
 	for _, s := range samplers {
-		bp := s.Proposal.(mc.BatchParticipant)
-		bp.BeginBatch()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer bp.EndBatch()
 			for st := 0; st < servingSteps; st++ {
 				s.StepCanonical(servingBeta)
 			}
@@ -204,8 +232,9 @@ func engineRound(samplers []*mc.Sampler) {
 }
 
 // TestEngineRoundAllocs is the engine path's allocation budget: at 16
-// walkers, coalescing may cost at most 2 allocations per walker-step, so
-// it never regresses into per-request heap churn.
+// walkers, a round may cost at most 2 allocations per walker-step. A
+// client's own steps allocate nothing (TestGlobalProposeZeroAllocs); what
+// this measures is the harness's goroutines, one per walker per round.
 func TestEngineRoundAllocs(t *testing.T) {
 	const width = 16
 	samplers := servingSamplers(width, true)

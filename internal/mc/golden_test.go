@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"deepthermo/internal/alloy"
+	"deepthermo/internal/infer"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/vae"
@@ -198,15 +199,26 @@ func TestResyncDriftWithReusedBuffers(t *testing.T) {
 // as a plain test: once the warm-up move has sized the lazily allocated
 // scratch, a full Metropolis step through GlobalProposal.Propose —
 // encode, decode, constrained sample, reverse density — allocates
-// nothing, in either latent mode. The tensor kernels are on that path, so
-// this also holds their arguments to the stack.
+// nothing, in either latent mode, whether the proposal runs its forwards
+// on a model of its own or through a client of a shared-weight engine.
+// The tensor kernels are on that path, so this also holds their arguments
+// to the stack.
 func TestGlobalProposeZeroAllocs(t *testing.T) {
 	beta := 1 / (alloy.KB * 1200)
-	for _, mode := range []GlobalMode{WalkPosterior, JumpPrior} {
-		s := benchGlobalSampler(t, mode)
-		s.StepCanonical(beta)
-		if allocs := testing.AllocsPerRun(200, func() { s.StepCanonical(beta) }); allocs != 0 {
-			t.Errorf("mode %v: %.2f allocations per steady-state DL step, want 0", mode, allocs)
+	backends := []struct {
+		name string
+		of   func(*vae.Model) Inferencer
+	}{
+		{"model", func(m *vae.Model) Inferencer { return m }},
+		{"engine client", func(m *vae.Model) Inferencer { return infer.NewEngine(m).NewClient() }},
+	}
+	for _, be := range backends {
+		for _, mode := range []GlobalMode{WalkPosterior, JumpPrior} {
+			s := benchGlobalSamplerOn(t, mode, be.of)
+			s.StepCanonical(beta)
+			if allocs := testing.AllocsPerRun(200, func() { s.StepCanonical(beta) }); allocs != 0 {
+				t.Errorf("%s, mode %v: %.2f allocations per steady-state DL step, want 0", be.name, mode, allocs)
+			}
 		}
 	}
 }

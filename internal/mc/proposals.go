@@ -192,24 +192,3 @@ func (p *Mixture) Accept() { p.last.Accept() }
 
 // Reject delegates to the last chosen component.
 func (p *Mixture) Reject(cfg lattice.Config) { p.last.Reject(cfg) }
-
-// BeginBatch implements BatchParticipant by forwarding to every component
-// that participates in a batching quorum. Components that don't (local
-// swaps) are skipped; a mixture with no participating component is a no-op,
-// so the sweep loop can bracket every walker uniformly.
-func (p *Mixture) BeginBatch() {
-	for _, c := range p.props {
-		if bp, ok := c.(BatchParticipant); ok {
-			bp.BeginBatch()
-		}
-	}
-}
-
-// EndBatch implements BatchParticipant; see BeginBatch.
-func (p *Mixture) EndBatch() {
-	for _, c := range p.props {
-		if bp, ok := c.(BatchParticipant); ok {
-			bp.EndBatch()
-		}
-	}
-}

@@ -15,6 +15,13 @@ import (
 // tests pin).
 func benchGlobalSampler(b testing.TB, mode GlobalMode) *Sampler {
 	b.Helper()
+	return benchGlobalSamplerOn(b, mode, func(m *vae.Model) Inferencer { return m })
+}
+
+// benchGlobalSamplerOn is benchGlobalSampler with the proposal running its
+// forwards through backend(model).
+func benchGlobalSamplerOn(b testing.TB, mode GlobalMode, backend func(*vae.Model) Inferencer) *Sampler {
+	b.Helper()
 	lat := lattice.MustNew(lattice.BCC, 3, 3, 3)
 	m := alloy.NbMoTaW(lat)
 	quota := []int{14, 14, 13, 13}
@@ -23,7 +30,7 @@ func benchGlobalSampler(b testing.TB, mode GlobalMode) *Sampler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prop := NewGlobalProposal(model, m, quota, CondForT(1200))
+	prop := NewGlobalProposalWith(backend(model), m, quota, CondForT(1200))
 	prop.SetMode(mode)
 	src := rng.New(202)
 	cfg := make(lattice.Config, 0, 54)

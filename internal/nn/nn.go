@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/tensor"
 )
@@ -55,6 +56,10 @@ type Dense struct {
 	// changes.
 	out, gx, gwScratch *tensor.Matrix
 	colSums            []float64
+
+	// Forward writes lastX and out, so a replica (ShareWeights) fills
+	// whole cache lines and shares none with another walker's replica.
+	_ [3*cacheline.Size - 136]byte
 }
 
 // NewDense returns a Dense layer with Xavier/Glorot-uniform initialized
@@ -72,6 +77,21 @@ func NewDense(in, out int, src *rng.Source) *Dense {
 		d.W.Data[i] = (2*src.Float64() - 1) * limit
 	}
 	return d
+}
+
+// ShareWeights returns an inference replica of d: a layer over the same W
+// and B (not copied) with forward scratch of its own, pre-sized for one row
+// on whole cache lines. Replicas of one layer may run Forward and
+// ForwardOneHot concurrently while nothing writes the weights, and they see
+// an in-place weight update at their next call. A replica has no gradient
+// accumulators: Backward and Params panic on it.
+func (d *Dense) ShareWeights() *Dense {
+	return &Dense{In: d.In, Out: d.Out, W: d.W, B: d.B, out: lineRow(d.Out)}
+}
+
+// lineRow returns a 1×n matrix whose data fills whole cache lines.
+func lineRow(n int) *tensor.Matrix {
+	return tensor.FromSlice(1, n, cacheline.Make[float64](n))
 }
 
 // Forward computes x·W + b.
@@ -128,52 +148,6 @@ func (d *Dense) ForwardOneHot(ones []int, cond float64) *tensor.Matrix {
 	return d.out
 }
 
-// ForwardOneHotBatch is the batch-major form of ForwardOneHot: row i of the
-// result is the forward of the implicit sparse input with ones[i] set to 1,
-// x[In-1] = conds[i], and 0 elsewhere. Each output row is produced by
-// exactly the per-row accumulation sequence ForwardOneHot performs for the
-// same (ones, cond) pair — copy the first weight row, Axpy the rest, scale
-// the condition row, then AddBias — so row i is bit-identical to a batch-1
-// ForwardOneHot(ones[i], conds[i]) call (the batch golden-trace tests pin
-// this). Inference-only; returns layer-owned reused scratch.
-func (d *Dense) ForwardOneHotBatch(ones [][]int, conds []float64) *tensor.Matrix {
-	if len(conds) != len(ones) {
-		panic("nn: ForwardOneHotBatch ones/conds length mismatch")
-	}
-	d.lastX = nil
-	d.out = tensor.Ensure(d.out, len(ones), d.Out)
-	for i, rowOnes := range ones {
-		drow := d.out.Row(i)
-		first := true
-		for _, idx := range rowOnes {
-			wrow := d.W.Row(idx)
-			if first {
-				copy(drow, wrow)
-				first = false
-			} else {
-				tensor.Axpy(1, wrow, drow)
-			}
-		}
-		if cond := conds[i]; cond != 0 {
-			if first {
-				for j, wv := range d.W.Row(d.In - 1) {
-					drow[j] = cond * wv
-				}
-				first = false
-			} else {
-				tensor.Axpy(cond, d.W.Row(d.In-1), drow)
-			}
-		}
-		if first {
-			for j := range drow {
-				drow[j] = 0
-			}
-		}
-	}
-	tensor.AddBias(d.out, d.B)
-	return d.out
-}
-
 // Backward accumulates ∂L/∂W = xᵀ·g and ∂L/∂b = Σrows g, and returns
 // ∂L/∂x = g·Wᵀ.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
@@ -216,6 +190,9 @@ type Activation struct {
 	Kind    ActivationKind
 	lastOut *tensor.Matrix
 	gx      *tensor.Matrix
+
+	// Forward writes lastOut; see Dense's pad.
+	_ [cacheline.Size - 24]byte
 }
 
 // NewActivation returns an activation layer of the given kind.
@@ -293,6 +270,26 @@ type Sequential struct {
 
 // NewSequential builds a Sequential from layers.
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
+
+// ShareWeights returns an inference replica of s: each Dense layer is
+// replaced by its Dense.ShareWeights replica and each Activation by a fresh
+// one whose output row is pre-sized like the Dense rows, so the replica
+// reads s's parameters in place and writes only buffers of its own.
+func (s *Sequential) ShareWeights() *Sequential {
+	layers := make([]Layer, len(s.Layers))
+	width := 0
+	for i, l := range s.Layers {
+		switch l := l.(type) {
+		case *Dense:
+			layers[i], width = l.ShareWeights(), l.Out
+		case *Activation:
+			layers[i] = &Activation{Kind: l.Kind, lastOut: lineRow(width)}
+		default:
+			panic(fmt.Sprintf("nn: ShareWeights over a %T layer", l))
+		}
+	}
+	return &Sequential{Layers: layers}
+}
 
 // Forward runs the chain front to back.
 func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {

@@ -35,7 +35,6 @@ import (
 	"deepthermo/internal/dos"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
-	"deepthermo/internal/tensor"
 	"deepthermo/internal/transport"
 	"deepthermo/internal/wanglandau"
 )
@@ -406,9 +405,6 @@ func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		return err
 	}
 
-	tensor.EnterNested()
-	defer tensor.LeaveNested()
-
 	for {
 		msg, err := ep.RecvCtx(ctx, 0)
 		if err != nil {
@@ -626,14 +622,6 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 	}
 	L.res.Resumed = resume
 	L.res.Rounds = startRound
-
-	// The sweep phase already saturates the machine with one goroutine per
-	// walker, so declare a nested-parallel context for the duration of the
-	// run: tensor kernels invoked from walker proposals (batch-1 DL
-	// inference) take their serial path instead of fanning out a second
-	// layer of goroutines per matmul.
-	tensor.EnterNested()
-	defer tensor.LeaveNested()
 
 	for round := startRound; round < opts.MaxRounds; round++ {
 		if ctx.Err() != nil {

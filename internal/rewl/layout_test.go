@@ -18,6 +18,7 @@ import (
 	"deepthermo/internal/infer"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
+	"deepthermo/internal/nn"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/testfix"
 	"deepthermo/internal/transport"
@@ -43,7 +44,8 @@ func arrSpan(what string, s reflect.Value) span {
 
 // proposalSpans lists a proposal's step-path objects: the struct itself
 // (SwapProposal.i/j, Mixture.last, GlobalProposal's cache flags and
-// counters), KSwapProposal's rollback list, and a Mixture's components.
+// counters), KSwapProposal's rollback list, a Mixture's components, and a
+// GlobalProposal's engine client.
 func proposalSpans(p reflect.Value) []span {
 	if p.Kind() == reflect.Interface {
 		p = p.Elem()
@@ -56,6 +58,38 @@ func proposalSpans(p reflect.Value) []span {
 		props := p.Elem().FieldByName("props")
 		for i := 0; i < props.Len(); i++ {
 			spans = append(spans, proposalSpans(props.Index(i))...)
+		}
+	case reflect.TypeOf((*mc.GlobalProposal)(nil)):
+		if c := p.Elem().FieldByName("model").Elem(); c.Type() == reflect.TypeOf((*infer.Client)(nil)) {
+			spans = append(spans, clientSpans(c)...)
+		}
+	}
+	return spans
+}
+
+// clientSpans lists what an engine client writes on every DL step: the
+// Client (its counters) and its replica's per-call write set — the
+// replica Model (decIn is stored on each decode), the one-hot indices and
+// decoder input, each Dense shell (lastX, out) and Activation (lastOut),
+// and the output rows those layers fill. The weights are only read.
+func clientSpans(c reflect.Value) []span {
+	m := c.Elem().FieldByName("model")
+	spans := []span{
+		objSpan("Client", c),
+		objSpan("replica Model", m),
+		arrSpan("replica ones", m.Elem().FieldByName("ones")),
+		arrSpan("replica decIn", m.Elem().FieldByName("decIn").Elem().FieldByName("Data")),
+	}
+	for _, half := range []string{"enc", "dec"} {
+		layers := m.Elem().FieldByName(half).Elem().FieldByName("Layers")
+		for i := 0; i < layers.Len(); i++ {
+			l := layers.Index(i).Elem()
+			name := fmt.Sprintf("%s layer %d %s", half, i, l.Type().Elem().Name())
+			out := "out"
+			if l.Type() == reflect.TypeOf((*nn.Activation)(nil)) {
+				out = "lastOut"
+			}
+			spans = append(spans, objSpan(name, l), arrSpan(name+" "+out, l.Elem().FieldByName(out).Elem().FieldByName("Data")))
 		}
 	}
 	return spans

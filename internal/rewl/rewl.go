@@ -391,19 +391,6 @@ func (o *ownerState) sweepPhase(ctx context.Context) {
 			sc.done[local].Store(false)
 			sc.participants = append(sc.participants, local)
 			sc.wg.Add(1)
-			// Join the cross-walker batching quorum for this round when the
-			// proposal batches (engine-backed DL proposals; a no-op
-			// otherwise). Joining happens HERE, before the goroutine spawns,
-			// so the quorum is complete when the first walker submits a
-			// request — otherwise early-scheduled walkers would flush solo
-			// until the scheduler got around to starting the rest. The
-			// goroutine's deferred EndBatch runs on every exit path — normal
-			// completion, cancellation, injected crash, panic — so a dying
-			// walker can never strand the quorum.
-			bp, batching := w.Sampler().Proposal.(mc.BatchParticipant)
-			if batching {
-				bp.BeginBatch()
-			}
 			go func(w *wanglandau.Walker, local, slot int) {
 				defer sc.wg.Done()
 				defer sc.done[local].Store(true)
@@ -412,9 +399,6 @@ func (o *ownerState) sweepPhase(ctx context.Context) {
 						sc.dead[local].Store(true)
 					}
 				}()
-				if batching {
-					defer bp.EndBatch()
-				}
 				for s := 0; s < opts.ExchangeInterval; s++ {
 					select {
 					case <-done:

@@ -13,7 +13,8 @@ import (
 // twice through the HTTP API — once on the sequential per-walker path, once
 // with batch_inference — and requires the stored DOS artifacts to be
 // byte-identical. It also checks the batched job surfaces the engine's
-// coalescing stats in its result and the sequential job does not.
+// stats in its result — every forward a batch of one — and the sequential
+// job does not.
 func TestSampleJobBatchInferenceParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full REWL runs in -short mode")
@@ -72,7 +73,10 @@ func TestSampleJobBatchInferenceParity(t *testing.T) {
 	if !ok || reqs <= 0 {
 		t.Fatalf("batched job reported no engine requests: %v", bat.Result)
 	}
-	if maxb, ok := bat.Result["batch_max"].(float64); !ok || maxb < 2 {
-		t.Fatalf("engine never coalesced: %v", bat.Result["batch_max"])
+	if flushes, ok := bat.Result["batch_flushes"].(float64); !ok || flushes != reqs {
+		t.Fatalf("engine forwards %v, want one per request (%v)", bat.Result["batch_flushes"], reqs)
+	}
+	if maxb, ok := bat.Result["batch_max"].(float64); !ok || maxb != 1 {
+		t.Fatalf("engine max batch %v, want 1", bat.Result["batch_max"])
 	}
 }

@@ -91,10 +91,10 @@ type DOSSpec struct {
 	LnFFinal float64 `json:"lnf_final,omitempty"`
 	DLWeight float64 `json:"dl_weight,omitempty"`
 	NoDL     bool    `json:"no_dl,omitempty"`
-	// BatchInference routes all walkers' DL-proposal network evaluations
-	// through one shared batched inference engine instead of per-walker
-	// model copies. Results are bit-identical either way; the engine's
-	// coalescing stats are reported in the job result.
+	// BatchInference runs all walkers' DL-proposal network evaluations
+	// over one shared copy of the weights (package infer) instead of
+	// per-walker model copies. Results are bit-identical either way; the
+	// engine's request counts are reported in the job result.
 	BatchInference bool `json:"batch_inference,omitempty"`
 	// OneOverT switches the walkers to the Belardinelli-Pereyra 1/t
 	// modification-factor schedule.

@@ -14,7 +14,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Matrix is a dense row-major float64 matrix.
@@ -87,60 +86,16 @@ func (m *Matrix) Zero() {
 // is for wider models and batches.
 const parallelThreshold = 1 << 21
 
-// nestedDepth counts callers that are themselves running inside an
-// already-parallel region (REWL walker pools, DDP rank goroutines). While
-// it is positive, every kernel takes the serial path regardless of size:
-// fanning out goroutines from dozens of walker goroutines oversubscribes
-// the scheduler and evicts the weights each walker keeps streaming. The
-// counter nests, so overlapping runs (e.g. concurrent server jobs)
-// compose correctly.
-var nestedDepth atomic.Int32
-
-// EnterNested marks the calling context as already parallel; kernels run
-// serially until the matching LeaveNested. Safe for concurrent use.
-func EnterNested() { nestedDepth.Add(1) }
-
-// LeaveNested undoes one EnterNested.
-func LeaveNested() {
-	if nestedDepth.Add(-1) < 0 {
-		panic("tensor: LeaveNested without EnterNested")
-	}
-}
-
-// Nested reports whether any caller has declared a nested-parallel context.
-func Nested() bool { return nestedDepth.Load() > 0 }
-
-// batchParallel counts callers that are executing a coalesced cross-walker
-// batch while the walkers themselves are parked (the batched inference
-// engine's flush: every walker in the quorum is blocked waiting on the
-// result, so the cores the nested hint was protecting are idle). While it
-// is positive the nested hint is overridden — kernels may fan out again if
-// the work and core count justify it. Like nestedDepth it nests.
-var batchParallel atomic.Int32
-
-// EnterBatchParallel overrides the nested-parallel hint until the matching
-// LeaveBatchParallel: kernels large enough to parallelize will do so even
-// inside an EnterNested bracket. Callers must guarantee the surrounding
-// parallel region is quiescent (all its goroutines blocked on this batch).
-func EnterBatchParallel() { batchParallel.Add(1) }
-
-// LeaveBatchParallel undoes one EnterBatchParallel.
-func LeaveBatchParallel() {
-	if batchParallel.Add(-1) < 0 {
-		panic("tensor: LeaveBatchParallel without EnterBatchParallel")
-	}
-}
-
 // serialRows reports whether a kernel over rows rows and flops total work
-// should run serially: small work items, single-row (batch-1 inference)
-// shapes, a nested-parallel context, or a single-P runtime. Callers check
-// this BEFORE constructing the range closure, so the batch-1 hot path
-// allocates nothing (a closure handed to parallelRows escapes to the heap
-// because goroutines capture it).
+// should run serially: small work items, single-row shapes, or a single-P
+// runtime. Every forward a sampling walker issues has one row, so the
+// walkers of a run, which already occupy the machine one goroutine each,
+// never fan out a second layer of goroutines. Callers check this BEFORE
+// constructing the range closure, so the batch-1 hot path allocates
+// nothing (a closure handed to parallelRows escapes to the heap because
+// goroutines capture it).
 func serialRows(rows, flops int) bool {
-	return flops < parallelThreshold || rows < 2 ||
-		(nestedDepth.Load() > 0 && batchParallel.Load() == 0) ||
-		runtime.GOMAXPROCS(0) < 2
+	return flops < parallelThreshold || rows < 2 || runtime.GOMAXPROCS(0) < 2
 }
 
 // parallelRows runs fn over row ranges [lo,hi) split across workers.
@@ -218,11 +173,11 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 // hoisted outside the row loop: each b row is streamed through the cache
 // once and applied to every output row, instead of re-streaming all of b
 // for every row as the i-outer form does. For a batch of B rows this cuts
-// b's memory traffic B-fold — the win the batched inference engine exists
-// for. Per output row the (k, scale-vs-saxpy) op sequence is exactly the
-// i-outer form's — k still ascends, the first contributing k still assigns
-// — so results are bit-identical row for row (the batch golden traces pin
-// this).
+// b's memory traffic B-fold; the training forward is its caller, since
+// inference runs one row at a time. Per output row the (k, scale-vs-saxpy)
+// op sequence is exactly the i-outer form's — k still ascends, the first
+// contributing k still assigns — so results are bit-identical row for row
+// (TestDriversMatchScalarReference pins this).
 func matMulRangeKOuter(dst, a, b *Matrix, lo, hi int) {
 	var firstArr [64]bool
 	var first []bool

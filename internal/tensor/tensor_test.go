@@ -68,8 +68,8 @@ func TestMatMulMatchesNaive(t *testing.T) {
 }
 
 // parallelVsSerial runs mul into two drows×dcols matrices on a shape
-// large enough to fan out — once as is, once under the nested hint, which
-// forces the serial path — and requires identical bits: a row range
+// large enough to fan out — once as is, once on a single P, which forces
+// the serial path — and requires identical bits: a row range
 // changes which goroutine computes a row, never the row's operation
 // order. rows and flops are what the driver hands to serialRows.
 func parallelVsSerial(t *testing.T, rows, flops, drows, dcols int, mul func(dst *Matrix)) *Matrix {
@@ -79,9 +79,9 @@ func parallelVsSerial(t *testing.T, rows, flops, drows, dcols int, mul func(dst 
 	}
 	got, want := NewMatrix(drows, dcols), NewMatrix(drows, dcols)
 	mul(got)
-	EnterNested()
+	prev := runtime.GOMAXPROCS(1)
 	mul(want)
-	LeaveNested()
+	runtime.GOMAXPROCS(prev)
 	sameBits(t, got.Data, want.Data, "parallel against serial")
 	return got
 }
@@ -384,7 +384,7 @@ func TestMatMulZeroAllocs(t *testing.T) {
 
 // benchShapes are batch × k · k × n products: the three batch-1 layer
 // shapes of the benchmarked model (65 → 96 → 96 encoder, 96 → 64 decoder
-// head), its batch-8 engine flush and batch-32 training step, and two
+// head), a batch-8 product, its batch-32 training step, and two
 // larger products, twice and sixteen times parallelThreshold.
 var benchShapes = [][3]int{
 	{1, 65, 96}, {1, 96, 96}, {1, 96, 64}, {8, 96, 96}, {32, 96, 96},

@@ -95,8 +95,8 @@ func Walkers(n int) []WalkerSpec {
 }
 
 // NewSampler builds the spec's walker over the given inference backend
-// (a *vae.Model for the sequential path, an *infer.Client for the batched
-// path). The walker's configuration, RNG stream, and proposal state depend
+// (a *vae.Model for the sequential path, an *infer.Client for the
+// shared-engine path). The walker's configuration, RNG stream, and proposal state depend
 // only on the spec, so two backends that return bit-identical inference
 // results yield bit-identical walkers.
 func (f Fixture) NewSampler(spec WalkerSpec, backend mc.Inferencer) *mc.Sampler {

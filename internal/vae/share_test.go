@@ -2,6 +2,7 @@ package vae
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"deepthermo/internal/lattice"
@@ -18,42 +19,57 @@ func randomCfg(n, k int, src *rng.Source) lattice.Config {
 	return cfg
 }
 
-// TestEncodeBatchBitIdentity: row i of a batched encode must equal the
-// batch-1 encode of request i, bit for bit, across batch sizes including a
-// grow-then-shrink sequence that exercises the scratch resize paths.
+// TestEncodeBatchBitIdentity: ShareWeights replicas, each encoding its
+// own requests on its own goroutine at the same time, must produce the base
+// model's serial encode of every request, bit for bit. Half the requests
+// carry a zero condition to exercise that branch of the sparse forward.
 func TestEncodeBatchBitIdentity(t *testing.T) {
 	cfg := testConfig()
 	m, err := New(cfg, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := New(cfg, rng.New(41)) // same seed ⇒ same weights; no scratch sharing
 	src := rng.New(42)
 	n, k, l := cfg.Sites, cfg.Species, cfg.Latent
+	const replicas, reqs = 4, 16
 
-	for _, b := range []int{1, 3, 8, 2, 8, 1} { // grow, shrink, regrow
-		cfgs := make([]lattice.Config, b)
-		conds := make([]float64, b)
-		mu := make([][]float64, b)
-		lv := make([][]float64, b)
-		for i := 0; i < b; i++ {
-			cfgs[i] = randomCfg(n, k, src)
-			conds[i] = src.Float64() * 2
-			if i%3 == 0 {
-				conds[i] = 0 // exercise the zero-cond branch of the sparse forward
+	cfgs := make([][]lattice.Config, replicas)
+	conds := make([][]float64, replicas)
+	for r := range cfgs {
+		for i := 0; i < reqs; i++ {
+			cfgs[r] = append(cfgs[r], randomCfg(n, k, src))
+			cond := src.Float64() * 2
+			if i%2 == 0 {
+				cond = 0
 			}
-			mu[i] = make([]float64, l)
-			lv[i] = make([]float64, l)
+			conds[r] = append(conds[r], cond)
 		}
-		m.EncodeBatchInto(cfgs, conds, mu, lv)
-		for i := 0; i < b; i++ {
-			wantMu, wantLv := ref.EncodeInto(cfgs[i], conds[i], nil, nil)
+	}
+	mus := make([][][]float64, replicas)
+	lvs := make([][][]float64, replicas)
+	var wg sync.WaitGroup
+	for r := 0; r < replicas; r++ {
+		rep := m.ShareWeights()
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < reqs; i++ {
+				mu, lv := rep.EncodeInto(cfgs[r][i], conds[r][i], make([]float64, l), make([]float64, l))
+				mus[r] = append(mus[r], mu)
+				lvs[r] = append(lvs[r], lv)
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < replicas; r++ {
+		for i := 0; i < reqs; i++ {
+			wantMu, wantLv := m.EncodeInto(cfgs[r][i], conds[r][i], nil, nil)
 			for j := 0; j < l; j++ {
-				if math.Float64bits(mu[i][j]) != math.Float64bits(wantMu[j]) {
-					t.Fatalf("batch %d row %d mu[%d]: %x != %x", b, i, j, mu[i][j], wantMu[j])
+				if math.Float64bits(mus[r][i][j]) != math.Float64bits(wantMu[j]) {
+					t.Fatalf("replica %d request %d mu[%d]: %x != %x", r, i, j, mus[r][i][j], wantMu[j])
 				}
-				if math.Float64bits(lv[i][j]) != math.Float64bits(wantLv[j]) {
-					t.Fatalf("batch %d row %d lv[%d]: %x != %x", b, i, j, lv[i][j], wantLv[j])
+				if math.Float64bits(lvs[r][i][j]) != math.Float64bits(wantLv[j]) {
+					t.Fatalf("replica %d request %d lv[%d]: %x != %x", r, i, j, lvs[r][i][j], wantLv[j])
 				}
 			}
 		}
@@ -61,51 +77,36 @@ func TestEncodeBatchBitIdentity(t *testing.T) {
 }
 
 // TestDecodeProbsBatchBitIdentity is the decoder-side twin of
-// TestEncodeBatchBitIdentity, interleaving batched and batch-1 calls on the
-// SAME model so the shared decIn scratch resize path is exercised too.
+// TestEncodeBatchBitIdentity, interleaving replica decodes with decodes on
+// the base model itself, so each must leave the other's scratch alone.
 func TestDecodeProbsBatchBitIdentity(t *testing.T) {
 	cfg := testConfig()
 	m, err := New(cfg, rng.New(43))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := New(cfg, rng.New(43))
+	ref, _ := New(cfg, rng.New(43)) // same seed ⇒ same weights; no scratch sharing
+	reps := []*Model{m.ShareWeights(), m.ShareWeights()}
 	src := rng.New(44)
 	n, k, l := cfg.Sites, cfg.Species, cfg.Latent
 
-	for _, b := range []int{2, 7, 1, 7, 3} {
-		zs := make([][]float64, b)
-		conds := make([]float64, b)
-		dst := make([][][]float64, b)
-		for i := 0; i < b; i++ {
-			z := make([]float64, l)
-			for j := range z {
-				z[j] = src.NormFloat64()
-			}
-			zs[i] = z
-			conds[i] = src.Float64()
-			dst[i] = NewProbs(n, k)
+	for i := 0; i < 12; i++ {
+		z := make([]float64, l)
+		for j := range z {
+			z[j] = src.NormFloat64()
 		}
-		m.DecodeProbsBatchInto(zs, conds, dst)
-		for i := 0; i < b; i++ {
-			want := ref.DecodeProbsInto(zs[i], conds[i], nil)
+		cond := src.Float64()
+		want := ref.DecodeProbsInto(z, cond, nil)
+		for _, got := range [][][]float64{
+			reps[i%2].DecodeProbsInto(z, cond, NewProbs(n, k)),
+			m.DecodeProbsInto(z, cond, nil),
+			reps[(i+1)%2].DecodeProbsInto(z, cond, nil),
+		} {
 			for site := 0; site < n; site++ {
 				for sp := 0; sp < k; sp++ {
-					if math.Float64bits(dst[i][site][sp]) != math.Float64bits(want[site][sp]) {
-						t.Fatalf("batch %d row %d site %d sp %d: %x != %x",
-							b, i, site, sp, dst[i][site][sp], want[site][sp])
+					if math.Float64bits(got[site][sp]) != math.Float64bits(want[site][sp]) {
+						t.Fatalf("decode %d site %d sp %d: %x != %x", i, site, sp, got[site][sp], want[site][sp])
 					}
-				}
-			}
-		}
-		// A batch-1 call on the batched model between batch sizes must also
-		// stay bit-identical (shared decIn scratch reshapes both ways).
-		got := m.DecodeProbsInto(zs[0], conds[0], nil)
-		want := ref.DecodeProbsInto(zs[0], conds[0], nil)
-		for site := 0; site < n; site++ {
-			for sp := 0; sp < k; sp++ {
-				if math.Float64bits(got[site][sp]) != math.Float64bits(want[site][sp]) {
-					t.Fatalf("interleaved batch-1 decode diverged at site %d sp %d", site, sp)
 				}
 			}
 		}
@@ -207,57 +208,59 @@ func TestStepBatchResizeRegression(t *testing.T) {
 	}
 }
 
-// TestStepInterleavedWithBatchedInference: alternating training steps and
-// batched inference on one model must not corrupt either — the training
-// scratch and the batched-inference scratch are disjoint, and the shared
-// decIn reshape is overwrite-complete.
+// TestStepInterleavedWithBatchedInference: a ShareWeights replica reads
+// the base model's weights in place, so after each training step of the
+// base model (Step plus an Adam update) the replica's next encode and
+// decode equal those of a fresh CloneWeights copy of the updated weights.
+// The replica's inference between steps must not disturb training: the
+// base model's losses stay bit-identical to a twin that never had one.
 func TestStepInterleavedWithBatchedInference(t *testing.T) {
 	cfg := testConfig()
 	m, err := New(cfg, rng.New(61))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := New(cfg, rng.New(61))
+	twin, _ := New(cfg, rng.New(61))
+	rep := m.ShareWeights()
+	optM, optT := nn.NewAdam(0.01), nn.NewAdam(0.01)
 	data := rng.New(62)
 	noiseM := rng.New(63)
-	noiseR := rng.New(63)
+	noiseT := rng.New(63)
 	src := rng.New(64)
 	n, k, l := cfg.Sites, cfg.Species, cfg.Latent
 
 	for round := 0; round < 4; round++ {
-		// Batched inference on m only (ref stays pristine weights-wise until
-		// the paired Step below, so run inference BEFORE comparing steps).
-		b := 2 + round
-		cfgs := make([]lattice.Config, b)
-		conds := make([]float64, b)
-		mu := make([][]float64, b)
-		lv := make([][]float64, b)
-		for i := 0; i < b; i++ {
-			cfgs[i] = randomCfg(n, k, src)
-			conds[i] = src.Float64()
-			mu[i] = make([]float64, l)
-			lv[i] = make([]float64, l)
+		x, c, tg := testBatch(m, 4, data)
+		nn.ZeroGrads(m.Params())
+		nn.ZeroGrads(twin.Params())
+		lm := m.Step(x, c, tg, noiseM)
+		lt := twin.Step(x, c, tg, noiseT)
+		if math.Float64bits(lm.Recon) != math.Float64bits(lt.Recon) ||
+			math.Float64bits(lm.KL) != math.Float64bits(lt.KL) {
+			t.Fatalf("round %d: training step diverged next to replica inference: %+v vs %+v", round, lm, lt)
 		}
-		m.EncodeBatchInto(cfgs, conds, mu, lv)
-		for i := 0; i < b; i++ {
-			wantMu, wantLv := ref.EncodeInto(cfgs[i], conds[i], nil, nil)
-			for j := 0; j < l; j++ {
-				if math.Float64bits(mu[i][j]) != math.Float64bits(wantMu[j]) ||
-					math.Float64bits(lv[i][j]) != math.Float64bits(wantLv[j]) {
-					t.Fatalf("round %d row %d: batched encode diverged after training steps", round, i)
-				}
+		optM.Step(m.Params())
+		optT.Step(twin.Params())
+
+		clone := m.CloneWeights(rng.New(uint64(65 + round)))
+		probe := randomCfg(n, k, src)
+		cond := src.Float64()
+		gotMu, gotLv := rep.EncodeInto(probe, cond, nil, nil)
+		wantMu, wantLv := clone.EncodeInto(probe, cond, nil, nil)
+		for j := 0; j < l; j++ {
+			if math.Float64bits(gotMu[j]) != math.Float64bits(wantMu[j]) ||
+				math.Float64bits(gotLv[j]) != math.Float64bits(wantLv[j]) {
+				t.Fatalf("round %d: replica encode missed the updated weights", round)
 			}
 		}
-
-		// One training step on both models with identical batches/noise;
-		// losses must stay bit-identical even though m also ran batched
-		// inference between steps.
-		x, c, tg := testBatch(m, 4, data)
-		lm := m.Step(x, c, tg, noiseM)
-		lr := ref.Step(x, c, tg, noiseR)
-		if math.Float64bits(lm.Recon) != math.Float64bits(lr.Recon) ||
-			math.Float64bits(lm.KL) != math.Float64bits(lr.KL) {
-			t.Fatalf("round %d: training step diverged after batched inference: %+v vs %+v", round, lm, lr)
+		got := rep.DecodeProbsInto(gotMu, cond, nil)
+		want := clone.DecodeProbsInto(wantMu, cond, nil)
+		for site := 0; site < n; site++ {
+			for sp := 0; sp < k; sp++ {
+				if math.Float64bits(got[site][sp]) != math.Float64bits(want[site][sp]) {
+					t.Fatalf("round %d: replica decode missed the updated weights at site %d", round, site)
+				}
+			}
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/nn"
 	"deepthermo/internal/rng"
@@ -35,8 +36,10 @@ type Config struct {
 }
 
 // Model is a conditional VAE. It is not safe for concurrent training; for
-// concurrent proposal generation, clone per walker with CloneWeights (the
-// inference path mutates layer caches and the model-owned scratch below).
+// concurrent proposal generation, give each walker its own replica —
+// CloneWeights (a private weight copy) or ShareWeights (the same weights)
+// — because the inference path mutates layer caches and the model-owned
+// scratch below.
 type Model struct {
 	cfg Config
 	enc *nn.Sequential // (N·k + 1) → hidden → hidden → 2L
@@ -44,20 +47,20 @@ type Model struct {
 
 	// Inference scratch: batch-1 input matrices reused across
 	// Encode/DecodeProbs calls so steady-state proposal generation does
-	// not allocate. Owned by the model, hence the per-walker clone rule.
-	decIn *tensor.Matrix // 1 × (L+1); B × (L+1) for batched decodes
+	// not allocate. Owned by the model, hence the per-walker replica rule.
+	decIn *tensor.Matrix // 1 × (L+1)
 	ones  []int          // nonzero one-hot indices for the sparse encoder path
-
-	// Batched inference scratch (batch.go): per-row one-hot index views over
-	// a flat backing array, grown on demand and reused across batch calls.
-	batOnes     [][]int
-	batOnesBack []int
 
 	// Training scratch: batch-sized intermediates reused across Step
 	// calls (resized when the batch size changes).
 	trEncIn, trDecIn, trEps, trZ, trSigma *tensor.Matrix
 	trGradLogits, trGradEncOut            *tensor.Matrix
 	trProbs                               []float64
+
+	// DecodeProbsInto stores decIn on every call, so a replica
+	// (ShareWeights) fills whole cache lines and shares none with another
+	// walker's replica.
+	_ [3*cacheline.Size - 168]byte
 }
 
 // New constructs a VAE with Xavier-initialized weights from src.
