@@ -57,9 +57,14 @@ type Dense struct {
 	out, gx, gwScratch *tensor.Matrix
 	colSums            []float64
 
+	// ForwardOneHot's sparse input row: its coefficients and their
+	// columns, on whole cache lines of their own. Sized on first use.
+	hotCoef []float64
+	hotRows []int
+
 	// Forward writes lastX and out, so a replica (ShareWeights) fills
 	// whole cache lines and shares none with another walker's replica.
-	_ [3*cacheline.Size - 136]byte
+	_ [3*cacheline.Size - 184]byte
 }
 
 // NewDense returns a Dense layer with Xavier/Glorot-uniform initialized
@@ -118,32 +123,21 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 func (d *Dense) ForwardOneHot(ones []int, cond float64) *tensor.Matrix {
 	d.lastX = nil
 	d.out = tensor.Ensure(d.out, 1, d.Out)
-	drow := d.out.Row(0)
-	first := true
-	for _, idx := range ones {
-		wrow := d.W.Row(idx)
-		if first {
-			copy(drow, wrow) // 1·w == w bit-for-bit
-			first = false
-		} else {
-			tensor.Axpy(1, wrow, drow)
-		}
+	if d.hotRows == nil {
+		d.hotCoef = cacheline.Make[float64](d.In)
+		d.hotRows = cacheline.Make[int](d.In)
 	}
-	if cond != 0 { // the dense kernel skips zero input entries
-		if first {
-			for j, wv := range d.W.Row(d.In - 1) {
-				drow[j] = cond * wv
-			}
-			first = false
-		} else {
-			tensor.Axpy(cond, d.W.Row(d.In-1), drow)
-		}
+	n := len(ones)
+	coef, rows := d.hotCoef[:n+1], d.hotRows[:n+1]
+	// A one-hot row enters at coefficient 1, and 1·w is w bit for bit for
+	// every w but a signalling NaN, which no weight is: arithmetic makes
+	// only quiet NaNs, and vae.Load refuses non-finite weights.
+	for i := range ones {
+		coef[i] = 1
 	}
-	if first {
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
+	copy(rows, ones)
+	coef[n], rows[n] = cond, d.In-1
+	tensor.SparseRowMul(d.out.Row(0), coef, rows, d.W)
 	tensor.AddBias(d.out, d.B)
 	return d.out
 }

@@ -81,3 +81,61 @@ func TestForwardOneHotBatchEmptyRow(t *testing.T) {
 	}()
 	rep.Backward(tensor.NewMatrix(1, 3))
 }
+
+// TestForwardOneHotFirstRowIsCopy pins the sparse forward to the
+// operation sequence it replaced: the first one-hot row copied, later
+// ones added at coefficient 1, the condition row multiplied in last and
+// skipped at zero, then the bias added. The weights are edge values —
+// signed zeros, denormals, infinities and quiet NaNs with payloads —
+// where a product by 1 that did not return its operand unchanged would
+// show.
+func TestForwardOneHotFirstRowIsCopy(t *testing.T) {
+	const in, out = 9, 11
+	edge := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 2.225073858507201e-308, 1e200, -1e200,
+		math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0xfff8_0000_0000_0abc),
+	}
+	src := rng.New(5)
+	d := NewDense(in, out, src)
+	for i := range d.W.Data {
+		if src.Intn(3) == 0 {
+			d.W.Data[i] = edge[src.Intn(len(edge))]
+		}
+	}
+	for j := range d.B {
+		d.B[j] = src.NormFloat64()
+	}
+	for _, c := range []struct {
+		ones []int
+		cond float64
+	}{{[]int{2}, 0}, {[]int{0, 3, 5}, 0}, {[]int{1, 4}, -0.75}, {nil, 0.5}, {nil, 0}} {
+		want := make([]float64, out)
+		first := true
+		for _, idx := range c.ones {
+			if first {
+				copy(want, d.W.Row(idx))
+				first = false
+			} else {
+				tensor.Axpy(1, d.W.Row(idx), want)
+			}
+		}
+		if c.cond != 0 {
+			if first {
+				for j, wv := range d.W.Row(in - 1) {
+					want[j] = c.cond * wv
+				}
+			} else {
+				tensor.Axpy(c.cond, d.W.Row(in-1), want)
+			}
+		}
+		for j, b := range d.B {
+			want[j] += b
+		}
+		got := d.ForwardOneHot(c.ones, c.cond).Row(0)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("ones %v cond %g col %d: %x, want %x", c.ones, c.cond, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
+	}
+}

@@ -71,7 +71,8 @@ func proposalSpans(p reflect.Value) []span {
 // Client (its counters) and its replica's per-call write set — the
 // replica Model (decIn is stored on each decode), the one-hot indices and
 // decoder input, each Dense shell (lastX, out) and Activation (lastOut),
-// and the output rows those layers fill. The weights are only read.
+// and the output rows those layers fill, with the first encoder layer's
+// sparse input row once it has been built. The weights are only read.
 func clientSpans(c reflect.Value) []span {
 	m := c.Elem().FieldByName("model")
 	spans := []span{
@@ -90,6 +91,11 @@ func clientSpans(c reflect.Value) []span {
 				out = "lastOut"
 			}
 			spans = append(spans, objSpan(name, l), arrSpan(name+" "+out, l.Elem().FieldByName(out).Elem().FieldByName("Data")))
+			for _, hot := range []string{"hotCoef", "hotRows"} {
+				if a := l.Elem().FieldByName(hot); a.IsValid() && a.Len() > 0 {
+					spans = append(spans, arrSpan(name+" "+hot, a))
+				}
+			}
 		}
 	}
 	return spans

@@ -356,6 +356,31 @@ func TestUploadRejectsNonFiniteDOS(t *testing.T) {
 	}
 }
 
+// TestUploadRejectsNonFiniteModel: a model whose weights are not all
+// finite is refused at upload, as a non-finite DOS is.
+func TestUploadRejectsNonFiniteModel(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for name, v := range map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1)} {
+		m, err := vae.New(vae.Config{Sites: 16, Species: 4, Latent: 2, Hidden: 8, BetaKL: 1}, rng.New(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Params()[0].Value[5] = v
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/artifacts?kind=model", "application/octet-stream", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s weight: upload answered %d, want 400", name, resp.StatusCode)
+		}
+	}
+}
+
 func TestThermoMatchesCanonical(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	d := testDOS(t)

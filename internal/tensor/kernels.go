@@ -1,6 +1,6 @@
 package tensor
 
-// The kernel layer: four primitives through which every matmul driver in
+// The kernel layer: five primitives through which every matmul driver in
 // this package, and Axpy/Scale, reach memory.
 //
 //	saxpy(alpha, x, y)             y[j] += alpha*x[j]
@@ -9,15 +9,20 @@ package tensor
 //	mulTransB(dst, a, b, rows, n, k)
 //	                               dst[i*n+j] = Σ_k a[i*k+kk]*b[j*k+kk],
 //	                               summed from 0 in ascending kk
+//	rowMul(dst, x, rows, w)        dst[j] = Σ_t x[t]*w[r(t)*n+j] over the
+//	                               t with x[t] != 0, in ascending t, the
+//	                               first assigning (r(t) = rows[t], or t
+//	                               when rows is nil; n = len(dst))
 //
 // This file holds their portable Go bodies, which define the semantics:
-// one multiply, then one add, per element per call. On amd64 with AVX2
-// (kernels_amd64.go, kernels_amd64.s) each primitive has an assembler
-// body that performs the identical multiply and the identical add on
-// every element — vector lanes are independent output elements, never
-// partial sums of one — so either body yields the same bits (DESIGN.md,
-// "Bit-identity discipline"). Elsewhere, and under the purego build tag,
-// the primitives are these bodies (kernels_noasm.go).
+// one multiply, then one add, per element per call (rowMul: per element
+// per contributing t). On amd64 with AVX2 (kernels_amd64.go,
+// kernels_amd64.s) each primitive has an assembler body that performs the
+// identical multiply and the identical add on every element — vector
+// lanes are independent output elements, never partial sums of one — so
+// either body yields the same bits (DESIGN.md, "Bit-identity discipline").
+// Elsewhere, and under the purego build tag, the primitives are these
+// bodies (kernels_noasm.go).
 
 // saxpyGo computes y += alpha*x with a 4-way unroll. Each y[j] receives
 // the same single multiply and single add per call as the naive loop, so
@@ -151,5 +156,36 @@ func mulTransBGo(dst, a, b []float64, rows, n, k int) {
 			}
 			drow[j] = s
 		}
+	}
+}
+
+// rowMulGo is the batch-1 product dst = x·w of one input row x and the
+// row-major weight matrix w (len(dst) columns), or, with rows non-nil,
+// of the sparse row holding x[t] at column rows[t] (rows ascending, so the
+// sum runs in the dense order). The first contributing t assigns
+// x[t]·w[r] instead of accumulating into a zeroed row, saving the zeroing
+// pass and one load-add per element. 0 + v == v under IEEE 754 (for any v
+// a finite-weight network produces), so results match the
+// zero-then-accumulate form bit for bit.
+func rowMulGo(dst, x []float64, rows []int, w []float64) {
+	n := len(dst)
+	first := true
+	for t, av := range x {
+		if av == 0 {
+			continue
+		}
+		r := t
+		if rows != nil {
+			r = rows[t]
+		}
+		if first {
+			scaleGo(av, w[r*n:r*n+n], dst)
+			first = false
+		} else {
+			saxpyGo(av, w[r*n:r*n+n], dst)
+		}
+	}
+	if first {
+		clear(dst)
 	}
 }

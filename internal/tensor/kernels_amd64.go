@@ -33,9 +33,11 @@ func xgetbv() (eax, edx uint32)
 // bounds checks the Go loops would have done. noescape keeps the k-outer
 // driver's coefficient array on its stack. An assembler call cannot be
 // preempted, so none is handed a whole batch: axpyRowsAVX2 covers at most
-// one pass over dst (one k), and mulTransB calls mulTransBAVX2 a band of
-// rows at a time — at most 11 rows × n·k multiply-adds at about 10 per
-// ns, 10 µs at the model's 96×96 and 0.3 ms at 512×512.
+// one pass over dst (one k), mulTransB calls mulTransBAVX2 a band of rows
+// at a time — at most 11 rows × n·k multiply-adds at about 10 per ns,
+// 10 µs at the model's 96×96 and 0.3 ms at 512×512 — and rowMul calls
+// rowMulAVX2 one column tile at a time, at most 48·k multiply-adds
+// (0.5 µs at k = 96).
 
 //go:noescape
 func saxpyAVX2(alpha float64, x, y []float64)
@@ -51,6 +53,13 @@ func axpyRowsAVX2(coef, x, y []float64, stride int)
 //
 //go:noescape
 func mulTransBAVX2(dst, a, b []float64, rows, n, k int)
+
+// rowMulAVX2 is rowMulGo over one tile of len(dst) = 48, 16, 12, 8, 4
+// or 1 columns; w starts at the tile's first column and its rows lie stride
+// apart.
+//
+//go:noescape
+func rowMulAVX2(dst, x []float64, rows []int, w []float64, stride int)
 
 // mulTransBBand is how many rows mulTransB hands the assembler at a time.
 // Banding costs nothing measurable: 32×96·96ᵀ runs in 25 µs (best of six
@@ -117,5 +126,45 @@ func mulTransB(dst, a, b []float64, rows, n, k int) {
 			}
 			dst[i*n+j] = s
 		}
+	}
+}
+
+func rowMul(dst, x []float64, rows []int, w []float64) {
+	n := len(dst)
+	if !useAVX2 || n == 0 || len(x) == 0 {
+		rowMulGo(dst, x, rows, w)
+		return
+	}
+	if rows == nil {
+		_ = w[:len(x)*n]
+	} else {
+		rows = rows[:len(x)]
+		for _, r := range rows {
+			_ = w[r*n : r*n+n]
+		}
+	}
+	// Column tiles of 48, then 16, then one of 12, 8 or 4, then single
+	// columns. A remainder narrower than the tile before it is covered by
+	// one tile moved back to overlap its neighbour: dst is assigned, not
+	// accumulated, so the overlap rewrites the same bits, and a wide tile
+	// keeps several addition chains in flight where narrow ones would each
+	// wait on one.
+	for j := 0; j < n; {
+		width := 48
+		switch rest := n - j; {
+		case rest >= 48:
+		case rest >= 16:
+			width = 16
+		case n >= 16:
+			width, j = 16, n-16
+		case rest >= 4:
+			width = rest &^ 3
+		case n >= 4:
+			width, j = 4, n-4
+		default:
+			width = 1
+		}
+		rowMulAVX2(dst[j:j+width], x, rows, w[j:], n)
+		j += width
 	}
 }

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the four tensor primitives (kernels.go). The rules that
+// AVX2 bodies of the five tensor primitives (kernels.go). The rules that
 // keep them bit-identical to the portable Go loops:
 //
 //   - a product is VMULPD/VMULSD and a sum is VADDPD/VADDSD, each rounded
@@ -351,5 +351,183 @@ tb_store:
 	ADDQ    $4, R10
 	CMPQ    R10, R13
 	JLT     tb_rowtile
+	VZEROUPPER
+	RET
+
+// Steps of rowMulAVX2's column tiles, in saxpyAVX2's operand order.
+// FIRST assigns the product x[t]·w[r] to an accumulator; ADD adds it,
+// through a product register, as the sum's first source. off is the
+// accumulator's byte offset within the tile.
+#define FIRST(off, acc) VMULPD off(AX), Y12, acc
+#define ADD(off, acc, p) \
+	VMULPD off(AX), Y12, p; \
+	VADDPD acc, p, acc
+
+// func rowMulAVX2(dst, x []float64, rows []int, w []float64, stride int)
+// rowMulGo over one column tile: dst[j] = Σ x[t]*w[r(t)*stride+j] over the
+// t with x[t] != 0, ascending, the first assigning, zeros if there is
+// none; r(t) = rows[t], or t when rows is empty. len(dst) is 48, 16, 12,
+// 8, 4 or 1, and w starts at the tile's first column. The whole k loop
+// runs with the tile's output in registers — a 48-column tile is twelve
+// vector accumulators — and each accumulator is stored once.
+//
+//	SI x base     CX len(x)      R11 rows base   DX len(rows)
+//	R8 w base     R9 stride in bytes    DI dst base    R13 tile width
+//	BX t          AX w row r(t)  R10 scratch     R12 0 until a row assigned
+//	Y0-Y11 accumulators   Y12 x[t] broadcast     Y13, Y14 products
+TEXT ·rowMulAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R13
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	MOVQ rows_base+48(FP), R11
+	MOVQ rows_len+56(FP), DX
+	MOVQ w_base+72(FP), R8
+	MOVQ stride+96(FP), R9
+	SHLQ $3, R9
+	XORQ BX, BX
+	XORQ R12, R12
+
+rm_t:
+	CMPQ BX, CX
+	JGE  rm_end
+	// x[t] == 0 exactly when its bits, sign dropped, are all zero, so a
+	// NaN counts as nonzero, as it does for av == 0 in rowMulGo.
+	MOVQ (SI)(BX*8), R10
+	SHLQ $1, R10
+	JZ   rm_next
+	MOVQ BX, AX
+	TESTQ DX, DX
+	JZ   rm_row
+	MOVQ (R11)(BX*8), AX
+
+rm_row:
+	IMULQ R9, AX
+	ADDQ  R8, AX
+	VBROADCASTSD (SI)(BX*8), Y12
+	CMPQ R13, $48
+	JEQ  rm_step48
+	CMPQ R13, $4
+	JGE  rm_step16
+	TESTQ R12, R12
+	JNZ  rm_add1
+	VMULSD (AX), X12, X0
+	JMP    rm_assigned
+
+rm_add1:
+	VMULSD (AX), X12, X13
+	VADDSD X0, X13, X0
+	JMP    rm_next
+
+	// Tiles of 4, 8, 12 and 16 columns: one to four vectors, the flags of
+	// the width comparisons surviving the vector instructions between.
+rm_step16:
+	TESTQ R12, R12
+	JNZ   rm_add16
+	FIRST(0, Y0)
+	CMPQ  R13, $8
+	JLT   rm_assigned
+	FIRST(32, Y1)
+	JEQ   rm_assigned
+	FIRST(64, Y2)
+	CMPQ  R13, $16
+	JLT   rm_assigned
+	FIRST(96, Y3)
+	JMP   rm_assigned
+
+rm_add16:
+	ADD(0, Y0, Y13)
+	CMPQ R13, $8
+	JLT  rm_next
+	ADD(32, Y1, Y14)
+	JEQ  rm_next
+	ADD(64, Y2, Y13)
+	CMPQ R13, $16
+	JLT  rm_next
+	ADD(96, Y3, Y14)
+	JMP  rm_next
+
+rm_step48:
+	TESTQ R12, R12
+	JNZ  rm_add48
+	FIRST(0, Y0)
+	FIRST(32, Y1)
+	FIRST(64, Y2)
+	FIRST(96, Y3)
+	FIRST(128, Y4)
+	FIRST(160, Y5)
+	FIRST(192, Y6)
+	FIRST(224, Y7)
+	FIRST(256, Y8)
+	FIRST(288, Y9)
+	FIRST(320, Y10)
+	FIRST(352, Y11)
+
+rm_assigned:
+	MOVQ $1, R12
+	JMP  rm_next
+
+rm_add48:
+	ADD(0, Y0, Y13)
+	ADD(32, Y1, Y14)
+	ADD(64, Y2, Y13)
+	ADD(96, Y3, Y14)
+	ADD(128, Y4, Y13)
+	ADD(160, Y5, Y14)
+	ADD(192, Y6, Y13)
+	ADD(224, Y7, Y14)
+	ADD(256, Y8, Y13)
+	ADD(288, Y9, Y14)
+	ADD(320, Y10, Y13)
+	ADD(352, Y11, Y14)
+
+rm_next:
+	INCQ BX
+	JMP  rm_t
+
+rm_end:
+	TESTQ R12, R12
+	JNZ   rm_store
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+
+rm_store:
+	CMPQ R13, $4
+	JGE  rm_storev
+	VMOVSD X0, (DI)
+	VZEROUPPER
+	RET
+
+rm_storev:
+	VMOVUPD Y0, (DI)
+	CMPQ    R13, $8
+	JLT     rm_done
+	VMOVUPD Y1, 32(DI)
+	JEQ     rm_done
+	VMOVUPD Y2, 64(DI)
+	CMPQ    R13, $16
+	JLT     rm_done
+	VMOVUPD Y3, 96(DI)
+	JEQ     rm_done
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VMOVUPD Y8, 256(DI)
+	VMOVUPD Y9, 288(DI)
+	VMOVUPD Y10, 320(DI)
+	VMOVUPD Y11, 352(DI)
+
+rm_done:
 	VZEROUPPER
 	RET

@@ -45,12 +45,32 @@ var edgeValues = []float64{
 
 // fillMixed writes ordinary normal draws with an edge value in about one
 // slot of six.
-func fillMixed(x []float64, src *rng.Source) {
+func fillMixed(x []float64, src *rng.Source) { fillWith(x, src, edgeValues) }
+
+func fillWith(x []float64, src *rng.Source, edge []float64) {
 	for i := range x {
 		if src.Intn(6) == 0 {
-			x[i] = edgeValues[src.Intn(len(edgeValues))]
+			x[i] = edge[src.Intn(len(edge))]
 		} else {
 			x[i] = src.NormFloat64()
+		}
+	}
+}
+
+// nanEdgeValues adds NaNs with distinct payloads to edgeValues. Go leaves
+// open which operand's payload a NaN result keeps — of two NaN operands
+// the hardware keeps the first source's, and which operand the compiler
+// makes the first source differs from one statement to the next under
+// -race — so tests that draw these compare with sameValues.
+var nanEdgeValues = append(edgeValues[:len(edgeValues):len(edgeValues)],
+	math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0xfff8_0000_0000_0abc))
+
+// sameValues is sameBits with every NaN equal to every other NaN.
+func sameValues(t *testing.T, got, want []float64, format string, args ...any) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf(format+": element %d is %x (%g), want %x (%g)", append(args, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])...)
 		}
 	}
 }
@@ -146,6 +166,63 @@ func TestMulTransBAVX2MatchesPortable(t *testing.T) {
 				mulTransB(got[od:], abuf[oa:], bbuf[ob:], rows, n, k)
 				mulTransBGo(want[od:], abuf[oa:], bbuf[ob:], rows, n, k)
 				sameBits(t, got, want, "mulTransB rows=%d n=%d k=%d dst+%d a+%d b+%d", rows, n, k, od, oa, ob)
+			}
+		}
+	}
+}
+
+// TestRowMulAVX2MatchesPortable runs the tiled batch-1 row kernel against
+// rowMulGo over every k 0–130 and n 1–130, which crosses each tile width
+// and every overlapping remainder. For each shape x's first nonzero entry
+// sits first, in the middle and last, and x is once all zeros; zeros
+// elsewhere are signed, and x and w draw the edge values and NaNs. One of
+// the four also runs gathered, over ascending rows of a w up to twice as
+// tall.
+func TestRowMulAVX2MatchesPortable(t *testing.T) {
+	needAVX2(t)
+	src := rng.New(14)
+	const guard = 4
+	dbuf := make([]float64, 130+2*guard)
+	got := make([]float64, len(dbuf))
+	want := make([]float64, len(dbuf))
+	x := make([]float64, 130)
+	rows := make([]int, 130)
+	w := make([]float64, (2*130+1)*130+guard)
+	fillWith(w, src, nanEdgeValues)
+	for k := 0; k <= 130; k++ {
+		for n := 1; n <= 130; n++ {
+			fillWith(dbuf, src, nanEdgeValues) // stale contents must be overwritten, not added to
+			for pattern, firstNZ := range []int{0, k / 2, k - 1, k} {
+				x := x[:k]
+				fillWith(x, src, nanEdgeValues)
+				for t := range x {
+					if t < firstNZ || src.Intn(5) == 0 {
+						x[t] = math.Copysign(0, float64(src.Intn(2))-0.5)
+					}
+				}
+				if 0 <= firstNZ && firstNZ < k && x[firstNZ] == 0 {
+					x[firstNZ] = -2.5
+				}
+				ow, od := src.Intn(n+guard), (k+n+firstNZ)%guard
+				copy(got, dbuf)
+				copy(want, dbuf)
+				rowMul(got[od:od+n], x, nil, w[ow:])
+				rowMulGo(want[od:od+n], x, nil, w[ow:])
+				sameValues(t, got, want, "rowMul k=%d n=%d first nonzero %d dst+%d w+%d", k, n, firstNZ, od, ow)
+
+				if pattern != (k+n)%4 {
+					continue
+				}
+				rows := rows[:k]
+				for t, r := 0, 0; t < k; t, r = t+1, r+1 {
+					r += src.Intn(2)
+					rows[t] = r
+				}
+				copy(got, dbuf)
+				copy(want, dbuf)
+				rowMul(got[od:od+n], x, rows, w[ow:])
+				rowMulGo(want[od:od+n], x, rows, w[ow:])
+				sameValues(t, got, want, "rowMul gathered k=%d n=%d first nonzero %d dst+%d w+%d", k, n, firstNZ, od, ow)
 			}
 		}
 	}

@@ -9,3 +9,5 @@ func scale(alpha float64, x, y []float64) { scaleGo(alpha, x, y) }
 func axpyRows(coef, x, y []float64, stride int) { axpyRowsGo(coef, x, y, stride) }
 
 func mulTransB(dst, a, b []float64, rows, n, k int) { mulTransBGo(dst, a, b, rows, n, k) }
+
+func rowMul(dst, x []float64, rows []int, w []float64) { rowMulGo(dst, x, rows, w) }

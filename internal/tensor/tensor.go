@@ -1,12 +1,13 @@
 // Package tensor implements the dense linear algebra kernels that back the
 // neural-network proposal models. It stands in for the GPU BLAS library of
-// the original system. Every matmul driver is a loop nest over four
-// primitives (kernels.go) — row update, row assignment, grouped-row update
-// and a transposed dot product — which run as AVX2 assembler on amd64 and
-// as portable Go elsewhere, with identical bits either way; the loops are
-// ordered so a weight row is streamed once per batch, not cache-blocked
-// (the benchmarked model is 264 KB and lives in L2). Products large enough
-// to repay the hand-off fan out across goroutines by output row.
+// the original system. Every matmul driver is a loop nest over five
+// primitives (kernels.go) — row update, row assignment, grouped-row update,
+// a transposed dot product and a batch-1 row product — which run as AVX2
+// assembler on amd64 and as portable Go elsewhere, with identical bits
+// either way; the loops are ordered so a weight row is streamed once per
+// batch, not cache-blocked (the benchmarked model is 264 KB and lives in
+// L2). Products large enough to repay the hand-off fan out across
+// goroutines by output row.
 package tensor
 
 import (
@@ -127,8 +128,9 @@ func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	// i-k-j loop order streams b rows sequentially: the inner loop is a
-	// saxpy over contiguous memory.
+	// Both loop orders stream b rows sequentially: one row is a rowMul,
+	// which holds a tile of the output row in registers across every k,
+	// and a band of rows runs k-outer, streaming b once per band.
 	if serialRows(a.Rows, a.Rows*a.Cols*b.Cols) {
 		matMulRange(dst, a, b, 0, a.Rows)
 		return
@@ -137,45 +139,20 @@ func MatMul(dst, a, b *Matrix) {
 }
 
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	if hi-lo >= 2 {
-		matMulRangeKOuter(dst, a, b, lo, hi)
+	if hi-lo == 1 {
+		rowMul(dst.Row(lo), a.Row(lo), nil, b.Data)
 		return
 	}
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		// The first contributing k assigns alpha*x instead of accumulating
-		// into a zeroed row, saving the zeroing pass and one load-add per
-		// element. 0 + v == v under IEEE 754 (for any v a finite-weight
-		// network produces), so results match the zero-then-accumulate form
-		// bit for bit.
-		first := true
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			if first {
-				scale(av, b.Row(k), drow)
-				first = false
-			} else {
-				saxpy(av, b.Row(k), drow)
-			}
-		}
-		if first {
-			for j := range drow {
-				drow[j] = 0
-			}
-		}
-	}
+	matMulRangeKOuter(dst, a, b, lo, hi)
 }
 
 // matMulRangeKOuter is the multi-row form of matMulRange with the k loop
 // hoisted outside the row loop: each b row is streamed through the cache
 // once and applied to every output row, instead of re-streaming all of b
-// for every row as the i-outer form does. For a batch of B rows this cuts
-// b's memory traffic B-fold; the training forward is its caller, since
+// for every row as rowMul would. For a batch of B rows this cuts b's
+// memory traffic B-fold; the training forward is its caller, since
 // inference runs one row at a time. Per output row the (k, scale-vs-saxpy)
-// op sequence is exactly the i-outer form's — k still ascends, the first
+// op sequence is exactly rowMul's — k still ascends, the first
 // contributing k still assigns — so results are bit-identical row for row
 // (TestDriversMatchScalarReference pins this).
 func matMulRangeKOuter(dst, a, b *Matrix, lo, hi int) {
@@ -235,6 +212,23 @@ func matMulRangeKOuter(dst, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
+}
+
+// SparseRowMul computes the batch-1 product dst = x·w for the 1×w.Rows
+// row x holding coef[t] at column rows[t] (rows ascending) and zero
+// elsewhere, without building or scanning x: bit for bit what MatMul
+// computes on the materialized row. Panics on a length mismatch or a row
+// outside w.
+func SparseRowMul(dst, coef []float64, rows []int, w *Matrix) {
+	if len(dst) != w.Cols || len(coef) != len(rows) {
+		panic(fmt.Sprintf("tensor: SparseRowMul %d coefficients, %d rows, %d·%dx%d", len(coef), len(rows), len(dst), w.Rows, w.Cols))
+	}
+	for _, r := range rows {
+		if r < 0 || r >= w.Rows {
+			panic(fmt.Sprintf("tensor: SparseRowMul row %d of a %dx%d matrix", r, w.Rows, w.Cols))
+		}
+	}
+	rowMul(dst, coef, rows, w.Data)
 }
 
 // MatMulTransB computes dst = a·bᵀ (dst: a.Rows × b.Rows). Used in backprop

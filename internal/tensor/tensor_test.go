@@ -294,19 +294,19 @@ func sparseRows(m *Matrix, src *rng.Source) {
 	}
 }
 
-// TestDriversMatchScalarReference pins the three matmul drivers, bit for
-// bit, to scalar loops that spell out each dst element's operation
-// sequence: MatMul assigns at the first nonzero a[i][k] and accumulates
-// at later ones in ascending k (a row with none is zero), MatMulTransA
-// accumulates onto zero skipping zero coefficients, MatMulTransB sums
-// every k from zero. The i-outer, k-outer and row-run groupings may only
-// change which elements are updated together, never an element's own
-// sequence.
+// TestDriversMatchScalarReference pins the matmul drivers, bit for bit,
+// to scalar loops that spell out each dst element's operation sequence:
+// MatMul, and SparseRowMul over a row's nonzero entries, assign at the
+// first nonzero a[i][k] and accumulate at later ones in ascending k (a
+// row with none is zero), MatMulTransA accumulates onto zero skipping
+// zero coefficients, MatMulTransB sums every k from zero. The column
+// tiles, k-outer and row-run groupings may only change which elements
+// are updated together, never an element's own sequence.
 func TestDriversMatchScalarReference(t *testing.T) {
 	src := rng.New(7)
 	for rows := 1; rows <= 19; rows++ {
 		for _, k := range []int{1, 2, 5, 12} {
-			for _, n := range []int{1, 4, 7, 21} {
+			for _, n := range []int{1, 4, 7, 21, 48, 49, 96} {
 				a, b := NewMatrix(rows, k), randomMatrix(k, n, src)
 				sparseRows(a, src)
 				got, want := randomMatrix(rows, n, src), NewMatrix(rows, n)
@@ -328,6 +328,17 @@ func TestDriversMatchScalarReference(t *testing.T) {
 				}
 				MatMul(got, a, b)
 				sameBits(t, got.Data, want.Data, "MatMul %dx%d·%d", rows, k, n)
+
+				// a's last row given as its nonzero entries.
+				var coef []float64
+				var cols []int
+				for kk, av := range a.Row(rows - 1) {
+					if av != 0 {
+						coef, cols = append(coef, av), append(cols, kk)
+					}
+				}
+				SparseRowMul(got.Row(0), coef, cols, b)
+				sameBits(t, got.Row(0), want.Row(rows-1), "SparseRowMul %d of %d·%d", len(cols), k, n)
 
 				// aᵀ·g with a as the (sparse) layer input: dst is k×n.
 				g := randomMatrix(rows, n, src)
@@ -363,32 +374,15 @@ func TestDriversMatchScalarReference(t *testing.T) {
 	}
 }
 
-// TestMatMulZeroAllocs holds the serial drivers to the stack: the first-k
-// flags and the coefficient array the k-outer driver hands to axpyRows
-// must not escape through the kernel call.
-func TestMatMulZeroAllocs(t *testing.T) {
-	src := rng.New(8)
-	x1, x8, w := randomMatrix(1, 96, src), randomMatrix(8, 96, src), randomMatrix(96, 96, src)
-	y1, y8, gw := NewMatrix(1, 96), NewMatrix(8, 96), NewMatrix(96, 96)
-	for name, mul := range map[string]func(){
-		"MatMul batch 1": func() { MatMul(y1, x1, w) },
-		"MatMul batch 8": func() { MatMul(y8, x8, w) },
-		"MatMulTransA":   func() { MatMulTransA(gw, x8, y8) },
-		"MatMulTransB":   func() { MatMulTransB(y8, x8, w) },
-	} {
-		if allocs := testing.AllocsPerRun(20, mul); allocs != 0 {
-			t.Errorf("%s: %.1f allocations per call, want 0", name, allocs)
-		}
-	}
-}
-
-// benchShapes are batch × k · k × n products: the three batch-1 layer
-// shapes of the benchmarked model (65 → 96 → 96 encoder, 96 → 64 decoder
-// head), a batch-8 product, its batch-32 training step, and two
-// larger products, twice and sixteen times parallelThreshold.
+// benchShapes are batch × k · k × n products: the batch-1 layer shapes of
+// the benchmarked model (65 → 96 → 96 → 12 encoder, 7 → 96 → 96 → 64
+// decoder; inference runs the 65-row layer as a SparseRowMul, which
+// BenchmarkSparseRowMul times), a batch-8 product, its batch-32 training
+// step, and two larger products, twice and sixteen times
+// parallelThreshold.
 var benchShapes = [][3]int{
-	{1, 65, 96}, {1, 96, 96}, {1, 96, 64}, {8, 96, 96}, {32, 96, 96},
-	{64, 256, 256}, {128, 512, 512},
+	{1, 65, 96}, {1, 96, 96}, {1, 96, 12}, {1, 7, 96}, {1, 96, 64},
+	{8, 96, 96}, {32, 96, 96}, {64, 256, 256}, {128, 512, 512},
 }
 
 // benchMul times mul(dst, x, y) and reports GFLOP/s at 2 flops per
@@ -409,6 +403,20 @@ func BenchmarkMatMul(b *testing.B) {
 			benchMul(b, m*k*n, MatMul, NewMatrix(m, n), randomMatrix(m, k, src), randomMatrix(k, n, src))
 		})
 	}
+}
+
+// BenchmarkSparseRowMul is the encoder's first layer in inference: a
+// one-hot row of 16 sites × 4 species plus the condition column, 17 of
+// its 65 rows, into 96 columns.
+func BenchmarkSparseRowMul(b *testing.B) {
+	src := rng.New(1)
+	w, dst := randomMatrix(65, 96, src), make([]float64, 96)
+	coef, rows := make([]float64, 17), make([]int, 17)
+	for t := range rows {
+		coef[t], rows[t] = 1, 4*t+src.Intn(4)
+	}
+	coef[16], rows[16] = 0.4, 64
+	benchMul(b, 17*96, func(_, _, _ *Matrix) { SparseRowMul(dst, coef, rows, w) }, nil, nil, nil)
 }
 
 // BenchmarkMatMulTransA is the weight gradient xᵀ·g of a batch-32 step.

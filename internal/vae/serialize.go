@@ -4,6 +4,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
 	"deepthermo/internal/nn"
 	"deepthermo/internal/rng"
@@ -39,7 +41,12 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a model previously written by Save.
+// Load reads a model previously written by Save. It is the trust boundary
+// for uploaded models (dtserve's POST /v1/artifacts?kind=model), so it
+// allocates nothing the file does not pay for: the architecture's
+// parameter count is computed from the file's Config, with overflow
+// checks, and must equal the number of weights the file carries before
+// New runs. Every weight, and the KL weight, must be finite.
 func Load(r io.Reader) (*Model, error) {
 	var f modelFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
@@ -51,16 +58,61 @@ func Load(r io.Reader) (*Model, error) {
 	if f.Version != modelVersion {
 		return nil, fmt.Errorf("vae: unsupported model version %d", f.Version)
 	}
+	want, ok := paramCount(f.Config)
+	if !ok {
+		return nil, fmt.Errorf("vae: invalid config %+v", f.Config)
+	}
+	if want != len(f.Weights) {
+		return nil, fmt.Errorf("vae: model file has %d weights, architecture needs %d", len(f.Weights), want)
+	}
+	if !finite(f.Config.BetaKL) {
+		return nil, fmt.Errorf("vae: model file has KL weight %g", f.Config.BetaKL)
+	}
+	for i, v := range f.Weights {
+		if !finite(v) {
+			return nil, fmt.Errorf("vae: model file has weight %d = %g", i, v)
+		}
+	}
 	// Weight initialization is immediately overwritten; the seed is
 	// irrelevant but must be deterministic.
 	m, err := New(f.Config, rng.New(0))
 	if err != nil {
 		return nil, err
 	}
-	params := m.Params()
-	if nn.NumParams(params) != len(f.Weights) {
-		return nil, fmt.Errorf("vae: model file has %d weights, architecture needs %d", len(f.Weights), nn.NumParams(params))
-	}
-	nn.SetValues(params, f.Weights)
+	nn.SetValues(m.Params(), f.Weights)
 	return m, nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// paramCount returns the number of weights and biases New builds for cfg,
+// and false when New would refuse cfg or the count does not fit an int.
+func paramCount(cfg Config) (int, bool) {
+	if !cfg.valid() {
+		return 0, false
+	}
+	var carry uint64
+	mul := func(a, b uint64) uint64 {
+		hi, lo := bits.Mul64(a, b)
+		carry |= hi
+		return lo
+	}
+	add := func(a, b uint64) uint64 {
+		sum, c := bits.Add64(a, b, 0)
+		carry |= c
+		return sum
+	}
+	nk, l, h := mul(uint64(cfg.Sites), uint64(cfg.Species)), uint64(cfg.Latent), uint64(cfg.Hidden)
+	var total uint64
+	for _, layer := range [][2]uint64{
+		{add(nk, 1), h}, {h, h}, {h, add(l, l)}, // encoder
+		{add(l, 1), h}, {h, h}, {h, nk}, // decoder
+	} {
+		in, out := layer[0], layer[1]
+		total = add(total, add(mul(in, out), out))
+	}
+	if carry != 0 || total > math.MaxInt {
+		return 0, false
+	}
+	return int(total), true
 }

@@ -35,6 +35,10 @@ type Config struct {
 	BetaKL  float64
 }
 
+func (c Config) valid() bool {
+	return c.Sites > 0 && c.Species >= 2 && c.Latent > 0 && c.Hidden > 0
+}
+
 // Model is a conditional VAE. It is not safe for concurrent training; for
 // concurrent proposal generation, give each walker its own replica —
 // CloneWeights (a private weight copy) or ShareWeights (the same weights)
@@ -65,7 +69,7 @@ type Model struct {
 
 // New constructs a VAE with Xavier-initialized weights from src.
 func New(cfg Config, src *rng.Source) (*Model, error) {
-	if cfg.Sites <= 0 || cfg.Species < 2 || cfg.Latent <= 0 || cfg.Hidden <= 0 {
+	if !cfg.valid() {
 		return nil, fmt.Errorf("vae: invalid config %+v", cfg)
 	}
 	if cfg.BetaKL <= 0 {
