@@ -233,7 +233,7 @@ type DOSConfig struct {
 	OneOverT bool
 	// Adaptive enables the adaptive parallelisation layer: per-round
 	// window telemetry and deterministic walker rebalancing from
-	// converged windows into stragglers (rewl.AdaptiveOptions defaults).
+	// converged windows into stragglers (rewl.AdaptiveOptions).
 	Adaptive bool
 
 	// BatchInference routes every walker's DL-proposal forwards through one

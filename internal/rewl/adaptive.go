@@ -10,13 +10,12 @@ package rewl
 //   - rebalancing: walkers migrate from converged or clearly-ahead windows
 //     into stragglers, seeded from the straggler's consensus ln g and a
 //     steered configuration, so the migrant contributes statistics instead
-//     of relearning from scratch;
-//   - re-splitting (optional): the slowest window is replaced by two
-//     overlapping sub-windows on the same bin grid, each covering fewer
-//     bins and therefore flattening faster.
+//     of relearning from scratch.
 //
-// The controller lives on the leader and reads walker histograms and
-// configurations directly, so it runs only when rank 0 owns every window.
+// The window ladder is the caller's for the whole run; only the walker
+// count per window changes. The controller lives on the leader and reads
+// walker histograms and configurations directly, so it runs only when
+// rank 0 owns every window.
 //
 // Determinism: every decision is a pure function of state the run
 // checkpoints capture (stages, alive masks, walker histograms, consensus
@@ -37,61 +36,32 @@ import (
 )
 
 // AdaptiveOptions configures the adaptive parallelisation layer. The zero
-// value disables it; Enabled with everything else zero selects the
-// defaults noted on each field.
+// value disables it.
 type AdaptiveOptions struct {
 	// Enabled turns the controller on. Off, the driver is bit-identical
 	// to the static one.
 	Enabled bool
-	// RebalanceEvery is the controller cadence in exchange rounds
-	// (default 10). Telemetry is still collected every round.
-	RebalanceEvery int
-	// StageLag is how many ln f stages a window must trail the most
-	// advanced unconverged window before it counts as a straggler
-	// eligible to receive a walker (default 2). Converged windows are
-	// always considered ahead.
-	StageLag int
-	// MaxWalkersPerWindow caps a window's live walker count after
-	// migration (default 2·WalkersPerWindow).
-	MaxWalkersPerWindow int
-	// Resplit lets the controller replace the slowest window with two
-	// overlapping sub-windows on the same bin grid, at most MaxResplits
-	// times (default 1 when Resplit is set). Window indices shift after a
-	// re-split, so fault plans (Options.Faults), which address walkers by
-	// window index, should not be combined with it.
-	Resplit     bool
-	MaxResplits int
-	// MinCoverage, when positive, is forwarded to every walker's flatness
-	// gate (wanglandau.Options.MinCoverage) so the telemetry the
-	// controller acts on cannot report a sliver-covered histogram as
-	// flat. It stays off by default: the denominator is the window's full
-	// bin grid, and on sparse spectra (few physically reachable energies
-	// per window — the exactly-enumerable validation systems) even a
-	// fully explored walker may never reach a fixed fraction of the grid,
-	// which would stall stages forever. Opt in only when the window grid
-	// is known to be densely reachable.
-	MinCoverage float64
 }
 
-func (o *AdaptiveOptions) setDefaults() {
-	if !o.Enabled {
-		return
-	}
-	if o.RebalanceEvery == 0 {
-		o.RebalanceEvery = 10
-	}
-	if o.StageLag == 0 {
-		o.StageLag = 2
-	}
-	if o.Resplit && o.MaxResplits == 0 {
-		o.MaxResplits = 1
-	}
-}
+// The controller's fixed cadence and thresholds.
+const (
+	// rebalanceEvery is the controller cadence in exchange rounds.
+	// Telemetry is still collected every round.
+	rebalanceEvery = 10
+	// stageLag is how many ln f stages a window must trail the most
+	// advanced unconverged window before it counts as a straggler
+	// eligible to receive a walker. Converged windows are always
+	// considered ahead.
+	stageLag = 2
+	// maxWalkersFactor caps a window's live walker count after migration
+	// at maxWalkersFactor·WalkersPerWindow.
+	maxWalkersFactor = 2
+)
 
 // WindowTelemetry is one window's convergence snapshot, collected at the
 // exchange-round barrier.
 type WindowTelemetry struct {
-	Window    int     // window index in the current layout
+	Window    int     // window index in the ladder
 	Round     int     // round the snapshot was taken after
 	Stage     int     // completed ln f stages
 	LnF       float64 // current modification factor
@@ -108,11 +78,10 @@ type WindowTelemetry struct {
 // and for the determinism tests: a fixed seed reproduces the exact trace.
 type MigrationEvent struct {
 	Round int
-	Kind  string // "migrate" or "resplit"
-	From  int    // donor window (migrate) or split window (resplit)
-	To    int    // receiving window (migrate) or first child index (resplit)
-	Slot  int    // migrant's slot in To (migrate)
-	Gen   int    // migrant generation, the RNG stream key component
+	From  int // donor window
+	To    int // receiving window
+	Slot  int // migrant's slot in To
+	Gen   int // migrant generation, the RNG stream key component
 }
 
 // migrantSeed derives the RNG stream seed for a migrant walker from the
@@ -133,11 +102,7 @@ func migrantSeed(seed uint64, win, slot, gen int) uint64 {
 // *decides* on is checkpoint-covered state, so the rate being
 // informational-only keeps resumed runs bit-identical.
 func (L *distLeader) collectTelemetry(round int) {
-	nWin := len(L.windows)
-	if len(L.prevSweeps) != nWin {
-		L.prevSweeps = make([]int64, nWin)
-	}
-	telem := make([]WindowTelemetry, nWin)
+	telem := make([]WindowTelemetry, len(L.windows))
 	for wi := range L.windows {
 		aw := aliveIn(L.o.walkers[wi], L.o.alive[wi])
 		t := WindowTelemetry{
@@ -172,15 +137,11 @@ func (L *distLeader) collectTelemetry(round int) {
 }
 
 // adapt is the rebalancing controller, invoked at the round barrier every
-// RebalanceEvery rounds. It migrates at most one walker into each eligible
-// straggler window per invocation, then considers one re-split.
+// rebalanceEvery rounds. It migrates at most one walker into each eligible
+// straggler window per invocation.
 func (L *distLeader) adapt(round int) error {
-	ad := L.opts.Adaptive
 	walkers, alive := L.o.walkers, L.o.alive
-	maxWalk := ad.MaxWalkersPerWindow
-	if maxWalk == 0 {
-		maxWalk = 2 * L.opts.WalkersPerWindow
-	}
+	maxWalk := maxWalkersFactor * L.opts.WalkersPerWindow
 
 	classify := func() (live []int, conv []bool, lead int) {
 		nWin := len(L.windows)
@@ -200,7 +161,7 @@ func (L *distLeader) adapt(round int) error {
 	live, conv, lead := classify()
 
 	// Stragglers: live, unconverged windows trailing the most advanced
-	// unconverged window by ≥ StageLag stages — or any live unconverged
+	// unconverged window by ≥ stageLag stages — or any live unconverged
 	// window when a converged donor exists (converged windows are
 	// infinitely far ahead). Worst first: lowest stage, then worst
 	// flatness, then window index, all checkpoint-covered or derived
@@ -217,7 +178,7 @@ func (L *distLeader) adapt(round int) error {
 		if live[wi] == 0 || conv[wi] || live[wi] >= maxWalk {
 			continue
 		}
-		if lead-L.stages[wi] >= ad.StageLag || anyConverged {
+		if lead-L.stages[wi] >= stageLag || anyConverged {
 			stragglers = append(stragglers, wi)
 		}
 	}
@@ -252,7 +213,7 @@ func (L *distLeader) adapt(round int) error {
 				if wi == s || conv[wi] || live[wi] < 2 {
 					continue
 				}
-				if L.stages[wi]-L.stages[s] >= ad.StageLag && L.stages[wi] > bestStage {
+				if L.stages[wi]-L.stages[s] >= stageLag && L.stages[wi] > bestStage {
 					from, bestStage = wi, L.stages[wi]
 				}
 			}
@@ -275,10 +236,7 @@ func (L *distLeader) adapt(round int) error {
 		if retire >= 0 {
 			donorIdx = retire
 		}
-		donor := walkers[from][donorIdx]
-		ref := walkers[s][firstAlive(alive[s])]
-		slot, err := L.spawnMigrant(s, donor.Config().Clone(),
-			L.frozenG[s], ref.LnF(), ref.Steps(), ref.InOneOverTPhase())
+		slot, err := L.spawnMigrant(s, walkers[from][donorIdx].Config().Clone())
 		if err != nil {
 			return err
 		}
@@ -289,147 +247,34 @@ func (L *distLeader) adapt(round int) error {
 			L.retiredSweeps[from] += walkers[from][retire].Sweeps()
 		}
 		L.res.Migrations++
-		L.res.Events = append(L.res.Events, MigrationEvent{Round: round, Kind: "migrate", From: from, To: s, Slot: slot, Gen: L.gen})
+		L.res.Events = append(L.res.Events, MigrationEvent{Round: round, From: from, To: s, Slot: slot, Gen: L.gen})
 		live, conv, lead = classify()
 	}
-
-	if ad.Resplit && L.res.Resplits < ad.MaxResplits {
-		return L.resplitSlowest(round)
-	}
 	return nil
 }
 
-// resplitSlowest replaces the slowest unconverged window with two
-// overlapping sub-windows on the same bin grid, each covering ~60% of the
-// parent's bins, seeded from the parent's consensus ln g. Fewer bins per
-// window flatten faster, which is the whole point.
-func (L *distLeader) resplitSlowest(round int) error {
-	o := L.o
-	// Slowest: minimum stage among live unconverged windows, ties broken
-	// by worst flatness then index — and it must genuinely trail the rest.
-	target, lead := -1, -1
-	for wi := range L.windows {
-		aw := aliveIn(o.walkers[wi], o.alive[wi])
-		if len(aw) == 0 || windowConverged(aw) {
-			continue
-		}
-		if L.stages[wi] > lead {
-			lead = L.stages[wi]
-		}
-		if target < 0 || L.stages[wi] < L.stages[target] ||
-			(L.stages[wi] == L.stages[target] && L.telem[wi].Flatness < L.telem[target].Flatness) {
-			target = wi
-		}
-	}
-	if target < 0 || lead-L.stages[target] < L.opts.Adaptive.StageLag {
-		return nil
-	}
-	win := L.windows[target]
-	b := win.Bins
-	frozen := L.frozenG[target]
-	if b < 8 || len(frozen) != b {
-		return nil
-	}
-	cBins := b * 3 / 5
-	if 2*cBins-b < 1 {
-		cBins = b/2 + 1
-	}
-	if cBins < 2 || cBins >= b {
-		return nil
-	}
-	// Reachability guard, from the parent's frozen consensus (-Inf bins
-	// have never been visited): each child needs ≥2 reachable bins for its
-	// walker to ever satisfy flatness, and the children's shared region
-	// needs ≥1 so dos.Merge can stitch them back together. On sparse
-	// spectra the geometric midpoint of a window can be physically empty —
-	// splitting there would orphan the children permanently.
-	reachable := func(lo, hi int) int {
-		n := 0
-		for i := lo; i < hi; i++ {
-			if !math.IsInf(frozen[i], -1) {
-				n++
-			}
-		}
-		return n
-	}
-	if reachable(0, cBins) < 2 || reachable(b-cBins, b) < 2 || reachable(b-cBins, cBins) < 1 {
-		return nil
-	}
-	binW := (win.EMax - win.EMin) / float64(b)
-	c0 := wanglandau.Window{EMin: win.EMin, EMax: win.EMin + float64(cBins)*binW, Bins: cBins}
-	c1 := wanglandau.Window{EMin: win.EMin + float64(b-cBins)*binW, EMax: win.EMax, Bins: cBins}
-
-	// Capture parent state before splicing it out.
-	parentAlive := aliveIn(o.walkers[target], o.alive[target])
-	ref := parentAlive[0]
-	parentSweeps := L.retiredSweeps[target]
-	for _, w := range parentAlive {
-		parentSweeps += w.Sweeps()
-	}
-	cfg0 := ref.Config().Clone()
-	cfg1 := ref.Config().Clone()
-	frozen0 := append([]float64(nil), frozen[:cBins]...)
-	frozen1 := append([]float64(nil), frozen[b-cBins:]...)
-	lnF := L.lastLnFG[target]
-	steps, in1t := ref.Steps(), ref.InOneOverTPhase()
-	stage := L.stages[target]
-
-	// Splice the per-window arrays: parent out, two children in. The
-	// children inherit the parent's stage and ln f; the parent's sweep
-	// budget is accounted to the first child so totals stay exact.
-	L.windows = spliceAny(L.windows, target, c0, c1)
-	o.windows = L.windows
-	L.owner = append(L.owner, 0)
-	o.walkers = spliceAny(o.walkers, target, nil, nil)
-	o.alive = spliceAny(o.alive, target, nil, nil)
-	L.aliveG = spliceAny(L.aliveG, target, nil, nil)
-	L.replicaID = spliceAny(L.replicaID, target, nil, nil)
-	L.retired = spliceAny(L.retired, target, 0, 0)
-	L.frozenG = spliceAny(L.frozenG, target, frozen0, frozen1)
-	L.lastLnFG = spliceAny(L.lastLnFG, target, lnF, lnF)
-	L.stages = spliceAny(L.stages, target, stage, stage)
-	L.retiredSweeps = spliceAny(L.retiredSweeps, target, parentSweeps, 0)
-	L.prevSweeps = spliceAny(L.prevSweeps, target, 0, 0)
-	L.telem = spliceAny(L.telem, target, L.telem[target], L.telem[target])
-	for i := range L.telem {
-		L.telem[i].Window = i
-	}
-
-	if _, err := L.spawnMigrant(target, cfg0, frozen0, lnF, steps, in1t); err != nil {
-		return err
-	}
-	if _, err := L.spawnMigrant(target+1, cfg1, frozen1, lnF, steps, in1t); err != nil {
-		return err
-	}
-	L.res.Resplits++
-	L.res.Events = append(L.res.Events, MigrationEvent{Round: round, Kind: "resplit", From: target, To: target, Gen: L.gen})
-	return nil
-}
-
-// spawnMigrant creates a walker in window `to` at the next slot, with an
-// RNG stream keyed by (window, slot, generation), a configuration steered
-// into the window (falling back to a live peer's configuration when
-// steering fails), and the window's consensus ln g adopted so the migrant
-// contributes statistics instead of relearning. Returns the slot used.
-func (L *distLeader) spawnMigrant(to int, cfg lattice.Config, logG []float64, lnF float64, steps int64, oneOverT bool) (int, error) {
+// spawnMigrant creates a walker in the live window `to` at the next slot,
+// with an RNG stream keyed by (window, slot, generation), a configuration
+// steered into the window (falling back to a live peer's configuration
+// when steering fails), and the window's consensus ln g, ln f and 1/t clock
+// adopted so the migrant contributes statistics instead of relearning.
+// Returns the slot used.
+func (L *distLeader) spawnMigrant(to int, cfg lattice.Config) (int, error) {
 	o, opts := L.o, L.opts
 	win := L.windows[to]
+	ref := o.walkers[to][firstAlive(o.alive[to])]
 	slot := len(o.walkers[to])
 	L.gen++
 	src := rng.New(migrantSeed(opts.Seed, to, slot, L.gen))
 	if _, err := wanglandau.PrepareInWindow(L.m, cfg, win, src, opts.PrepareSweeps); err != nil {
-		k := firstAlive(o.alive[to])
-		if k < 0 {
-			return -1, fmt.Errorf("rewl: adaptive migrant for window %d: %w", to, err)
-		}
-		cfg = o.walkers[to][k].Config().Clone()
+		cfg = ref.Config().Clone()
 	}
 	w, err := wanglandau.NewWalker(L.m, cfg, L.newProposal(to, slot, src), src, win, opts.WL)
 	if err != nil {
 		return -1, fmt.Errorf("rewl: adaptive migrant for window %d: %w", to, err)
 	}
-	if len(logG) == win.Bins {
-		if err := w.AdoptConsensus(logG, lnF, steps, oneOverT); err != nil {
+	if logG := L.frozenG[to]; len(logG) == win.Bins {
+		if err := w.AdoptConsensus(logG, ref.LnF(), ref.Steps(), ref.InOneOverTPhase()); err != nil {
 			return -1, err
 		}
 	}
@@ -448,12 +293,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// spliceAny replaces element i of s with the two values a and b.
-func spliceAny[T any](s []T, i int, a, b T) []T {
-	out := make([]T, 0, len(s)+1)
-	out = append(out, s[:i]...)
-	out = append(out, a, b)
-	return append(out, s[i+1:]...)
 }

@@ -50,23 +50,23 @@ func run16(t *testing.T, opts Options) (*Result, *dos.LogDOS) {
 	return res, exact
 }
 
-// adaptiveTestOpts is the shared adaptive configuration: frequent
-// rebalancing so migrations and a re-split actually happen within short
-// test runs.
+// adaptiveTestOpts is the shared adaptive configuration, the one the
+// "adaptive" golden row pins: on this ladder the controller migrates
+// walkers within short test runs.
 func adaptiveTestOpts(wl wanglandau.Options) Options {
 	return Options{
 		Seed:             31,
 		WalkersPerWindow: 2,
 		ExchangeInterval: 20,
 		WL:               wl,
-		Adaptive:         AdaptiveOptions{Enabled: true, RebalanceEvery: 5, Resplit: true},
+		Adaptive:         AdaptiveOptions{Enabled: true},
 	}
 }
 
 // TestAdaptiveMatchesExact is the correctness property behind the whole
-// adaptive layer: walker migration and window re-splitting reshape the
-// parallel decomposition mid-run, but the merged DOS must still match the
-// enumerated reference to the same tolerance a static run is held to.
+// adaptive layer: walker migration reshapes the parallel decomposition
+// mid-run, but the merged DOS must still match the enumerated reference to
+// the same tolerance a static run is held to.
 func TestAdaptiveMatchesExact(t *testing.T) {
 	res, exact := run16(t, adaptiveTestOpts(wanglandau.Options{LnFFinal: 1e-5}))
 	if !res.AllConverged {
@@ -75,11 +75,8 @@ func TestAdaptiveMatchesExact(t *testing.T) {
 	if res.Migrations == 0 {
 		t.Fatal("no migrations fired; the test exercises nothing")
 	}
-	if res.Resplits == 0 {
-		t.Fatal("no re-split fired; the test exercises nothing")
-	}
-	if len(res.Windows) != 4 {
-		t.Fatalf("one re-split of a 3-window ladder must leave 4 windows, got %d", len(res.Windows))
+	if len(res.Windows) != 3 {
+		t.Fatalf("the adaptive run must keep the caller's 3-window ladder, got %d windows", len(res.Windows))
 	}
 	rms, n, err := dos.RMSLogError(res.DOS, exact)
 	if err != nil {
@@ -88,15 +85,11 @@ func TestAdaptiveMatchesExact(t *testing.T) {
 	if n < 10 || rms > 0.2 {
 		t.Errorf("adaptive RMS = %g over %d bins", rms, n)
 	}
-	if len(res.Events) != res.Migrations+res.Resplits {
-		t.Errorf("%d events recorded for %d migrations + %d resplits",
-			len(res.Events), res.Migrations, res.Resplits)
+	if len(res.Events) != res.Migrations {
+		t.Errorf("%d events recorded for %d migrations", len(res.Events), res.Migrations)
 	}
 	for _, ev := range res.Events {
-		if ev.Kind != "migrate" && ev.Kind != "resplit" {
-			t.Errorf("unknown event kind %q", ev.Kind)
-		}
-		if ev.Round <= 0 || ev.Round%5 != 0 {
+		if ev.Round <= 0 || ev.Round%rebalanceEvery != 0 {
 			t.Errorf("event at round %d, not a rebalance boundary", ev.Round)
 		}
 	}
@@ -157,9 +150,9 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	a, _ := run16(t, adaptiveTestOpts(wanglandau.Options{LnFFinal: 1e-3}))
 	b, _ := run16(t, adaptiveTestOpts(wanglandau.Options{LnFFinal: 1e-3}))
 	requireBitIdentical(t, a.DOS, b.DOS)
-	if a.Rounds != b.Rounds || a.Migrations != b.Migrations || a.Resplits != b.Resplits {
-		t.Fatalf("counters differ: rounds %d/%d migrations %d/%d resplits %d/%d",
-			a.Rounds, b.Rounds, a.Migrations, b.Migrations, a.Resplits, b.Resplits)
+	if a.Rounds != b.Rounds || a.Migrations != b.Migrations {
+		t.Fatalf("counters differ: rounds %d/%d migrations %d/%d",
+			a.Rounds, b.Rounds, a.Migrations, b.Migrations)
 	}
 	if len(a.Events) != len(b.Events) {
 		t.Fatalf("event traces differ in length: %d vs %d", len(a.Events), len(b.Events))
@@ -172,9 +165,9 @@ func TestAdaptiveDeterministic(t *testing.T) {
 }
 
 // TestAdaptiveCheckpointResumeMatchesUninterrupted: interrupting after the
-// controller has already migrated and re-split, then resuming, must replay
-// the identical trajectory — layout changes and all adaptive decisions are
-// captured by (or derivable from) the checkpoint.
+// controller has already migrated, then resuming, must replay the identical
+// trajectory — ragged walker slices and all adaptive decisions are captured
+// by (or derivable from) the checkpoint.
 func TestAdaptiveCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	wl := wanglandau.Options{LnFFinal: 1e-3}
 	mk := func(dir string) Options {
@@ -188,9 +181,8 @@ func TestAdaptiveCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if !ref.AllConverged {
 		t.Fatal("reference run did not converge")
 	}
-	if ref.Migrations == 0 || ref.Resplits == 0 {
-		t.Fatalf("premise broken: reference run had %d migrations, %d resplits",
-			ref.Migrations, ref.Resplits)
+	if ref.Migrations == 0 {
+		t.Fatal("premise broken: reference run had no migrations")
 	}
 	// Interrupt after the first rebalance that actually rebalanced.
 	stop := 0
@@ -233,9 +225,8 @@ func TestAdaptiveCheckpointResumeMatchesUninterrupted(t *testing.T) {
 		t.Errorf("exchange counters differ: %d/%d vs %d/%d",
 			ref.ExchangeAccept, ref.ExchangeTried, resumed.ExchangeAccept, resumed.ExchangeTried)
 	}
-	if ref.Migrations != resumed.Migrations || ref.Resplits != resumed.Resplits {
-		t.Errorf("adaptive counters differ: %d/%d vs %d/%d",
-			ref.Migrations, ref.Resplits, resumed.Migrations, resumed.Resplits)
+	if ref.Migrations != resumed.Migrations {
+		t.Errorf("migrations differ: %d vs %d", ref.Migrations, resumed.Migrations)
 	}
 	if len(ref.Events) != len(resumed.Events) {
 		t.Fatalf("event traces differ in length: %d vs %d", len(ref.Events), len(resumed.Events))
@@ -251,8 +242,9 @@ func TestAdaptiveCheckpointResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestCheckpointScheduleMismatchRejected: a checkpoint written under one
-// ln f schedule or adaptive setting must not silently resume under
-// another — the trajectories would diverge from the recorded state.
+// ln f schedule, adaptive setting or window ladder must not silently
+// resume under another — the trajectories would diverge from the recorded
+// state.
 func TestCheckpointScheduleMismatchRejected(t *testing.T) {
 	m, exact := exact16(t)
 	wins, err := SplitWindows(exact.EMin, exact.EMax(), 3, 0.75, exact.BinWidth)
@@ -289,6 +281,28 @@ func TestCheckpointScheduleMismatchRejected(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "Adaptive") {
 		t.Errorf("Adaptive mismatch error unhelpful: %v", err)
 	}
+
+	// An adaptive run's ragged walker slices do not loosen the ladder
+	// check: overlap 0.5 spans the same energies as 0.75 in other windows.
+	adDir := t.TempDir()
+	adOpts := adaptiveTestOpts(wanglandau.Options{LnFFinal: 1e-3})
+	adOpts.MaxRounds, adOpts.CheckpointDir, adOpts.CheckpointEvery = 4, adDir, 2
+	if _, err := Run(m, seed, wins, factory, adOpts); err != nil {
+		t.Fatal(err)
+	}
+	half, err := SplitWindows(exact.EMin, exact.EMax(), 3, 0.5, exact.BinWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half[0].EMin != wins[0].EMin || half[2].EMax != wins[2].EMax || half[0] == wins[0] {
+		t.Fatalf("premise broken: ladders %v and %v must differ inside the same end points", wins, half)
+	}
+	adOpts.Resume = true
+	if _, err := Run(m, seed, half, factory, adOpts); err == nil {
+		t.Error("adaptive resume on a different ladder accepted")
+	} else if !strings.Contains(err.Error(), "window") {
+		t.Errorf("ladder mismatch error does not name the window: %v", err)
+	}
 }
 
 // TestAdaptiveOneOverTConverges: the 1/t schedule threaded through the
@@ -313,16 +327,16 @@ func TestAdaptiveOneOverTConverges(t *testing.T) {
 // TestAdaptiveOffBitIdentity: with the adaptive block disabled, the new
 // driver must retrace the pre-adaptive trajectory exactly — the golden
 // contract that lets every existing trace test stand unchanged. Two runs
-// with identical options, one mentioning the (disabled) adaptive options
-// explicitly, must agree bit for bit.
+// with identical options, one mentioning the disabled adaptive options
+// explicitly, must agree bit for bit; so must an enabled controller cut
+// off before its first rebalance round, since telemetry draws nothing.
 func TestAdaptiveOffBitIdentity(t *testing.T) {
 	wl := wanglandau.Options{LnFFinal: 1e-3}
 	plain, err := runWithOpts(t, Options{Seed: 10, WL: wl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := runWithOpts(t, Options{Seed: 10, WL: wl,
-		Adaptive: AdaptiveOptions{Enabled: false, RebalanceEvery: 3, Resplit: true}})
+	explicit, err := runWithOpts(t, Options{Seed: 10, WL: wl, Adaptive: AdaptiveOptions{Enabled: false}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,5 +347,21 @@ func TestAdaptiveOffBitIdentity(t *testing.T) {
 	}
 	if plain.Migrations != 0 || explicit.Migrations != 0 || len(explicit.Events) != 0 {
 		t.Error("disabled adaptive run reported adaptive activity")
+	}
+
+	short := Options{Seed: 10, WL: wl, MaxRounds: rebalanceEvery - 1}
+	off, err := runWithOpts(t, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short.Adaptive.Enabled = true
+	on, err := runWithOpts(t, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, off.DOS, on.DOS)
+	if off.TotalSweeps != on.TotalSweeps || len(on.Events) != 0 {
+		t.Errorf("controller acted before its first rebalance round: sweeps %d/%d, %d events",
+			off.TotalSweeps, on.TotalSweeps, len(on.Events))
 	}
 }

@@ -5,18 +5,19 @@ package rewl
 // manifest.go for the retention and checksum machinery); rank 0's files
 // additionally carry the coordination state (coordinator RNG position, the
 // global alive mask, frozen consensus of degraded windows, replica flow,
-// counters, and the adaptive controller's layout and decision trace). All
-// live ranks write in the same round, so each round's file set is a
-// consistent world snapshot, and a world of one writes the same layout as a
-// world of N. On resume the leader gathers every rank's verifiable rounds,
-// picks the newest round all of them hold, and the world restores that
-// snapshot bit-identically; ranks whose newest rounds are corrupt or
+// counters, and the adaptive controller's walker bookkeeping and decision
+// trace). All live ranks write in the same round, so each round's file set
+// is a consistent world snapshot, and a world of one writes the same layout
+// as a world of N. On resume the leader gathers every rank's verifiable
+// rounds, picks the newest round all of them hold, and the world restores
+// that snapshot bit-identically; ranks whose newest rounds are corrupt or
 // lagging simply pull the negotiated round back — nothing aborts.
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/rng"
@@ -53,14 +54,13 @@ type distCoordState struct {
 	FailedWalkers  int
 
 	// Adaptive marks a run with the rebalancing controller enabled: the
-	// checkpoint's window layout (after re-splits) and walker slices (after
-	// migrations) are authoritative over the caller's.
+	// checkpoint's walker slices (after migrations) are authoritative over
+	// the caller's walker count.
 	Adaptive      bool
 	Gen           int // migrant generation counter
 	Retired       []int
 	RetiredSweeps []int64
 	Migrations    int
-	Resplits      int
 	Events        []MigrationEvent
 }
 
@@ -122,6 +122,9 @@ func (ck *distCheckpoint) wellFormed(rank, size int) error {
 		if len(cs.ReplicaID[wi]) != len(cs.AliveG[wi]) || (wi < hi && len(cs.AliveG[wi]) != len(ck.Alive[wi])) {
 			return fmt.Errorf("rewl: leader checkpoint window %d walker arrays inconsistent", wi)
 		}
+		if n := len(cs.FrozenLogG[wi]); n != 0 && n != ck.Windows[wi].Bins {
+			return fmt.Errorf("rewl: leader checkpoint window %d frozen ln g has %d bins, window has %d", wi, n, ck.Windows[wi].Bins)
+		}
 		for _, id := range cs.ReplicaID[wi] {
 			if id < 0 || id >= len(cs.LastExtreme) {
 				return fmt.Errorf("rewl: leader checkpoint window %d carries unknown replica %d", wi, id)
@@ -144,17 +147,6 @@ func (ck *distCheckpoint) matchesRun(windows []wanglandau.Window, opts Options) 
 	if ck.NWalk != opts.WalkersPerWindow {
 		return fmt.Errorf("rewl: checkpoint is for %d walkers per window, run has %d", ck.NWalk, opts.WalkersPerWindow)
 	}
-	if opts.Adaptive.Enabled {
-		// Re-splits and migrations reshape an adaptive run's ladder; only
-		// the covered energy range must still be the caller's.
-		if a, b := ck.Windows[0].EMin, windows[0].EMin; a != b {
-			return fmt.Errorf("rewl: checkpoint ladder starts at %g, run's at %g", a, b)
-		}
-		if a, b := ck.Windows[len(ck.Windows)-1].EMax, windows[len(windows)-1].EMax; a != b {
-			return fmt.Errorf("rewl: checkpoint ladder ends at %g, run's at %g", a, b)
-		}
-		return nil
-	}
 	if len(ck.Windows) != len(windows) {
 		return fmt.Errorf("rewl: checkpoint is for %d windows, run has %d", len(ck.Windows), len(windows))
 	}
@@ -164,6 +156,10 @@ func (ck *distCheckpoint) matchesRun(windows []wanglandau.Window, opts Options) 
 				i, ck.Windows[i].EMin, ck.Windows[i].EMax, ck.Windows[i].Bins,
 				windows[i].EMin, windows[i].EMax, windows[i].Bins)
 		}
+	}
+	if opts.Adaptive.Enabled {
+		// Migration leaves an adaptive run's walker slices ragged.
+		return nil
 	}
 	for i := range ck.Alive {
 		if len(ck.Alive[i]) != ck.NWalk {
@@ -223,15 +219,14 @@ func (o *ownerState) saveDistCheckpoint(nextRound, rank, size int, coord *distCo
 	return writeDistRound(o.opts.CheckpointDir, rank, nextRound, o.opts.CheckpointRetain, buf.Bytes())
 }
 
-// restoreOwnerState rebuilds a rank's walkers from its checkpoint, on the
-// checkpoint's own ladder (the caller's, unless the adaptive controller
-// reshaped it).
+// restoreOwnerState rebuilds a rank's walkers from its checkpoint on the
+// caller's ladder, which matchesRun has checked is the checkpoint's.
 func restoreOwnerState(m *alloy.Model, windows []wanglandau.Window, newProposal ProposalFactory, opts Options, ck *distCheckpoint) (*ownerState, error) {
 	if err := ck.matchesRun(windows, opts); err != nil {
 		return nil, err
 	}
-	lo, hi := winRange(len(ck.Windows), ck.Size, ck.Rank)
-	o := &ownerState{opts: opts, windows: ck.Windows, lo: lo, alive: ck.Alive}
+	lo, hi := winRange(len(windows), ck.Size, ck.Rank)
+	o := &ownerState{opts: opts, windows: windows, lo: lo, alive: ck.Alive}
 	// Proposal factories may consume RNG draws at construction (the VAE
 	// global proposal clones network weights, re-running initialization);
 	// feed them a throwaway stream, then RestoreWalker rewinds each
@@ -244,7 +239,15 @@ func restoreOwnerState(m *alloy.Model, windows []wanglandau.Window, newProposal 
 			if !o.alive[wi-lo][k] {
 				continue
 			}
-			w, err := wanglandau.RestoreWalker(m, newProposal(wi, k, throwaway), rng.New(1), ck.Walkers[wi-lo][k], opts.WL)
+			st := ck.Walkers[wi-lo][k]
+			if !sameGrid(st.Window, windows[wi]) {
+				return nil, fmt.Errorf("rewl: checkpoint window %d walker %d is on [%g,%g)×%d, not its window",
+					wi, k, st.Window.EMin, st.Window.EMax, st.Window.Bins)
+			}
+			// Rebuild on the ladder's own window, so the restored bin grid
+			// is the one a fresh walker there gets, bit for bit.
+			st.Window = windows[wi]
+			w, err := wanglandau.RestoreWalker(m, newProposal(wi, k, throwaway), rng.New(1), st, opts.WL)
 			if err != nil {
 				return nil, fmt.Errorf("rewl: restoring window %d walker %d: %w", wi, k, err)
 			}
@@ -253,6 +256,13 @@ func restoreOwnerState(m *alloy.Model, windows []wanglandau.Window, newProposal 
 		o.walkers = append(o.walkers, ws)
 	}
 	return o, nil
+}
+
+// sameGrid reports whether a walker state's window is win. A walker
+// reports its upper edge rebuilt from its bin width, so that edge may
+// differ from win.EMax in the last bits.
+func sameGrid(st, win wanglandau.Window) bool {
+	return st.EMin == win.EMin && st.Bins == win.Bins && math.Abs(st.EMax-win.EMax) <= 1e-9*(win.EMax-win.EMin)
 }
 
 // coordState snapshots the leader's coordination state for its checkpoint.
@@ -276,20 +286,16 @@ func (L *distLeader) coordState() *distCoordState {
 		Retired:        L.retired,
 		RetiredSweeps:  L.retiredSweeps,
 		Migrations:     L.res.Migrations,
-		Resplits:       L.res.Resplits,
 		Events:         L.res.Events,
 	}
 }
 
-// restoreCoord installs a checkpoint's coordination state — and its window
-// ladder, which the leader's restored ownerState already stands on.
+// restoreCoord installs a checkpoint's coordination state.
 func (L *distLeader) restoreCoord(ck *distCheckpoint) error {
 	if !ck.HasCoord {
 		return fmt.Errorf("rewl: leader checkpoint lacks coordination state")
 	}
 	cs := ck.Coord
-	L.windows = ck.Windows
-	L.owner = ownership(len(L.windows), L.size)
 	L.coord = rng.FromState(cs.Coord)
 	L.aliveG = cs.AliveG
 	L.frozenG = cs.FrozenLogG
@@ -305,7 +311,6 @@ func (L *distLeader) restoreCoord(ck *distCheckpoint) error {
 	L.res.RoundTrips = cs.RoundTrips
 	L.res.FailedWalkers = cs.FailedWalkers
 	L.res.Migrations = cs.Migrations
-	L.res.Resplits = cs.Resplits
 	L.res.Events = cs.Events
 	return nil
 }

@@ -150,9 +150,9 @@ func RunDistributed(ctx context.Context, ep transport.Endpoint, m *alloy.Model, 
 	}
 	size := ep.Size()
 	if opts.Adaptive.Enabled && size > 1 {
-		// Walker migration and window re-splitting reshape the layout and
-		// read walker histograms directly; the rank↔window protocol has no
-		// moves for that. 1/t (Options.OneOverT) works at every world size.
+		// Walker migration reshapes walker slices and reads walker
+		// histograms directly; the rank↔window protocol has no moves for
+		// that. 1/t (Options.OneOverT) works at every world size.
 		return nil, fmt.Errorf("rewl: adaptive rebalancing requires every window on rank 0 (world size 1, got %d)", size)
 	}
 	if size > len(windows) {
@@ -480,13 +480,10 @@ type walkerReport struct {
 }
 
 type distLeader struct {
-	ep   transport.Endpoint
-	o    *ownerState // rank 0's own windows
-	opts Options
-	// windows is the current ladder. It is the caller's until the adaptive
-	// controller re-splits a window or a resumed adaptive run installs its
-	// checkpointed layout; o.windows always aliases it.
-	windows []wanglandau.Window
+	ep      transport.Endpoint
+	o       *ownerState // rank 0's own windows
+	opts    Options
+	windows []wanglandau.Window // the caller's ladder, fixed for the run
 	size    int
 	owner   []int // owning rank per window
 	logf    func(format string, args ...any)
@@ -539,13 +536,15 @@ func ownership(nWin, size int) []int {
 	return owner
 }
 
-func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
+// newDistLeader builds rank 0's coordinator before any walker exists;
+// rollbackLeader then builds or restores the walkers and the coordination
+// state.
+func newDistLeader(ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) *distLeader {
 	size := ep.Size()
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-
 	rejoiner, canRejoin := ep.(transport.Rejoinable)
 	L := &distLeader{
 		ep:          ep,
@@ -560,11 +559,19 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		elastic:     canRejoin && opts.CheckpointDir != "" && opts.RejoinWait > 0,
 		rejoiner:    rejoiner,
 		rankAlive:   make([]bool, size),
+		reported:    make([][]walkerReport, len(windows)),
+		prevSweeps:  make([]int64, len(windows)),
 		res:         &Result{},
 	}
 	for r := range L.rankAlive {
 		L.rankAlive[r] = true
 	}
+	return L
+}
+
+func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
+	L := newDistLeader(ep, m, seedCfg, windows, newProposal, opts)
+	size, logf := L.size, L.logf
 
 	// Resume handshake: gather every rank's verifiable checkpoint rounds
 	// and negotiate the newest round all of them hold. A mixed or partly
@@ -734,8 +741,8 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		// Adaptive rebalancing at the round barrier: purely a function of
 		// state that checkpoints capture, so a resumed run replays the same
 		// decisions. It runs before the checkpoint below, which therefore
-		// records the post-rebalance layout.
-		if opts.Adaptive.Enabled && !allDone && (round+1)%opts.Adaptive.RebalanceEvery == 0 {
+		// records the post-rebalance walker population.
+		if opts.Adaptive.Enabled && !allDone && (round+1)%rebalanceEvery == 0 {
 			if err := L.adapt(round + 1); err != nil {
 				return nil, err
 			}
@@ -988,9 +995,6 @@ func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
 // view. Returns false on a malformed report (treated as a dead rank).
 func (L *distLeader) parseReport(r int, msg []float64) bool {
 	lo, hi := winRange(len(L.windows), L.size, r)
-	if len(L.reported) != len(L.windows) {
-		L.reported = make([][]walkerReport, len(L.windows))
-	}
 	p := 0
 	for wi := lo; wi < hi; wi++ {
 		n, bins := len(L.aliveG[wi]), L.windows[wi].Bins

@@ -78,12 +78,12 @@ type Options struct {
 	OneOverT bool
 
 	// Adaptive configures the adaptive parallelisation layer: per-round
-	// convergence telemetry, deterministic walker rebalancing from
-	// converged/fast windows into stragglers, and optional dynamic
-	// re-splitting of the slowest window. Zero value disables the layer
-	// entirely, preserving the static trajectory bit-for-bit. The
-	// controller reads walker histograms directly, so it requires every
-	// window on rank 0: a world of more than one rank rejects it.
+	// convergence telemetry and deterministic walker rebalancing from
+	// converged/fast windows into stragglers, on the caller's window
+	// ladder. Zero value disables the layer entirely, preserving the
+	// static trajectory bit-for-bit. The controller reads walker
+	// histograms directly, so it requires every window on rank 0: a world
+	// of more than one rank rejects it.
 	Adaptive AdaptiveOptions
 
 	// CheckpointDir enables checkpoint/restart: every CheckpointEvery
@@ -148,14 +148,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.OneOverT {
 		o.WL.OneOverT = true
-	}
-	o.Adaptive.setDefaults()
-	if o.Adaptive.Enabled && o.WL.MinCoverage == 0 && o.Adaptive.MinCoverage > 0 {
-		// When the caller opts into the coverage gate at the adaptive
-		// layer, forward it to every walker so the flatness telemetry the
-		// controller acts on cannot report a sliver-covered histogram as
-		// flat. An explicit wanglandau-level setting wins.
-		o.WL.MinCoverage = o.Adaptive.MinCoverage
 	}
 }
 
@@ -295,14 +287,12 @@ type Result struct {
 	// rank's windows.
 	Rejoins int
 	// Telemetry is the final per-window convergence snapshot, collected at
-	// the exchange-round barrier every round (windows follow the final
-	// layout, i.e. post-resplit indices, when adaptive re-splitting ran).
+	// the exchange-round barrier every round.
 	Telemetry []WindowTelemetry
-	// Migrations and Resplits count the adaptive controller's actions;
+	// Migrations counts the adaptive controller's walker migrations;
 	// Events is its full decision trace, deterministic under a fixed seed
 	// and reproduced bit-identically across checkpoint/resume.
 	Migrations int
-	Resplits   int
 	Events     []MigrationEvent
 }
 

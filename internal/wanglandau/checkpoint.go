@@ -63,6 +63,14 @@ func RestoreWalker(m *alloy.Model, prop mc.Proposal, src *rng.Source, st WalkerS
 		return nil, fmt.Errorf("wanglandau: checkpoint arrays (%d/%d/%d bins) disagree with window (%d bins)",
 			len(st.LogG), len(st.Hist), len(st.Visited), st.Window.Bins)
 	}
+	if n := m.Lattice().NumSites(); len(st.Sampler.Cfg) != n {
+		return nil, fmt.Errorf("wanglandau: checkpointed configuration has %d sites, lattice has %d", len(st.Sampler.Cfg), n)
+	}
+	for site, sp := range st.Sampler.Cfg {
+		if int(sp) >= m.NumSpecies() {
+			return nil, fmt.Errorf("wanglandau: checkpointed site %d holds species %d of %d", site, sp, m.NumSpecies())
+		}
+	}
 	w, err := newWalker(m, len(st.Sampler.Cfg), prop, src, st.Window, opts)
 	if err != nil {
 		return nil, err
