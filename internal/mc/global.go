@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"fmt"
+
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
@@ -107,13 +109,15 @@ type GlobalProposal struct {
 	// the constructor and reused, so a steady-state Propose performs zero
 	// heap allocations. probsRev is the only lazily allocated buffer — it
 	// exists only for state-dependent conditioning (SetConditionFunc).
-	order          []int          // site-visiting permutation
-	cand           lattice.Config // decoded candidate
-	probsFwd       [][]float64    // forward decode, flat-backed
-	probsRev       [][]float64    // second decode under the candidate's condition
-	muX, lvX       []float64      // encoder posterior of the current state
-	muC, lvC       []float64      // encoder posterior of the candidate
-	remFwd, remRev []float64      // quota bookkeeping for constrained sampling
+	order    []int          // site-visiting permutation
+	cand     lattice.Config // decoded candidate
+	probsFwd [][]float64    // forward decode, flat-backed
+	probsRev [][]float64    // second decode under the candidate's condition
+	muX, lvX []float64      // encoder posterior of the current state
+	muC, lvC []float64      // encoder posterior of the candidate
+	// Constrained-sampling scratch of the forward and reverse densities:
+	// the remaining quota, then one log argument per visited site.
+	fwdScratch, revScratch []float64
 
 	// Encoder-posterior cache. The posterior is a deterministic function of
 	// (configuration, condition), and after Accept/Reject the next move's
@@ -151,11 +155,23 @@ func NewGlobalProposal(model *vae.Model, ham *alloy.Model, quota []int, cond flo
 // own goroutine over the weights every client of the engine shares. The
 // backend must be exclusively this walker's (clients are single-goroutine
 // handles; models are per-walker replicas).
+//
+// It panics unless quota holds one non-negative count per species of the
+// model, summing to its sites: Propose relies on that.
 func NewGlobalProposalWith(model Inferencer, ham *alloy.Model, quota []int, cond float64) *GlobalProposal {
-	q := make([]int, len(quota))
-	copy(q, quota)
 	vc := model.Config()
 	n, k, l := vc.Sites, vc.Species, vc.Latent
+	total := 0
+	valid := len(quota) == k
+	for _, c := range quota {
+		valid = valid && c >= 0
+		total += c
+	}
+	if !valid || total != n {
+		panic(fmt.Sprintf("mc: quota %v does not fit the model: want %d non-negative counts summing to its %d sites", quota, k, n))
+	}
+	q := make([]int, len(quota))
+	copy(q, quota)
 	return &GlobalProposal{
 		model: model, ham: ham, cond: cond, quota: q, mode: WalkPosterior,
 		z:           make([]float64, l),
@@ -168,8 +184,8 @@ func NewGlobalProposalWith(model Inferencer, ham *alloy.Model, quota []int, cond
 		lvX:         make([]float64, l),
 		muC:         make([]float64, l),
 		lvC:         make([]float64, l),
-		remFwd:      make([]float64, len(q)),
-		remRev:      make([]float64, len(q)),
+		fwdScratch:  make([]float64, k+n),
+		revScratch:  make([]float64, k+n),
 		encCacheCfg: make(lattice.Config, n),
 		encCacheMu:  make([]float64, l),
 		encCacheLv:  make([]float64, l),
@@ -279,9 +295,9 @@ func (p *GlobalProposal) Propose(cfg lattice.Config, curE float64, src *rng.Sour
 	var err error
 	fused := p.condFunc == nil
 	if fused {
-		cand, logFwd, revCfg, err = vae.SampleAndReverse(p.probsFwd, p.quota, order, p.backup, src, p.cand, p.remFwd, p.remRev)
+		cand, logFwd, revCfg, err = vae.SampleAndReverse(p.probsFwd, p.quota, order, p.backup, src, p.cand, p.fwdScratch, p.revScratch)
 	} else {
-		cand, logFwd, err = vae.SampleConstrainedInto(p.probsFwd, p.quota, order, src, p.cand, p.remFwd)
+		cand, logFwd, err = vae.SampleConstrainedInto(p.probsFwd, p.quota, order, src, p.cand, p.fwdScratch)
 	}
 	if err != nil {
 		panic(err) // quota was validated at construction
@@ -307,7 +323,7 @@ func (p *GlobalProposal) Propose(cfg lattice.Config, curE float64, src *rng.Sour
 			p.probsRev = p.model.DecodeProbsInto(p.z, condC, p.probsRev)
 			probsRev = p.probsRev
 		}
-		revCfg, err = vae.LogProbConstrainedInto(probsRev, p.backup, p.quota, order, p.remRev)
+		revCfg, err = vae.LogProbConstrainedInto(probsRev, p.backup, p.quota, order, p.revScratch)
 		if err != nil {
 			panic(err) // sizes are fixed at construction; mismatch is a bug
 		}

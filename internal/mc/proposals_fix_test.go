@@ -1,13 +1,16 @@
 package mc
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/dos"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
+	"deepthermo/internal/vae"
 )
 
 // configKey packs a small configuration into a comparable string.
@@ -118,4 +121,41 @@ func TestKSwapAvoidsIdentitySwaps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGlobalProposalRejectsUnusableQuota is the regression test for a
+// quota the constructor copied without checking: one that sums short of
+// the sites panicked at the first Propose, one with a count per species
+// too many indexed past the decoder's probabilities, and one with a
+// species too few was accepted and every move it made was rejected. Each
+// must now panic at construction, naming the quota.
+func TestGlobalProposalRejectsUnusableQuota(t *testing.T) {
+	lat := lattice.MustNew(lattice.BCC, 2, 2, 2)
+	m := alloy.NbMoTaW(lat)
+	model, err := vae.New(vae.Config{Sites: 16, Species: 4, Latent: 2, Hidden: 8}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		quota []int
+		want  string
+	}{
+		{[]int{4, 4, 4, 3}, "[4 4 4 3]"},
+		{[]int{4, 4, 4, 2, 2}, "[4 4 4 2 2]"},
+		{[]int{4, 4, 8}, "[4 4 8]"},
+		{[]int{4, 4, 9, -1}, "[4 4 9 -1]"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("quota %v: constructed, want a panic", tc.quota)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Errorf("quota %v: panic %q does not name the quota", tc.quota, msg)
+				}
+			}()
+			NewGlobalProposal(model, m, tc.quota, 0.5)
+		}()
+	}
+	NewGlobalProposal(model, m, []int{4, 4, 4, 4}, 0.5) // a valid quota still constructs
 }

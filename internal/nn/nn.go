@@ -197,13 +197,9 @@ func (a *Activation) Forward(x *tensor.Matrix) *tensor.Matrix {
 	y := tensor.Ensure(a.lastOut, x.Rows, x.Cols)
 	switch a.Kind {
 	case Tanh:
-		// Direct loop instead of tensor.Apply: passing math.Tanh as a func
-		// value forces an indirect call per element on the inference hot
-		// path. Same math.Tanh per element, bit-identical results.
-		yd, xd := y.Data, x.Data[:len(y.Data)]
-		for i, v := range xd {
-			yd[i] = math.Tanh(v)
-		}
+		// math.Tanh per element, bit for bit, four lanes at a time where
+		// the CPU has AVX2 and FMA.
+		tensor.Tanh(y.Data, x.Data[:len(y.Data)])
 	case ReLU:
 		tensor.Apply(y, x, func(v float64) float64 {
 			if v > 0 {

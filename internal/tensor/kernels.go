@@ -1,7 +1,9 @@
 package tensor
 
-// The kernel layer: five primitives through which every matmul driver in
-// this package, and Axpy/Scale, reach memory.
+import "math"
+
+// The kernel layer: eight primitives through which every matmul driver in
+// this package, Axpy/Scale and the elementwise Exp/Log/Tanh reach memory.
 //
 //	saxpy(alpha, x, y)             y[j] += alpha*x[j]
 //	scale(alpha, x, y)             y[j]  = alpha*x[j]
@@ -13,16 +15,23 @@ package tensor
 //	                               t with x[t] != 0, in ascending t, the
 //	                               first assigning (r(t) = rows[t], or t
 //	                               when rows is nil; n = len(dst))
+//	exp(dst, x), log(dst, x), tanh(dst, x)
+//	                               dst[j] = math.Exp(x[j]), math.Log(x[j]),
+//	                               math.Tanh(x[j]); dst may be x
 //
 // This file holds their portable Go bodies, which define the semantics:
 // one multiply, then one add, per element per call (rowMul: per element
-// per contributing t). On amd64 with AVX2 (kernels_amd64.go,
-// kernels_amd64.s) each primitive has an assembler body that performs the
+// per contributing t), and for the last three the Go math package of the
+// build itself. On amd64 with AVX2 (kernels_amd64.go, kernels_amd64.s)
+// each of the first five has an assembler body that performs the
 // identical multiply and the identical add on every element — vector
 // lanes are independent output elements, never partial sums of one — so
 // either body yields the same bits (DESIGN.md, "Bit-identity discipline").
-// Elsewhere, and under the purego build tag, the primitives are these
-// bodies (kernels_noasm.go).
+// With FMA too, exp, log and tanh have assembler bodies that replay the
+// instruction sequence of math's own amd64 code four lanes at a time, and
+// hand any lane off that code's fast path back to math. Elsewhere, and
+// under the purego build tag, the primitives are these bodies
+// (kernels_noasm.go).
 
 // saxpyGo computes y += alpha*x with a 4-way unroll. Each y[j] receives
 // the same single multiply and single add per call as the naive loop, so
@@ -187,5 +196,27 @@ func rowMulGo(dst, x []float64, rows []int, w []float64) {
 	}
 	if first {
 		clear(dst)
+	}
+}
+
+// expGo, logGo and tanhGo are the math package, element by element.
+func expGo(dst, x []float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = math.Exp(v)
+	}
+}
+
+func logGo(dst, x []float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = math.Log(v)
+	}
+}
+
+func tanhGo(dst, x []float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = math.Tanh(v)
 	}
 }

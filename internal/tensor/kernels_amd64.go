@@ -7,6 +7,17 @@ package tensor
 // the portable bodies, exactly as on other architectures.
 var useAVX2 = detectAVX2()
 
+// useFMA selects the transcendental bodies: AVX2 for the vector integer
+// steps, and FMA, which is what makes math.Exp take the fused path they
+// replay (math's own test is AVX && FMA, both implied here).
+var useFMA = useAVX2 && detectFMA()
+
+func detectFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -37,7 +48,8 @@ func xgetbv() (eax, edx uint32)
 // at a time — at most 11 rows × n·k multiply-adds at about 10 per ns,
 // 10 µs at the model's 96×96 and 0.3 ms at 512×512 — and rowMul calls
 // rowMulAVX2 one column tile at a time, at most 48·k multiply-adds
-// (0.5 µs at k = 96).
+// (0.5 µs at k = 96). exp, log and tanh hand the assembler at most
+// mathChunk elements a call.
 
 //go:noescape
 func saxpyAVX2(alpha float64, x, y []float64)
@@ -60,6 +72,20 @@ func mulTransBAVX2(dst, a, b []float64, rows, n, k int)
 //
 //go:noescape
 func rowMulAVX2(dst, x []float64, rows []int, w []float64, stride int)
+
+// expAVX2, logAVX2 and tanhAVX2 write dst[j] = f(x[j]) for whole groups
+// of four (len(x) a multiple of four) and return how many elements they
+// wrote: all of them, or up to the first group with a lane outside the
+// replay's fast path, which they leave unwritten.
+//
+//go:noescape
+func expAVX2(dst, x []float64) int
+
+//go:noescape
+func logAVX2(dst, x []float64) int
+
+//go:noescape
+func tanhAVX2(dst, x []float64) int
 
 // mulTransBBand is how many rows mulTransB hands the assembler at a time.
 // Banding costs nothing measurable: 32×96·96ᵀ runs in 25 µs (best of six
@@ -166,5 +192,65 @@ func rowMul(dst, x []float64, rows []int, w []float64) {
 		}
 		rowMulAVX2(dst[j:j+width], x, rows, w[j:], n)
 		j += width
+	}
+}
+
+// mathChunk bounds the elements one transcendental assembler call covers:
+// 512 tanh take about 3 µs.
+const mathChunk = 512
+
+func exp(dst, x []float64)  { vmath(opExp, dst, x) }
+func log(dst, x []float64)  { vmath(opLog, dst, x) }
+func tanh(dst, x []float64) { vmath(opTanh, dst, x) }
+
+type mathOp int
+
+const (
+	opExp mathOp = iota
+	opLog
+	opTanh
+)
+
+// vmath runs op's assembler body over x's whole groups of four, at most
+// mathChunk elements a call. A group the body refuses, and a tail of
+// fewer than four, go to the portable body. op is a constant, not a func
+// value, so dst and x do not escape.
+func vmath(op mathOp, dst, x []float64) {
+	if !useFMA {
+		op.portable(dst, x)
+		return
+	}
+	dst = dst[:len(x)]
+	i := 0
+	for n4 := len(x) &^ 3; i < n4; {
+		end := min(i+mathChunk, n4)
+		i += op.avx2(dst[i:end], x[i:end])
+		if i < end {
+			op.portable(dst[i:i+4], x[i:i+4])
+			i += 4
+		}
+	}
+	op.portable(dst[i:], x[i:])
+}
+
+func (op mathOp) avx2(dst, x []float64) int {
+	switch op {
+	case opExp:
+		return expAVX2(dst, x)
+	case opLog:
+		return logAVX2(dst, x)
+	default:
+		return tanhAVX2(dst, x)
+	}
+}
+
+func (op mathOp) portable(dst, x []float64) {
+	switch op {
+	case opExp:
+		expGo(dst, x)
+	case opLog:
+		logGo(dst, x)
+	default:
+		tanhGo(dst, x)
 	}
 }

@@ -2,11 +2,13 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the five tensor primitives (kernels.go). The rules that
+// AVX2 bodies of the eight tensor primitives (kernels.go). The rules that
 // keep them bit-identical to the portable Go loops:
 //
 //   - a product is VMULPD/VMULSD and a sum is VADDPD/VADDSD, each rounded
-//     on its own as the compiler's MULSD/ADDSD are — never FMA;
+//     on its own as the compiler's MULSD/ADDSD are — never FMA, except
+//     where exp replays the fused multiply-adds of math.Exp's own amd64
+//     body (see the transcendental bodies at the end of this file);
 //   - a vector lane is one output element; no lane ever holds a partial
 //     sum of another element, and nothing is summed across lanes;
 //   - within one output element the k order is the Go loop's.
@@ -530,4 +532,273 @@ rm_storev:
 
 rm_done:
 	VZEROUPPER
+	RET
+
+// The transcendental bodies below replay Go's amd64 math package four
+// lanes at a time: exp is archExp's AVX+FMA path (exp_amd64.s), log is
+// archLog (log_amd64.s), and tanh is math.tanh (tanh.go), whose exp is
+// that same replay. Each fused multiply-add sits exactly where archExp
+// has one and nowhere else; every other product, sum and quotient is one
+// rounded VMULPD, VADDPD/VSUBPD or VDIVPD, as in the scalar code. A group
+// of four that holds a lane outside the fast path is not stored: the body
+// returns the index of that group, and the Go wrapper computes the group
+// with the math package and calls again past it. Each constant is stored
+// four times, so it can be a 256-bit memory operand.
+
+#define VCONST(sym, v) \
+	DATA sym+0(SB)/8, v; \
+	DATA sym+8(SB)/8, v; \
+	DATA sym+16(SB)/8, v; \
+	DATA sym+24(SB)/8, v; \
+	GLOBL sym(SB), RODATA|NOPTR, $32
+
+VCONST(vmAbs<>, $0x7fffffffffffffff)
+VCONST(vmSign<>, $0x8000000000000000)
+VCONST(vmHalf<>, $0.5)
+VCONST(vmOne<>, $1.0)
+VCONST(vmTwo<>, $2.0)
+
+// exp_amd64.s: the constants and the Taylor coefficients of exprodata.
+VCONST(vmExpBound<>, $708.0)
+VCONST(vmLog2E<>, $1.4426950408889634073599246810018920)
+VCONST(vmLn2U<>, $0.69314718055966295651160180568695068359375)
+VCONST(vmLn2L<>, $0.28235290563031577122588448175013436025525412068e-12)
+VCONST(vmSixteenth<>, $0.0625)
+VCONST(vmE3<>, $1.6666666666666666667e-1)
+VCONST(vmE4<>, $4.1666666666666666667e-2)
+VCONST(vmE5<>, $8.3333333333333333333e-3)
+VCONST(vmE6<>, $1.3888888888888888889e-3)
+VCONST(vmE7<>, $1.9841269841269841270e-4)
+VCONST(vmE8<>, $2.4801587301587301587e-5)
+// 2^52 + 1023: added to an integral k, its low bits are k's biased exponent.
+VCONST(vmExpBias<>, $4503599627371519.0)
+
+// log_amd64.s.
+VCONST(vmMinNormal<>, $0x0010000000000000)
+VCONST(vmInf<>, $0x7ff0000000000000)
+VCONST(vmMant<>, $0x000fffffffffffff)
+VCONST(vmHSqrt2<>, $7.07106781186547524401e-01)
+VCONST(vmExpField<>, $0x4330000000000000)
+VCONST(vmExpOffset<>, $4503599627371518.0) // 2^52 + 0x3FE
+VCONST(vmLn2Hi<>, $6.93147180369123816490e-01)
+VCONST(vmLn2Lo<>, $1.90821492927058770002e-10)
+VCONST(vmL1<>, $6.666666666666735130e-01)
+VCONST(vmL2<>, $3.999999999940941908e-01)
+VCONST(vmL3<>, $2.857142874366239149e-01)
+VCONST(vmL4<>, $2.222219843214978396e-01)
+VCONST(vmL5<>, $1.818357216161805012e-01)
+VCONST(vmL6<>, $1.531383769920937332e-01)
+VCONST(vmL7<>, $1.479819860511658591e-01)
+
+// tanh.go: 0.5*MAXLOG as the compiler folds it, the branch point 0.625,
+// and tanhP, tanhQ.
+VCONST(vmTanhBig<>, $0x404601e678fc457b)
+VCONST(vmTanhSmall<>, $0.625)
+VCONST(vmP0<>, $-9.64399179425052238628e-1)
+VCONST(vmP1<>, $-9.92877231001918586564e1)
+VCONST(vmP2<>, $-1.61468768441708447952e3)
+VCONST(vmQ0<>, $1.12811678491632931402e2)
+VCONST(vmQ1<>, $2.23548839060100448583e3)
+VCONST(vmQ2<>, $4.84406305325125486048e3)
+
+// EXP4 overwrites x with archExp(x) in each lane for |x| <= 708, where
+// archExp takes neither its overflow nor its denormal branch; k and p are
+// scratch. The scalar code's X1 is k and then p, its X0 is x.
+#define EXP4(x, k, p, xk) \
+	VMULPD       vmLog2E<>(SB), x, k; \
+	VCVTPD2DQY   k, xk; \
+	VCVTDQ2PD    xk, k; \
+	VFNMADD231PD vmLn2U<>(SB), k, x; \
+	VFNMADD231PD vmLn2L<>(SB), k, x; \
+	VMULPD       vmSixteenth<>(SB), x, x; \
+	VMOVUPD      vmE8<>(SB), p; \
+	VFMADD213PD  vmE7<>(SB), x, p; \
+	VFMADD213PD  vmE6<>(SB), x, p; \
+	VFMADD213PD  vmE5<>(SB), x, p; \
+	VFMADD213PD  vmE4<>(SB), x, p; \
+	VFMADD213PD  vmE3<>(SB), x, p; \
+	VFMADD213PD  vmHalf<>(SB), x, p; \
+	VFMADD213PD  vmOne<>(SB), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       vmTwo<>(SB), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       vmTwo<>(SB), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       vmTwo<>(SB), x, p; \
+	VMULPD       p, x, x; \
+	VADDPD       vmTwo<>(SB), x, p; \
+	VFMADD213PD  vmOne<>(SB), p, x; \
+	VADDPD       vmExpBias<>(SB), k, k; \
+	VPSLLQ       $52, k, k; \
+	VMULPD       k, x, x
+
+// func expAVX2(dst, x []float64) int
+// dst[j] = math.Exp(x[j]) for whole groups of four, len(x) a multiple of
+// four, up to the first group with a lane outside [-708, 708]; returns
+// the number of elements written. dst may be x.
+TEXT ·expAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ AX, AX
+
+exp_loop:
+	CMPQ      AX, CX
+	JGE       exp_done
+	VMOVUPD   (SI)(AX*8), Y0
+	VANDPD    vmAbs<>(SB), Y0, Y1
+	VCMPPD    $2, vmExpBound<>(SB), Y1, Y1 // |x| <= 708; false for NaN
+	VMOVMSKPD Y1, BX
+	CMPQ      BX, $15
+	JNE       exp_done
+	EXP4(Y0, Y1, Y2, X1)
+	VMOVUPD   Y0, (DI)(AX*8)
+	ADDQ      $4, AX
+	JMP       exp_loop
+
+exp_done:
+	VZEROUPPER
+	MOVQ AX, ret+48(FP)
+	RET
+
+// func logAVX2(dst, x []float64) int
+// dst[j] = math.Log(x[j]) for whole groups of four, len(x) a multiple of
+// four, up to the first group with a lane that is not a positive, finite,
+// normal number; returns the number of elements written. dst may be x.
+TEXT ·logAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ AX, AX
+
+log_loop:
+	CMPQ      AX, CX
+	JGE       log_done
+	VMOVUPD   (SI)(AX*8), Y0
+	VCMPPD    $13, vmMinNormal<>(SB), Y0, Y1 // x >= 2^-1022
+	VCMPPD    $1, vmInf<>(SB), Y0, Y2        // x < +Inf
+	VANDPD    Y1, Y2, Y1
+	VMOVMSKPD Y1, BX
+	CMPQ      BX, $15
+	JNE       log_done
+
+	// f1, k := frexp(x): the mantissa with exponent -1, and the biased
+	// exponent less 0x3FE, converted exactly through 2^52.
+	VANDPD vmMant<>(SB), Y0, Y2
+	VORPD  vmHalf<>(SB), Y2, Y2         // Y2 = f1
+	VPSRLQ $52, Y0, Y1
+	VPOR   vmExpField<>(SB), Y1, Y1
+	VSUBPD vmExpOffset<>(SB), Y1, Y1    // Y1 = k
+
+	// CMPSD X2, X0, 5: where !(√2/2 < f1), k -= 1 and f1 *= 2.
+	VMOVUPD vmHSqrt2<>(SB), Y3
+	VCMPPD  $5, Y2, Y3, Y3
+	VANDPD  vmOne<>(SB), Y3, Y3
+	VSUBPD  Y3, Y1, Y1
+	VADDPD  vmOne<>(SB), Y3, Y3
+	VMULPD  Y3, Y2, Y2
+	VSUBPD  vmOne<>(SB), Y2, Y2         // Y2 = f
+
+	VADDPD vmTwo<>(SB), Y2, Y3
+	VDIVPD Y3, Y2, Y3                   // Y3 = s = f/(2+f)
+	VMULPD Y3, Y3, Y4                   // Y4 = s2
+	VMULPD Y4, Y4, Y5                   // Y5 = s4
+	VMULPD vmL7<>(SB), Y5, Y6
+	VADDPD vmL5<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD vmL3<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD vmL1<>(SB), Y6, Y6
+	VMULPD Y6, Y4, Y4                   // Y4 = t1
+	VMULPD vmL6<>(SB), Y5, Y6
+	VADDPD vmL4<>(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD vmL2<>(SB), Y6, Y6
+	VMULPD Y6, Y5, Y5                   // Y5 = t2
+	VADDPD Y5, Y4, Y4                   // Y4 = R
+	VMULPD vmHalf<>(SB), Y2, Y0
+	VMULPD Y2, Y0, Y0                   // Y0 = hfsq
+	VADDPD Y0, Y4, Y4
+	VMULPD Y4, Y3, Y3                   // s*(hfsq+R)
+	VMULPD vmLn2Lo<>(SB), Y1, Y4
+	VADDPD Y4, Y3, Y3                   // s*(hfsq+R) + k*Ln2Lo
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y2, Y0, Y0                   // (hfsq - (s*(hfsq+R) + k*Ln2Lo)) - f
+	VMULPD vmLn2Hi<>(SB), Y1, Y1
+	VSUBPD Y0, Y1, Y1                   // k*Ln2Hi - ...
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     log_loop
+
+log_done:
+	VZEROUPPER
+	MOVQ AX, ret+48(FP)
+	RET
+
+// func tanhAVX2(dst, x []float64) int
+// dst[j] = math.Tanh(x[j]) for whole groups of four, len(x) a multiple of
+// four, up to the first group with a NaN lane; returns the number of
+// elements written. dst may be x. All three branches of math.tanh are
+// computed and blended, the later taking precedence: the rational form,
+// x itself where x == 0, 1 - 2/(e^{2z}+1) where z >= 0.625, and ±1 where
+// z > 0.5*MAXLOG (z = |x|). The exp lanes of the other branches may be
+// out of EXP4's range; they are discarded.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ AX, AX
+
+tanh_loop:
+	CMPQ      AX, CX
+	JGE       tanh_done
+	VMOVUPD   (SI)(AX*8), Y0
+	VCMPPD    $3, Y0, Y0, Y1 // unordered: x is NaN
+	VMOVMSKPD Y1, BX
+	TESTQ     BX, BX
+	JNZ       tanh_done
+	VANDPD    vmAbs<>(SB), Y0, Y1  // Y1 = z
+	VANDPD    vmSign<>(SB), Y0, Y2 // Y2 = sign of x
+
+	// z >= 0.625: s := Exp(2*z); 1 - 2/(s+1), negated when x < 0.
+	VADDPD  Y1, Y1, Y3
+	EXP4(Y3, Y4, Y5, X4)
+	VADDPD  vmOne<>(SB), Y3, Y3
+	VMOVUPD vmTwo<>(SB), Y4
+	VDIVPD  Y3, Y4, Y3
+	VMOVUPD vmOne<>(SB), Y4
+	VSUBPD  Y3, Y4, Y3
+	VXORPD  Y2, Y3, Y3
+
+	// Otherwise s := x*x; x + x*s*((P0*s+P1)*s+P2)/(((s+Q0)*s+Q1)*s+Q2).
+	VMULPD Y0, Y0, Y4
+	VMULPD Y4, Y0, Y5
+	VMULPD vmP0<>(SB), Y4, Y6
+	VADDPD vmP1<>(SB), Y6, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD vmP2<>(SB), Y6, Y6
+	VMULPD Y6, Y5, Y5
+	VADDPD vmQ0<>(SB), Y4, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD vmQ1<>(SB), Y6, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD vmQ2<>(SB), Y6, Y6
+	VDIVPD Y6, Y5, Y5
+	VADDPD Y5, Y0, Y5
+
+	VXORPD    Y6, Y6, Y6
+	VCMPPD    $0, Y6, Y0, Y6                // x == 0
+	VBLENDVPD Y6, Y0, Y5, Y5
+	VCMPPD    $13, vmTanhSmall<>(SB), Y1, Y6 // z >= 0.625
+	VBLENDVPD Y6, Y3, Y5, Y5
+	VCMPPD    $14, vmTanhBig<>(SB), Y1, Y6   // z > 0.5*MAXLOG
+	VORPD     vmOne<>(SB), Y2, Y3            // ±1
+	VBLENDVPD Y6, Y3, Y5, Y5
+	VMOVUPD   Y5, (DI)(AX*8)
+	ADDQ      $4, AX
+	JMP       tanh_loop
+
+tanh_done:
+	VZEROUPPER
+	MOVQ AX, ret+48(FP)
 	RET

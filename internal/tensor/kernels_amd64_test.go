@@ -23,6 +23,11 @@ func TestKernelPathLogged(t *testing.T) {
 	} else {
 		t.Log("tensor kernels: portable Go (no AVX2 on this CPU or OS)")
 	}
+	if useFMA {
+		t.Log("tensor exp/log/tanh: AVX2+FMA replay of the math package")
+	} else {
+		t.Log("tensor exp/log/tanh: math package (no AVX2+FMA on this CPU or OS)")
+	}
 }
 
 func needAVX2(t *testing.T) {
@@ -64,16 +69,6 @@ func fillWith(x []float64, src *rng.Source, edge []float64) {
 // -race — so tests that draw these compare with sameValues.
 var nanEdgeValues = append(edgeValues[:len(edgeValues):len(edgeValues)],
 	math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001), math.Float64frombits(0xfff8_0000_0000_0abc))
-
-// sameValues is sameBits with every NaN equal to every other NaN.
-func sameValues(t *testing.T, got, want []float64, format string, args ...any) {
-	t.Helper()
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			t.Fatalf(format+": element %d is %x (%g), want %x (%g)", append(args, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])...)
-		}
-	}
-}
 
 func TestSaxpyScaleAVX2MatchPortable(t *testing.T) {
 	needAVX2(t)

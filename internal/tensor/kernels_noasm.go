@@ -11,3 +11,9 @@ func axpyRows(coef, x, y []float64, stride int) { axpyRowsGo(coef, x, y, stride)
 func mulTransB(dst, a, b []float64, rows, n, k int) { mulTransBGo(dst, a, b, rows, n, k) }
 
 func rowMul(dst, x []float64, rows []int, w []float64) { rowMulGo(dst, x, rows, w) }
+
+func exp(dst, x []float64) { expGo(dst, x) }
+
+func log(dst, x []float64) { logGo(dst, x) }
+
+func tanh(dst, x []float64) { tanhGo(dst, x) }

@@ -8,4 +8,5 @@ import "testing"
 // the same name.
 func TestKernelPathLogged(t *testing.T) {
 	t.Log("tensor kernels: portable Go")
+	t.Log("tensor exp/log/tanh: math package")
 }

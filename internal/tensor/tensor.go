@@ -374,6 +374,30 @@ func Axpy(alpha float64, x, y []float64) {
 // Scale multiplies every element of x by alpha.
 func Scale(alpha float64, x []float64) { scale(alpha, x, x) }
 
+// Exp sets dst[i] = math.Exp(x[i]), bit for bit; dst may be x.
+func Exp(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic("tensor: Exp length mismatch")
+	}
+	exp(dst, x)
+}
+
+// Log sets dst[i] = math.Log(x[i]), bit for bit; dst may be x.
+func Log(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic("tensor: Log length mismatch")
+	}
+	log(dst, x)
+}
+
+// Tanh sets dst[i] = math.Tanh(x[i]), bit for bit; dst may be x.
+func Tanh(dst, x []float64) {
+	if len(dst) != len(x) {
+		panic("tensor: Tanh length mismatch")
+	}
+	tanh(dst, x)
+}
+
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {

@@ -56,6 +56,16 @@ func sameBits(t *testing.T, got, want []float64, format string, args ...any) {
 	}
 }
 
+// sameValues is sameBits with every NaN equal to every other NaN.
+func sameValues(t *testing.T, got, want []float64, format string, args ...any) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf(format+": element %d is %x (%g), want %x (%g)", append(args, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])...)
+		}
+	}
+}
+
 func TestMatMulMatchesNaive(t *testing.T) {
 	src := rng.New(1)
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {16, 16, 16}, {33, 7, 12}} {

@@ -6,6 +6,7 @@ import (
 
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
+	"deepthermo/internal/tensor"
 )
 
 // The functions below implement composition-preserving sampling from the
@@ -49,17 +50,19 @@ func SampleConstrained(probs [][]float64, quota []int, order []int, src *rng.Sou
 }
 
 // SampleConstrainedInto is SampleConstrained writing into caller scratch:
-// dst (len(probs) sites) receives the configuration and remaining
-// (len(quota) entries) holds quota bookkeeping; either may be nil to
-// allocate. It consumes exactly one uniform draw per site, identical to
+// dst (len(probs) sites) receives the configuration, and scratch
+// (len(quota)+len(probs) entries) holds the quota bookkeeping followed by
+// one log argument per visited site; either may be nil to allocate. It
+// consumes exactly one uniform draw per site, identical to
 // SampleConstrained.
-func SampleConstrainedInto(probs [][]float64, quota []int, order []int, src *rng.Source, dst lattice.Config, remaining []float64) (lattice.Config, float64, error) {
+func SampleConstrainedInto(probs [][]float64, quota []int, order []int, src *rng.Source, dst lattice.Config, scratch []float64) (lattice.Config, float64, error) {
 	n := len(probs)
 	if len(order) != n {
 		return nil, 0, fmt.Errorf("vae: order has %d entries for %d sites", len(order), n)
 	}
-	if remaining == nil {
-		remaining = make([]float64, len(quota))
+	remaining, args, err := splitScratch(scratch, len(quota), n)
+	if err != nil {
+		return nil, 0, err
 	}
 	if err := initRemaining(remaining, quota, n); err != nil {
 		return nil, 0, err
@@ -69,22 +72,42 @@ func SampleConstrainedInto(probs [][]float64, quota []int, order []int, src *rng
 	} else if len(dst) != n {
 		return nil, 0, fmt.Errorf("vae: dst has %d sites for %d probs", len(dst), n)
 	}
-	logProb := 0.0
-	for _, site := range order {
-		p := probs[site]
-		choice, lp := drawSite(p, remaining, src)
+	for i, site := range order {
+		choice, arg := drawSite(probs[site], remaining, src)
 		dst[site] = lattice.Species(choice)
-		logProb += lp
+		args[i] = arg
 		remaining[choice]--
 	}
-	return dst, logProb, nil
+	return dst, sumLogs(args), nil
+}
+
+// splitScratch returns scratch (allocated when nil) as k remaining-quota
+// entries and n log arguments.
+func splitScratch(scratch []float64, k, n int) (remaining, args []float64, err error) {
+	if scratch == nil {
+		scratch = make([]float64, k+n)
+	} else if len(scratch) < k+n {
+		return nil, nil, fmt.Errorf("vae: scratch has %d entries for %d species and %d sites", len(scratch), k, n)
+	}
+	return scratch[:k], scratch[k : k+n], nil
+}
+
+// sumLogs returns Σ ln args[i], summed from 0 in ascending i — the site
+// visiting order — after one tensor.Log pass that overwrites args.
+func sumLogs(args []float64) float64 {
+	tensor.Log(args, args)
+	sum := 0.0
+	for _, v := range args {
+		sum += v
+	}
+	return sum
 }
 
 // drawSite draws one species from p reweighted by the remaining quota and
-// returns the choice with its log conditional probability. The k=4 path
-// (the usual HEA species count) performs the identical multiplies,
-// partial sums, and comparisons as the generic loop, so the draw and its
-// log-probability are bit-identical.
+// returns the choice with its conditional probability, the argument of
+// the log the caller sums. The k=4 path (the usual HEA species count)
+// performs the identical multiplies, partial sums, and comparisons as the
+// generic loop, so the draw and its probability are bit-identical.
 func drawSite(p []float64, remaining []float64, src *rng.Source) (int, float64) {
 	if len(remaining) == 4 && len(p) == 4 {
 		w0 := p[0] * remaining[0]
@@ -114,7 +137,7 @@ func drawSite(p []float64, remaining []float64, src *rng.Source) (int, float64) 
 			}
 			w = p[choice] * remaining[choice]
 		}
-		return choice, math.Log(w / norm)
+		return choice, w / norm
 	}
 	var norm float64
 	for a, r := range remaining {
@@ -140,7 +163,7 @@ func drawSite(p []float64, remaining []float64, src *rng.Source) (int, float64) 
 			}
 		}
 	}
-	return choice, math.Log(p[choice] * remaining[choice] / norm)
+	return choice, p[choice] * remaining[choice] / norm
 }
 
 // LogProbConstrained returns the log density of cfg under the constrained
@@ -150,21 +173,22 @@ func LogProbConstrained(probs [][]float64, cfg lattice.Config, quota []int, orde
 	return LogProbConstrainedInto(probs, cfg, quota, order, nil)
 }
 
-// LogProbConstrainedInto is LogProbConstrained with caller-owned remaining
-// scratch (len(quota) entries; nil to allocate).
-func LogProbConstrainedInto(probs [][]float64, cfg lattice.Config, quota []int, order []int, remaining []float64) (float64, error) {
+// LogProbConstrainedInto is LogProbConstrained with caller-owned scratch
+// (len(quota)+len(probs) entries, laid out as SampleConstrainedInto's;
+// nil to allocate).
+func LogProbConstrainedInto(probs [][]float64, cfg lattice.Config, quota []int, order []int, scratch []float64) (float64, error) {
 	n := len(probs)
 	if len(cfg) != n || len(order) != n {
 		return 0, fmt.Errorf("vae: size mismatch (%d probs, %d cfg, %d order)", n, len(cfg), len(order))
 	}
-	if remaining == nil {
-		remaining = make([]float64, len(quota))
+	remaining, args, err := splitScratch(scratch, len(quota), n)
+	if err != nil {
+		return 0, err
 	}
 	for a, q := range quota {
 		remaining[a] = float64(q)
 	}
-	logProb := 0.0
-	for _, site := range order {
+	for i, site := range order {
 		p := probs[site]
 		var norm float64
 		for a, r := range remaining {
@@ -174,30 +198,33 @@ func LogProbConstrainedInto(probs [][]float64, cfg lattice.Config, quota []int, 
 		if a >= len(remaining) || remaining[a] <= 0 {
 			return math.Inf(-1), nil // cfg violates the quota: impossible under this proposal
 		}
-		logProb += math.Log(p[a] * remaining[a] / norm)
+		args[i] = p[a] * remaining[a] / norm
 		remaining[a]--
 	}
-	return logProb, nil
+	return sumLogs(args), nil
 }
 
 // SampleAndReverse fuses SampleConstrainedInto with the reverse-density
 // evaluation of old under the same probs and order: the per-site
 // probability rows are read once instead of twice, and no allocation
-// occurs when the scratch arguments are non-nil. Both log densities are
-// accumulated in the same per-site order as the unfused functions, so the
-// results are bit-identical to calling them separately (the golden-trace
-// tests rely on this). It consumes exactly one uniform draw per site —
-// the reverse evaluation draws nothing.
-func SampleAndReverse(probs [][]float64, quota []int, order []int, old lattice.Config, src *rng.Source, dst lattice.Config, remFwd, remRev []float64) (lattice.Config, float64, float64, error) {
+// occurs when the scratch arguments are non-nil (fwd and rev, each laid
+// out as SampleConstrainedInto's scratch). Both log densities are summed
+// in the same per-site order as the unfused functions, so the results are
+// bit-identical to calling them separately (the golden-trace tests rely
+// on this). It consumes exactly one uniform draw per site — the reverse
+// evaluation draws nothing.
+func SampleAndReverse(probs [][]float64, quota []int, order []int, old lattice.Config, src *rng.Source, dst lattice.Config, fwd, rev []float64) (lattice.Config, float64, float64, error) {
 	n := len(probs)
 	if len(order) != n || len(old) != n {
 		return nil, 0, 0, fmt.Errorf("vae: size mismatch (%d probs, %d old, %d order)", n, len(old), len(order))
 	}
-	if remFwd == nil {
-		remFwd = make([]float64, len(quota))
+	remFwd, argsFwd, err := splitScratch(fwd, len(quota), n)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if remRev == nil {
-		remRev = make([]float64, len(quota))
+	remRev, argsRev, err := splitScratch(rev, len(quota), n)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	if err := initRemaining(remFwd, quota, n); err != nil {
 		return nil, 0, 0, err
@@ -210,13 +237,12 @@ func SampleAndReverse(probs [][]float64, quota []int, order []int, old lattice.C
 	} else if len(dst) != n {
 		return nil, 0, 0, fmt.Errorf("vae: dst has %d sites for %d probs", len(dst), n)
 	}
-	logFwd, logRev := 0.0, 0.0
 	revValid := true
-	for _, site := range order {
+	for i, site := range order {
 		p := probs[site]
-		choice, lp := drawSite(p, remFwd, src)
+		choice, arg := drawSite(p, remFwd, src)
 		dst[site] = lattice.Species(choice)
-		logFwd += lp
+		argsFwd[i] = arg
 		remFwd[choice]--
 
 		if revValid {
@@ -232,13 +258,14 @@ func SampleAndReverse(probs [][]float64, quota []int, order []int, old lattice.C
 			if a >= len(remRev) || remRev[a] <= 0 {
 				revValid = false // old violates the quota: density zero
 			} else {
-				logRev += math.Log(p[a] * remRev[a] / norm)
+				argsRev[i] = p[a] * remRev[a] / norm
 				remRev[a]--
 			}
 		}
 	}
-	if !revValid {
-		logRev = math.Inf(-1)
+	logRev := math.Inf(-1)
+	if revValid {
+		logRev = sumLogs(argsRev)
 	}
-	return dst, logFwd, logRev, nil
+	return dst, sumLogs(argsFwd), logRev, nil
 }

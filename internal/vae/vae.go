@@ -59,12 +59,11 @@ type Model struct {
 	// calls (resized when the batch size changes).
 	trEncIn, trDecIn, trEps, trZ, trSigma *tensor.Matrix
 	trGradLogits, trGradEncOut            *tensor.Matrix
-	trProbs                               []float64
 
 	// DecodeProbsInto stores decIn on every call, so a replica
 	// (ShareWeights) fills whole cache lines and shares none with another
 	// walker's replica.
-	_ [3*cacheline.Size - 168]byte
+	_ [3*cacheline.Size - 144]byte
 }
 
 // New constructs a VAE with Xavier-initialized weights from src.
@@ -201,20 +200,18 @@ func (m *Model) Step(x *tensor.Matrix, cond []float64, targets []lattice.Config,
 	logits := m.dec.Forward(decIn) // B × N·k
 
 	// Per-site softmax cross-entropy; gradient wrt logits is p − onehot.
+	// The probabilities are written straight into the gradient rows.
 	m.trGradLogits = tensor.Ensure(m.trGradLogits, b, n*k)
 	gradLogits := m.trGradLogits
 	var recon float64
 	correct := 0
-	if m.trProbs == nil {
-		m.trProbs = make([]float64, k)
-	}
-	probs := m.trProbs
+	expShifted(logits.Data, k)
 	for i := 0; i < b; i++ {
-		lrow := logits.Row(i)
+		erow := logits.Row(i)
 		grow := gradLogits.Row(i)
 		for site := 0; site < n; site++ {
-			seg := lrow[site*k : (site+1)*k]
-			softmax(seg, probs)
+			probs := grow[site*k : (site+1)*k]
+			normalize(erow[site*k:(site+1)*k], probs)
 			t := int(targets[i][site])
 			recon += -math.Log(math.Max(probs[t], 1e-300))
 			argmax := 0
@@ -226,9 +223,7 @@ func (m *Model) Step(x *tensor.Matrix, cond []float64, targets []lattice.Config,
 			if argmax == t {
 				correct++
 			}
-			gseg := grow[site*k : (site+1)*k]
-			copy(gseg, probs)
-			gseg[t]--
+			probs[t]--
 		}
 	}
 	// Mean over batch.
@@ -265,47 +260,34 @@ func (m *Model) Step(x *tensor.Matrix, cond []float64, targets []lattice.Config,
 	}
 }
 
-// softmax writes the softmax of logits into out. The k=4 specialization
-// (the common high-entropy-alloy species count on the per-site decode hot
-// path) performs the identical operations in the identical order as the
-// generic loop, so results are bit-for-bit equal.
-func softmax(logits, out []float64) {
-	if len(logits) == 4 && len(out) == 4 {
-		max := logits[0]
-		if logits[1] > max {
-			max = logits[1]
+// expShifted overwrites each k-wide site block of logits with
+// exp(logit − the block's max), the exps in one tensor.Exp call over the
+// whole buffer. normalize then completes a site's softmax.
+func expShifted(logits []float64, k int) {
+	for s := 0; s < len(logits); s += k {
+		seg := logits[s : s+k]
+		max := seg[0]
+		for _, v := range seg[1:] {
+			if v > max {
+				max = v
+			}
 		}
-		if logits[2] > max {
-			max = logits[2]
-		}
-		if logits[3] > max {
-			max = logits[3]
-		}
-		e0 := math.Exp(logits[0] - max)
-		e1 := math.Exp(logits[1] - max)
-		e2 := math.Exp(logits[2] - max)
-		e3 := math.Exp(logits[3] - max)
-		sum := ((e0 + e1) + e2) + e3
-		out[0] = e0 / sum
-		out[1] = e1 / sum
-		out[2] = e2 / sum
-		out[3] = e3 / sum
-		return
-	}
-	max := logits[0]
-	for _, v := range logits[1:] {
-		if v > max {
-			max = v
+		for a, v := range seg {
+			seg[a] = v - max
 		}
 	}
+	tensor.Exp(logits, logits)
+}
+
+// normalize writes e[a]/Σe into out, the sum taken in ascending a
+// (((e0+e1)+e2)+e3 at k = 4).
+func normalize(e, out []float64) {
 	var sum float64
-	for i, v := range logits {
-		e := math.Exp(v - max)
-		out[i] = e
-		sum += e
+	for _, v := range e {
+		sum += v
 	}
-	for i := range out {
-		out[i] /= sum
+	for a, v := range e {
+		out[a] = v / sum
 	}
 }
 
@@ -358,8 +340,11 @@ func (m *Model) DecodeProbsInto(z []float64, cond float64, dst [][]float64) [][]
 	} else if len(dst) != n {
 		panic("vae: DecodeProbsInto dst size mismatch")
 	}
+	// The decoder's output row is this model's layer buffer, read by
+	// nothing after this call, so the exps overwrite it.
+	expShifted(logits, k)
 	for site := 0; site < n; site++ {
-		softmax(logits[site*k:(site+1)*k], dst[site])
+		normalize(logits[site*k:(site+1)*k], dst[site])
 	}
 	return dst
 }
