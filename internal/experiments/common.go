@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/lattice"
@@ -159,29 +158,6 @@ func (tb *Testbed) NewMixtureProposal(tKelvin, dlWeight float64, mode mc.GlobalM
 		[]mc.Proposal{mc.NewSwapProposal(tb.Ham), tb.NewDLProposal(tKelvin, mode, src)},
 		[]float64{1 - dlWeight, dlWeight},
 	)
-}
-
-// sharedTestbeds caches trained testbeds by cell count so a benchmark run
-// trains each model once.
-var (
-	sharedMu  sync.Mutex
-	sharedTBs = map[int]*Testbed{}
-)
-
-// SharedTestbed returns a cached default-recipe testbed for the given cell
-// count, training it on first use.
-func SharedTestbed(cells int) (*Testbed, error) {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	if tb, ok := sharedTBs[cells]; ok {
-		return tb, nil
-	}
-	tb, err := NewTestbed(TestbedOptions{Cells: cells})
-	if err != nil {
-		return nil, err
-	}
-	sharedTBs[cells] = tb
-	return tb, nil
 }
 
 // fmtHeader renders an experiment banner used by all report formatters.

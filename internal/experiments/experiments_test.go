@@ -318,25 +318,6 @@ func TestE13ChaosResilience(t *testing.T) {
 	}
 }
 
-func TestSharedTestbedCaches(t *testing.T) {
-	// Seed the cache with the small testbed to keep the test fast.
-	sharedMu.Lock()
-	sharedTBs[2] = nil
-	delete(sharedTBs, 2)
-	sharedMu.Unlock()
-	a, err := SharedTestbed(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SharedTestbed(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("SharedTestbed did not cache")
-	}
-}
-
 func TestQuotaConfigComposition(t *testing.T) {
 	tb := smallTestbed(t)
 	cfg := QuotaConfig(tb.Quota, newTestSrc())

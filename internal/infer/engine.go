@@ -83,8 +83,8 @@ func (e *Engine) Stats() Stats {
 }
 
 // Client is one walker's handle on the engine: a replica of the engine
-// model plus the walker's own counters. It implements mc.Inferencer and
-// mc.FusedInferencer. A Client is owned by a single goroutine; distinct
+// model plus the walker's own counters. It implements mc.Inferencer. A
+// Client is owned by a single goroutine; distinct
 // Clients may be used concurrently.
 type Client struct {
 	model *vae.Model // ShareWeights replica of the engine model
@@ -122,9 +122,9 @@ func (c *Client) DecodeProbsInto(z []float64, cond float64, dst [][]float64) [][
 	return dst
 }
 
-// EncodeSampleDecode implements mc.FusedInferencer: vae.Model's fused
-// walk-posterior forward on the client's replica, bit-identical to an
-// EncodeInto + SampleLatent + DecodeProbsInto sequence.
+// EncodeSampleDecode is vae.Model's fused walk-posterior forward on the
+// client's replica, bit-identical to an EncodeInto + SampleLatent +
+// DecodeProbsInto sequence.
 func (c *Client) EncodeSampleDecode(cfg lattice.Config, cond float64, eps, mu, lv, z []float64, probs [][]float64) {
 	c.model.EncodeSampleDecode(cfg, cond, eps, mu, lv, z, probs)
 	c.fused.Add(1)

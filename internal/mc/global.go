@@ -4,29 +4,24 @@ import (
 	"fmt"
 
 	"deepthermo/internal/alloy"
+	"deepthermo/internal/cacheline"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/vae"
 )
 
 // Inferencer is the model backend a GlobalProposal runs inference through:
-// the three calls the proposal hot path makes. *vae.Model satisfies it
-// directly (a per-walker weight clone); *infer.Client satisfies it with a
-// walker-owned replica over one engine's shared weights. Both produce
-// bit-identical results for identical inputs (see the batch golden-trace
-// tests).
+// the calls the proposal hot path makes. EncodeSampleDecode is the whole
+// walk-posterior forward (encode, reparameterize with pre-drawn normals,
+// decode) in one call, bit-identical to the EncodeInto, vae.SampleLatent,
+// DecodeProbsInto sequence. *vae.Model satisfies it directly (a per-walker
+// weight clone); *infer.Client satisfies it with a walker-owned replica
+// over one engine's shared weights. Both produce bit-identical results for
+// identical inputs (see the batch golden-trace tests).
 type Inferencer interface {
 	Config() vae.Config
 	EncodeInto(cfg lattice.Config, cond float64, mu, logvar []float64) ([]float64, []float64)
 	DecodeProbsInto(z []float64, cond float64, dst [][]float64) [][]float64
-}
-
-// FusedInferencer is the optional fast path of Inferencer: the whole
-// walk-posterior forward (encode, reparameterize with pre-drawn normals,
-// decode) in one call. *vae.Model and *infer.Client both offer it, as the
-// same three calls inlined. Results are bit-identical to the unfused
-// sequence, so Propose uses it whenever the backend offers it.
-type FusedInferencer interface {
 	EncodeSampleDecode(cfg lattice.Config, cond float64, eps, mu, lv, z []float64, probs [][]float64)
 }
 
@@ -87,18 +82,18 @@ func (m GlobalMode) String() string {
 // decoding), keeping the chain in the canonical fixed-concentration
 // ensemble the paper evaluates.
 //
-// Layout: the struct is 512 bytes, a whole number of cache lines, so the
-// scalars every move rewrites (encCache*, last*, hammingAccum) share no
-// line with another walker's proposal. 512 is also the ceiling for a
-// struct that holds pointers (package cacheline): a new field must displace
-// one, not grow the struct. The rewl layout test holds both.
+// Layout: the struct is padded to 512 bytes, a whole number of cache
+// lines, so the scalars every move rewrites (encCache*, last*,
+// hammingAccum) share no line with another walker's proposal. 512 is also
+// the ceiling for a struct that holds pointers (package cacheline): a new
+// field must displace padding or another field, not grow the struct. The
+// rewl layout test holds both.
 type GlobalProposal struct {
-	model    Inferencer
-	ham      *alloy.Model
-	cond     float64
-	condFunc func(e float64) float64
-	quota    []int
-	mode     GlobalMode
+	model Inferencer
+	ham   *alloy.Model
+	cond  float64
+	quota []int
+	mode  GlobalMode
 
 	z      []float64
 	eps    []float64 // pre-drawn standard normals for the reparameterized z
@@ -107,12 +102,10 @@ type GlobalProposal struct {
 	// Per-walker scratch arenas (see DESIGN.md, "Performance
 	// architecture"): every buffer the hot path needs is allocated once in
 	// the constructor and reused, so a steady-state Propose performs zero
-	// heap allocations. probsRev is the only lazily allocated buffer — it
-	// exists only for state-dependent conditioning (SetConditionFunc).
+	// heap allocations.
 	order    []int          // site-visiting permutation
 	cand     lattice.Config // decoded candidate
-	probsFwd [][]float64    // forward decode, flat-backed
-	probsRev [][]float64    // second decode under the candidate's condition
+	probsFwd [][]float64    // the decode of the move's z, flat-backed
 	muX, lvX []float64      // encoder posterior of the current state
 	muC, lvC []float64      // encoder posterior of the candidate
 	// Constrained-sampling scratch of the forward and reverse densities:
@@ -132,13 +125,15 @@ type GlobalProposal struct {
 	encCacheCond           float64
 	encCacheCfg            lattice.Config
 	encCacheMu, encCacheLv []float64
-	lastCondX, lastCondC   float64
+	lastCond               float64
 	lastWasWalk            bool
 
 	// HammingAccum accumulates the Hamming distance (changed sites) of
 	// accepted moves, the "global update" magnitude reported in E1.
 	hammingAccum int64
 	lastHamming  int
+
+	_ [8*cacheline.Size - 472]byte
 }
 
 // NewGlobalProposal creates a walker-owned DL proposal in WalkPosterior
@@ -210,21 +205,9 @@ func (p *GlobalProposal) Mode() GlobalMode { return p.mode }
 func CondForT(tKelvin float64) float64 { return tKelvin / 2000 }
 
 // SetCondition changes the conditioning scalar (e.g. when a replica moves
-// to a new temperature or energy window).
+// to a new temperature or energy window). Every move decodes, and
+// evaluates both directions, under the scalar set when it was proposed.
 func (p *GlobalProposal) SetCondition(cond float64) { p.cond = cond }
-
-// CondForEnergy maps a configuration energy to the conditioning scalar for
-// energy-conditioned models: energy per site in units of 50 meV, giving
-// O(1) inputs over the alloy's spectrum.
-func CondForEnergy(e float64, sites int) float64 { return e / float64(sites) / 0.05 }
-
-// SetConditionFunc switches the proposal to state-dependent conditioning:
-// each move conditions the model on f of the *current* energy (e.g.
-// CondForEnergy), which is the natural choice inside Wang-Landau sampling
-// where no temperature exists. Exactness is preserved — the reverse density
-// is evaluated under the candidate's own condition f(E(x′)) — at the cost
-// of a second decoder pass per move. Pass nil to return to a fixed scalar.
-func (p *GlobalProposal) SetConditionFunc(f func(e float64) float64) { p.condFunc = f }
 
 // Name implements Proposal.
 func (p *GlobalProposal) Name() string { return "dl-global-" + p.mode.String() }
@@ -236,69 +219,42 @@ func (p *GlobalProposal) AcceptedSiteChanges() int64 { return p.hammingAccum }
 
 // Propose implements Proposal: it replaces cfg wholesale with a decoded
 // configuration and returns the exact MH correction.
-//
-// With state-dependent conditioning (SetConditionFunc) the forward move
-// decodes under c(x) = f(E(x)) and the reverse density is evaluated under
-// the candidate's condition c(x′) = f(E(x′)); with a fixed condition the
-// two coincide and the second decode is skipped.
 func (p *GlobalProposal) Propose(cfg lattice.Config, curE float64, src *rng.Source) (float64, float64) {
 	n := len(cfg)
-	condX := p.cond
-	if p.condFunc != nil {
-		condX = p.condFunc(curE)
-	}
 
-	// Draw the auxiliary latent; remember the encoder term of ln r(u|x).
-	// The standard normals are drawn BEFORE the encode — the encode consumes
-	// no randomness, so the walker's rng stream is identical either way —
-	// which lets the encode, the reparameterized z, and the forward decode
-	// fuse into one backend call (one engine round-trip) when the backend
-	// supports it.
+	// Draw the auxiliary latent and decode it; remember the encoder term of
+	// ln r(u|x). The standard normals are drawn BEFORE the encode — the
+	// encode consumes no randomness, so the walker's rng stream is
+	// identical either way — which lets the encode, the reparameterized z,
+	// and the decode fuse into one backend call.
 	var logRX float64 // ln of the x-dependent part of r(u|x)
-	decoded := false
 	switch p.mode {
 	case JumpPrior:
 		for i := range p.z {
 			p.z[i] = src.NormFloat64()
 		}
+		p.probsFwd = p.model.DecodeProbsInto(p.z, p.cond, p.probsFwd)
 	case WalkPosterior:
 		for i := range p.eps {
 			p.eps[i] = src.NormFloat64()
 		}
-		if p.encCacheValid && p.encCacheCond == condX && configsEqual(p.encCacheCfg, cfg) {
+		if p.encCacheValid && p.encCacheCond == p.cond && configsEqual(p.encCacheCfg, cfg) {
 			copy(p.muX, p.encCacheMu)
 			copy(p.lvX, p.encCacheLv)
 			vae.SampleLatent(p.z, p.muX, p.lvX, p.eps)
-		} else if f, ok := p.model.(FusedInferencer); ok {
-			f.EncodeSampleDecode(cfg, condX, p.eps, p.muX, p.lvX, p.z, p.probsFwd)
-			decoded = true
+			p.probsFwd = p.model.DecodeProbsInto(p.z, p.cond, p.probsFwd)
 		} else {
-			p.muX, p.lvX = p.model.EncodeInto(cfg, condX, p.muX, p.lvX)
-			vae.SampleLatent(p.z, p.muX, p.lvX, p.eps)
+			p.model.EncodeSampleDecode(cfg, p.cond, p.eps, p.muX, p.lvX, p.z, p.probsFwd)
 		}
 		logRX = vae.LogNormalPDF(p.z, p.muX, p.lvX)
-	}
-
-	if !decoded {
-		p.probsFwd = p.model.DecodeProbsInto(p.z, condX, p.probsFwd)
 	}
 	order := p.permInto(src, n)
 	copy(p.backup, cfg)
 
-	// With a fixed condition the reverse density uses the forward decode's
-	// probabilities, so the constrained sample and the reverse evaluation
-	// fuse into one pass over the per-site log-probs. State-dependent
-	// conditioning needs the candidate's energy first, so it takes the
-	// two-pass route below. Both paths consume one uniform draw per site.
-	var cand lattice.Config
-	var logFwd, revCfg float64
-	var err error
-	fused := p.condFunc == nil
-	if fused {
-		cand, logFwd, revCfg, err = vae.SampleAndReverse(p.probsFwd, p.quota, order, p.backup, src, p.cand, p.fwdScratch, p.revScratch)
-	} else {
-		cand, logFwd, err = vae.SampleConstrainedInto(p.probsFwd, p.quota, order, src, p.cand, p.fwdScratch)
-	}
+	// Forward and reverse share the move's decode, so the constrained
+	// sample and the reverse density of the current configuration are one
+	// pass over the per-site probabilities, consuming one uniform per site.
+	cand, logFwd, logRev, err := vae.SampleAndReverse(p.probsFwd, p.quota, order, p.backup, src, p.cand, p.fwdScratch, p.revScratch)
 	if err != nil {
 		panic(err) // quota was validated at construction
 	}
@@ -310,33 +266,16 @@ func (p *GlobalProposal) Propose(cfg lattice.Config, curE float64, src *rng.Sour
 		}
 	}
 	copy(cfg, cand)
-	newE := p.ham.Energy(cfg)
-	dE := newE - curE
-
-	// Reverse density of the previous configuration under the same (z, σ)
-	// but the candidate's condition.
-	condC := condX
-	if !fused {
-		condC = p.condFunc(newE)
-		probsRev := p.probsFwd
-		if condC != condX {
-			p.probsRev = p.model.DecodeProbsInto(p.z, condC, p.probsRev)
-			probsRev = p.probsRev
-		}
-		revCfg, err = vae.LogProbConstrainedInto(probsRev, p.backup, p.quota, order, p.revScratch)
-		if err != nil {
-			panic(err) // sizes are fixed at construction; mismatch is a bug
-		}
-	}
+	dE := p.ham.Energy(cfg) - curE
 
 	var latentCorr float64 // ln r(u|x′) − ln r(u|x); σ is uniform and cancels
 	if p.mode == WalkPosterior {
-		p.muC, p.lvC = p.model.EncodeInto(cand, condC, p.muC, p.lvC)
+		p.muC, p.lvC = p.model.EncodeInto(cand, p.cond, p.muC, p.lvC)
 		latentCorr = vae.LogNormalPDF(p.z, p.muC, p.lvC) - logRX
 	}
 	p.lastWasWalk = p.mode == WalkPosterior
-	p.lastCondX, p.lastCondC = condX, condC
-	return dE, revCfg - logFwd + latentCorr
+	p.lastCond = p.cond
+	return dE, logRev - logFwd + latentCorr
 }
 
 // configsEqual reports whether two configurations are identical.
@@ -372,7 +311,7 @@ func (p *GlobalProposal) Accept() {
 		copy(p.encCacheMu, p.muC)
 		copy(p.encCacheLv, p.lvC)
 		copy(p.encCacheCfg, p.cand)
-		p.encCacheCond = p.lastCondC
+		p.encCacheCond = p.lastCond
 		p.encCacheValid = true
 	}
 }
@@ -385,7 +324,7 @@ func (p *GlobalProposal) Reject(cfg lattice.Config) {
 		copy(p.encCacheMu, p.muX)
 		copy(p.encCacheLv, p.lvX)
 		copy(p.encCacheCfg, p.backup)
-		p.encCacheCond = p.lastCondX
+		p.encCacheCond = p.lastCond
 		p.encCacheValid = true
 	}
 }

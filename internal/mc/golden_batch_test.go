@@ -16,7 +16,7 @@ import (
 )
 
 // The batch golden traces pin the shared-weight inference engine bit for
-// bit against the sequential per-walker-model path: the fixture's 8-walker
+// bit against the sequential per-walker-model path: the fixture's 5-walker
 // population is recorded running sequentially (each walker on its own copy
 // of the shared weights), and the engine runs — at every tested group size,
 // each walker on its own goroutine with its own engine client — must
@@ -27,7 +27,7 @@ import (
 var updateBatchGolden = flag.Bool("update-batch-golden", false, "rewrite batched golden traces")
 
 const (
-	batchWalkers    = 8
+	batchWalkers    = 5
 	batchRounds     = 8
 	batchRoundSteps = 25 // rounds × steps = 200, matching the PR 5 traces
 	batchTotalSteps = batchRounds * batchRoundSteps

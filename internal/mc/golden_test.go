@@ -30,22 +30,20 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden DL-proposal
 
 const goldenSteps = 200
 
-// goldenChain describes one pinned chain variant. The three variants cover
-// every branch of GlobalProposal.Propose: the fused forward/reverse path
-// (fixed condition), the second-decode path (state-dependent condition),
-// and the prior-latent path (no encoder term).
+// goldenChain describes one pinned chain variant. The two variants cover
+// both branches of GlobalProposal.Propose: the encoder-posterior latent
+// (fused forward, posterior cache, latent correction) and the prior latent
+// (no encoder term).
 type goldenChain struct {
 	name      string
 	mode      GlobalMode
-	condFunc  bool
 	modelSeed uint64
 	chainSeed uint64
 }
 
 var goldenChains = []goldenChain{
-	{name: "walk_fixed_cond", mode: WalkPosterior, condFunc: false, modelSeed: 101, chainSeed: 202},
-	{name: "walk_energy_cond", mode: WalkPosterior, condFunc: true, modelSeed: 103, chainSeed: 204},
-	{name: "jump_fixed_cond", mode: JumpPrior, condFunc: false, modelSeed: 105, chainSeed: 206},
+	{name: "walk_fixed_cond", mode: WalkPosterior, modelSeed: 101, chainSeed: 202},
+	{name: "jump_fixed_cond", mode: JumpPrior, modelSeed: 105, chainSeed: 206},
 }
 
 // traceStep is one recorded Metropolis decision.
@@ -68,9 +66,6 @@ func runGoldenChain(t testing.TB, gc goldenChain) []traceStep {
 	}
 	prop := NewGlobalProposal(model, m, quota, CondForT(1200))
 	prop.SetMode(gc.mode)
-	if gc.condFunc {
-		prop.SetConditionFunc(func(e float64) float64 { return CondForEnergy(e, 54) })
-	}
 	src := rng.New(gc.chainSeed)
 	cfg := make(lattice.Config, 0, 54)
 	for sp, q := range quota {

@@ -100,31 +100,6 @@ func TestGlobalProposalSamplesBoltzmann(t *testing.T) {
 	}
 }
 
-// TestEnergyConditionedSamplesBoltzmann: state-dependent conditioning
-// (condition = f(E(x))) changes the proposal density on both sides of the
-// move; the two-sided correction must keep the chain exactly Boltzmann.
-func TestEnergyConditionedSamplesBoltzmann(t *testing.T) {
-	m, exact := smallSystem(t)
-	vcfg := vae.Config{Sites: 8, Species: 2, Latent: 3, Hidden: 12, BetaKL: 1}
-	for _, mode := range []GlobalMode{JumpPrior, WalkPosterior} {
-		model, err := vae.New(vcfg, rng.New(21))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prop := NewGlobalProposal(model, m, []int{4, 4}, 0)
-		prop.SetMode(mode)
-		prop.SetConditionFunc(func(e float64) float64 { return CondForEnergy(e, 8) })
-		runCanonical(t, m, exact, prop, 1000, 3000, 0.015)
-	}
-}
-
-// TestCondForEnergy pins the normalization convention.
-func TestCondForEnergy(t *testing.T) {
-	if got := CondForEnergy(-0.05*54, 54); math.Abs(got+1) > 1e-12 {
-		t.Errorf("CondForEnergy = %g, want -1", got)
-	}
-}
-
 // TestMixtureSamplesBoltzmann: a swap+DL mixture must stay exact.
 func TestMixtureSamplesBoltzmann(t *testing.T) {
 	m, exact := smallSystem(t)

@@ -405,69 +405,126 @@ func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 		return err
 	}
 
+	w := &distWorker{o: o, m: m, seedCfg: seedCfg, windows: windows, newProposal: newProposal, opts: opts, rank: rank, size: size}
 	for {
 		msg, err := ep.RecvCtx(ctx, 0)
 		if err != nil {
 			return fmt.Errorf("rewl: rank %d lost the leader: %w", rank, err)
 		}
-		if len(msg) == 0 {
-			return fmt.Errorf("rewl: rank %d received an empty command", rank)
+		reply, done, cerr := w.command(ctx, msg)
+		if reply != nil {
+			if err := ep.SendCtx(ctx, 0, reply); err != nil {
+				return fmt.Errorf("rewl: rank %d reply to opcode %v: %w", rank, msg[0], err)
+			}
 		}
-		switch int(msg[0]) {
-		case dopSweep:
-			o.sweepAndMerge(ctx)
-			if err := ep.SendCtx(ctx, 0, o.report()); err != nil {
-				return fmt.Errorf("rewl: rank %d report: %w", rank, err)
-			}
-		case dopQueryExchange:
-			wi, k, eP := int(msg[1]), int(msg[2]), msg[3]
-			binOK, lgS, lgP := o.queryExchange(wi, k, eP)
-			if err := ep.SendCtx(ctx, 0, []float64{b2f(binOK), lgS, lgP}); err != nil {
-				return fmt.Errorf("rewl: rank %d exchange reply: %w", rank, err)
-			}
-		case dopGetCfg:
-			e, cfg := o.getCfg(int(msg[1]), int(msg[2]))
-			if err := ep.SendCtx(ctx, 0, append([]float64{e}, cfg...)); err != nil {
-				return fmt.Errorf("rewl: rank %d config reply: %w", rank, err)
-			}
-		case dopSetCfg:
-			o.setCfg(int(msg[1]), int(msg[2]), msg[3], msg[4:])
-		case dopEndStage:
-			o.endStage(int(msg[1]))
-		case dopCheckpoint:
-			werr := o.saveDistCheckpoint(int(msg[1]), rank, size, nil)
-			if err := ep.SendCtx(ctx, 0, []float64{b2f(werr == nil)}); err != nil {
-				return fmt.Errorf("rewl: rank %d checkpoint ack: %w", rank, err)
-			}
-		case dopListRounds:
-			rs := availableRounds(opts.CheckpointDir, rank, size)
-			if err := ep.SendCtx(ctx, 0, encodeRoundsList(rs)); err != nil {
-				return fmt.Errorf("rewl: rank %d rounds reply: %w", rank, err)
-			}
-		case dopRollback:
-			// Elastic recovery: reload this rank's state from the
-			// negotiated round (0 = rebuild fresh) so the world replays
-			// from a consistent snapshot after a dead rank was replaced.
-			c := int(msg[1])
-			o2, rerr := ownerFromStart(rollbackVerdict(c), m, seedCfg, windows, newProposal, opts, rank, size)
-			if err := ep.SendCtx(ctx, 0, []float64{b2f(rerr == nil)}); err != nil {
-				return fmt.Errorf("rewl: rank %d rollback ack: %w", rank, err)
-			}
-			if rerr != nil {
-				return fmt.Errorf("rewl: rank %d rolling back to round %d: %w", rank, c, rerr)
-			}
-			o = o2
-		case dopFinish:
-			if err := ep.SendCtx(ctx, 0, o.finishReport()); err != nil {
-				return fmt.Errorf("rewl: rank %d final report: %w", rank, err)
-			}
-			return nil
-		case dopAbort:
-			return fmt.Errorf("rewl: rank %d: run aborted by leader", rank)
-		default:
-			return fmt.Errorf("rewl: rank %d received unknown opcode %v", rank, msg[0])
+		if cerr != nil || done {
+			return cerr
 		}
 	}
+}
+
+// distWorker is a worker rank's side of the command loop: its windows'
+// owner state and what a rollback needs to rebuild it.
+type distWorker struct {
+	o           *ownerState
+	m           *alloy.Model
+	seedCfg     lattice.Config
+	windows     []wanglandau.Window
+	newProposal ProposalFactory
+	opts        Options
+	rank, size  int
+}
+
+// commandLen is each opcode's command length (see the dop* constants);
+// dopSetCfg's configuration payload follows its four fields.
+var commandLen = [...]int{
+	dopSweep: 2, dopQueryExchange: 4, dopGetCfg: 3, dopSetCfg: 4, dopEndStage: 2,
+	dopCheckpoint: 2, dopFinish: 1, dopAbort: 1, dopListRounds: 1, dopRollback: 2,
+}
+
+// command executes one leader command and returns the reply to send (nil
+// for commands without one); done reports a finished run. A command no
+// leader sends — an unknown opcode, a length that does not fit the
+// opcode, a walker this rank does not own, a round that is not a
+// non-negative integer — is an error, as is a rollback that fails (whose
+// reply still goes to the leader).
+func (w *distWorker) command(ctx context.Context, msg []float64) (reply []float64, done bool, err error) {
+	if len(msg) == 0 {
+		return nil, false, fmt.Errorf("rewl: rank %d received an empty command", w.rank)
+	}
+	op := fieldIndex(msg[0], len(commandLen))
+	if op < 0 || commandLen[op] == 0 {
+		return nil, false, fmt.Errorf("rewl: rank %d received unknown opcode %v", w.rank, msg[0])
+	}
+	if n := commandLen[op]; len(msg) != n && (op != dopSetCfg || len(msg) < n) {
+		return nil, false, fmt.Errorf("rewl: rank %d received opcode %d with %d fields", w.rank, op, len(msg))
+	}
+	o := w.o
+	switch op {
+	case dopQueryExchange, dopGetCfg, dopSetCfg:
+		wi, k := fieldIndex(msg[1]-float64(o.lo), len(o.walkers)), -1
+		if wi >= 0 {
+			k = fieldIndex(msg[2], len(o.walkers[wi]))
+		}
+		if k < 0 || o.walkers[wi][k] == nil {
+			return nil, false, fmt.Errorf("rewl: rank %d does not own walker %v of window %v", w.rank, msg[2], msg[1])
+		}
+	case dopEndStage:
+		if fieldIndex(msg[1]-float64(o.lo), len(o.walkers)) < 0 {
+			return nil, false, fmt.Errorf("rewl: rank %d does not own window %v", w.rank, msg[1])
+		}
+	case dopCheckpoint, dopRollback:
+		if fieldIndex(msg[1], math.MaxInt32) < 0 {
+			return nil, false, fmt.Errorf("rewl: rank %d received round %v", w.rank, msg[1])
+		}
+	}
+
+	switch op {
+	case dopSweep:
+		o.sweepAndMerge(ctx)
+		return o.report(), false, nil
+	case dopQueryExchange:
+		binOK, lgS, lgP := o.queryExchange(int(msg[1]), int(msg[2]), msg[3])
+		return []float64{b2f(binOK), lgS, lgP}, false, nil
+	case dopGetCfg:
+		e, cfg := o.getCfg(int(msg[1]), int(msg[2]))
+		return append([]float64{e}, cfg...), false, nil
+	case dopSetCfg:
+		o.setCfg(int(msg[1]), int(msg[2]), msg[3], msg[4:])
+		return nil, false, nil
+	case dopEndStage:
+		o.endStage(int(msg[1]))
+		return nil, false, nil
+	case dopCheckpoint:
+		werr := o.saveDistCheckpoint(int(msg[1]), w.rank, w.size, nil)
+		return []float64{b2f(werr == nil)}, false, nil
+	case dopListRounds:
+		return encodeRoundsList(availableRounds(w.opts.CheckpointDir, w.rank, w.size)), false, nil
+	case dopRollback:
+		// Elastic recovery: reload this rank's state from the negotiated
+		// round (0 = rebuild fresh) so the world replays from a consistent
+		// snapshot after a dead rank was replaced.
+		c := int(msg[1])
+		o2, rerr := ownerFromStart(rollbackVerdict(c), w.m, w.seedCfg, w.windows, w.newProposal, w.opts, w.rank, w.size)
+		if rerr != nil {
+			return []float64{0}, false, fmt.Errorf("rewl: rank %d rolling back to round %d: %w", w.rank, c, rerr)
+		}
+		w.o = o2
+		return []float64{1}, false, nil
+	case dopFinish:
+		return o.finishReport(), true, nil
+	default: // dopAbort
+		return nil, false, fmt.Errorf("rewl: rank %d: run aborted by leader", w.rank)
+	}
+}
+
+// fieldIndex returns v as an index in [0, n), or -1 when v is not an
+// integer in that range.
+func fieldIndex(v float64, n int) int {
+	if v >= 0 && v < float64(n) && v == math.Trunc(v) {
+		return int(v)
+	}
+	return -1
 }
 
 // ---------------------------------------------------------------------------

@@ -56,40 +56,38 @@ func (f Fixture) NewModel() *vae.Model {
 }
 
 // WalkerSpec pins one walker of the fixture population: its latent-draw
-// mode, conditioning, temperature, and private chain seed. The shared
-// model weights come from the Fixture.
+// mode, temperature, and private chain seed. The shared model weights come
+// from the Fixture.
 type WalkerSpec struct {
-	Name       string
-	Mode       mc.GlobalMode
-	EnergyCond bool    // condition on CondForEnergy(E) instead of a fixed scalar
-	TKelvin    float64 // sampling temperature (fixed-cond walkers condition on it too)
-	ChainSeed  uint64
+	Name      string
+	Mode      mc.GlobalMode
+	TKelvin   float64 // sampling temperature, which the proposal conditions on
+	ChainSeed uint64
 }
 
-// Walkers returns the deterministic population of n walker specs, cycling
-// latent modes and conditioning so a batch mixes every Propose branch —
-// fused fixed-cond decodes, two-pass energy-cond decodes, and prior draws —
-// and per-request condition scalars differ across the batch.
+// Walkers returns the deterministic population of n walker specs, mixing
+// latent modes so a batch takes both Propose branches — fused
+// walk-posterior forwards and prior draws — and per-request condition
+// scalars differ across the batch. Walker i samples at 1100 + 100·(i mod 4)
+// K from chain seed 1000 + 7i; indices i ≡ 1 (mod 3) are not part of the
+// population, so the walkers keep the names and seeds their recorded traces
+// were made with.
 func Walkers(n int) []WalkerSpec {
-	specs := make([]WalkerSpec, n)
-	for i := range specs {
+	specs := make([]WalkerSpec, 0, n)
+	for i := 0; len(specs) < n; i++ {
+		if i%3 == 1 {
+			continue
+		}
 		s := WalkerSpec{
+			Mode:      mc.WalkPosterior,
 			TKelvin:   1100 + 100*float64(i%4),
 			ChainSeed: 1000 + uint64(i)*7,
 		}
-		switch i % 3 {
-		case 0:
-			s.Mode, s.EnergyCond = mc.WalkPosterior, false
-		case 1:
-			s.Mode, s.EnergyCond = mc.WalkPosterior, true
-		case 2:
-			s.Mode, s.EnergyCond = mc.JumpPrior, false
+		if i%3 == 2 {
+			s.Mode = mc.JumpPrior
 		}
 		s.Name = fmt.Sprintf("w%d_%s_t%d", i, s.Mode, int(s.TKelvin))
-		if s.EnergyCond {
-			s.Name = fmt.Sprintf("w%d_%s_econd", i, s.Mode)
-		}
-		specs[i] = s
+		specs = append(specs, s)
 	}
 	return specs
 }
@@ -102,10 +100,6 @@ func Walkers(n int) []WalkerSpec {
 func (f Fixture) NewSampler(spec WalkerSpec, backend mc.Inferencer) *mc.Sampler {
 	gp := mc.NewGlobalProposalWith(backend, f.Ham, f.Quota, mc.CondForT(spec.TKelvin))
 	gp.SetMode(spec.Mode)
-	if spec.EnergyCond {
-		n := f.VAE.Sites
-		gp.SetConditionFunc(func(e float64) float64 { return mc.CondForEnergy(e, n) })
-	}
 	src := rng.New(spec.ChainSeed)
 	cfg := make(lattice.Config, 0, f.VAE.Sites)
 	for sp, q := range f.Quota {

@@ -44,34 +44,19 @@ func initRemaining(rem []float64, quota []int, n int) error {
 // SampleConstrained draws a configuration with exact composition quota from
 // the per-site distributions probs, visiting sites in the given order, and
 // returns the configuration and its log proposal density. quota[a] must sum
-// to len(probs); order must be a permutation of the site indices.
+// to len(probs); order must be a permutation of the site indices. It
+// consumes exactly one uniform draw per site and is the allocating
+// reference for SampleAndReverse's forward half.
 func SampleConstrained(probs [][]float64, quota []int, order []int, src *rng.Source) (lattice.Config, float64, error) {
-	return SampleConstrainedInto(probs, quota, order, src, nil, nil)
-}
-
-// SampleConstrainedInto is SampleConstrained writing into caller scratch:
-// dst (len(probs) sites) receives the configuration, and scratch
-// (len(quota)+len(probs) entries) holds the quota bookkeeping followed by
-// one log argument per visited site; either may be nil to allocate. It
-// consumes exactly one uniform draw per site, identical to
-// SampleConstrained.
-func SampleConstrainedInto(probs [][]float64, quota []int, order []int, src *rng.Source, dst lattice.Config, scratch []float64) (lattice.Config, float64, error) {
 	n := len(probs)
 	if len(order) != n {
 		return nil, 0, fmt.Errorf("vae: order has %d entries for %d sites", len(order), n)
 	}
-	remaining, args, err := splitScratch(scratch, len(quota), n)
-	if err != nil {
-		return nil, 0, err
-	}
+	remaining, args := make([]float64, len(quota)), make([]float64, n)
 	if err := initRemaining(remaining, quota, n); err != nil {
 		return nil, 0, err
 	}
-	if dst == nil {
-		dst = make(lattice.Config, n)
-	} else if len(dst) != n {
-		return nil, 0, fmt.Errorf("vae: dst has %d sites for %d probs", len(dst), n)
-	}
+	dst := make(lattice.Config, n)
 	for i, site := range order {
 		choice, arg := drawSite(probs[site], remaining, src)
 		dst[site] = lattice.Species(choice)
@@ -168,23 +153,14 @@ func drawSite(p []float64, remaining []float64, src *rng.Source) (int, float64) 
 
 // LogProbConstrained returns the log density of cfg under the constrained
 // sampling scheme with the given per-site distributions, quota, and order.
-// It is the reverse-move density needed by the exact MH correction.
+// It is the reverse-move density of the exact MH correction, and the
+// allocating reference for SampleAndReverse's reverse half.
 func LogProbConstrained(probs [][]float64, cfg lattice.Config, quota []int, order []int) (float64, error) {
-	return LogProbConstrainedInto(probs, cfg, quota, order, nil)
-}
-
-// LogProbConstrainedInto is LogProbConstrained with caller-owned scratch
-// (len(quota)+len(probs) entries, laid out as SampleConstrainedInto's;
-// nil to allocate).
-func LogProbConstrainedInto(probs [][]float64, cfg lattice.Config, quota []int, order []int, scratch []float64) (float64, error) {
 	n := len(probs)
 	if len(cfg) != n || len(order) != n {
 		return 0, fmt.Errorf("vae: size mismatch (%d probs, %d cfg, %d order)", n, len(cfg), len(order))
 	}
-	remaining, args, err := splitScratch(scratch, len(quota), n)
-	if err != nil {
-		return 0, err
-	}
+	remaining, args := make([]float64, len(quota)), make([]float64, n)
 	for a, q := range quota {
 		remaining[a] = float64(q)
 	}
@@ -204,14 +180,14 @@ func LogProbConstrainedInto(probs [][]float64, cfg lattice.Config, quota []int, 
 	return sumLogs(args), nil
 }
 
-// SampleAndReverse fuses SampleConstrainedInto with the reverse-density
-// evaluation of old under the same probs and order: the per-site
-// probability rows are read once instead of twice, and no allocation
-// occurs when the scratch arguments are non-nil (fwd and rev, each laid
-// out as SampleConstrainedInto's scratch). Both log densities are summed
-// in the same per-site order as the unfused functions, so the results are
-// bit-identical to calling them separately (the golden-trace tests rely
-// on this). It consumes exactly one uniform draw per site — the reverse
+// SampleAndReverse is SampleConstrained fused with LogProbConstrained of
+// old under the same probs and order: the per-site probability rows are
+// read once instead of twice, and no allocation occurs when dst and the
+// scratch arguments are non-nil. fwd and rev each hold len(quota) entries
+// of remaining quota followed by one log argument per site. Both log
+// densities are summed in the same per-site order as the two reference
+// functions, so the results are bit-identical to calling them separately
+// (the vae tests and the mc correction property test rely on this). It consumes exactly one uniform draw per site — the reverse
 // evaluation draws nothing.
 func SampleAndReverse(probs [][]float64, quota []int, order []int, old lattice.Config, src *rng.Source, dst lattice.Config, fwd, rev []float64) (lattice.Config, float64, float64, error) {
 	n := len(probs)

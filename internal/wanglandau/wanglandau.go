@@ -36,7 +36,6 @@ type Options struct {
 	Flatness          float64 // histogram flatness criterion (default 0.8)
 	LnFInit           float64 // initial modification factor (default 1.0)
 	LnFFinal          float64 // terminate when ln f < this (default 1e-6)
-	CheckInterval     int     // sweeps between flatness checks (default 10)
 	MaxSweepsPerStage int64   // per-stage safety cutoff (default 200000)
 	MaxTotalSweeps    int64   // overall safety cutoff (default 10M)
 	// OneOverT enables the Belardinelli-Pereyra 1/t schedule: once the
@@ -63,9 +62,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.LnFFinal == 0 {
 		o.LnFFinal = 1e-6
-	}
-	if o.CheckInterval == 0 {
-		o.CheckInterval = 10
 	}
 	if o.MaxSweepsPerStage == 0 {
 		o.MaxSweepsPerStage = 200000
@@ -116,8 +112,9 @@ type Walker struct {
 	// every step would allocate a closure in the innermost sampling loop.
 	weightFn func(e float64) float64
 
-	// The fields above come to 320 bytes, five whole lines, so there is no
-	// pad; the rewl layout test fails when a new field needs one.
+	// The fields above come to 312 bytes; the pad makes five whole lines.
+	// The rewl layout test fails when a new field outgrows it.
+	_ [5*cacheline.Size - 312]byte
 }
 
 // Sampler aliases mc.Sampler to keep the public surface of this package
@@ -357,13 +354,17 @@ func (w *Walker) AdoptConsensus(logG []float64, lnF float64, steps int64, oneOve
 	return nil
 }
 
+// checkInterval is the number of sweeps RunStage runs between flatness
+// checks.
+const checkInterval = 10
+
 // RunStage sweeps until the histogram is flat or the per-stage cutoff
 // fires, then ends the stage. It returns the stage statistics.
 func (w *Walker) RunStage() StageStat {
 	w.sampler.ResetCounters()
 	start := w.sweeps
 	for {
-		for i := 0; i < w.opts.CheckInterval; i++ {
+		for i := 0; i < checkInterval; i++ {
 			w.Sweep()
 		}
 		if w.flat() || w.sweeps-start >= w.opts.MaxSweepsPerStage {

@@ -86,11 +86,6 @@ type GenOptions struct {
 	GapSweeps      int       // decorrelation sweeps between samples (default 10)
 	Seed           uint64
 	Quota          []int // fixed composition; nil = equiatomic
-	// EnergyCond labels samples with their normalized energy
-	// (mc.CondForEnergy) instead of the normalized temperature, producing
-	// the training set for energy-conditioned proposals used inside
-	// Wang-Landau sampling.
-	EnergyCond bool
 }
 
 func (o *GenOptions) setDefaults(m *alloy.Model) {
@@ -109,10 +104,6 @@ func (o *GenOptions) setDefaults(m *alloy.Model) {
 		o.Quota[k-1] += n - (n/k)*k
 	}
 }
-
-// CondForT re-exports the conditioning convention so data generation and
-// proposal inference cannot drift apart.
-func CondForT(t float64) float64 { return mc.CondForT(t) }
 
 // Generate runs one local-swap MC chain per ladder temperature (in
 // parallel) and collects decorrelated configurations labelled with their
@@ -159,13 +150,10 @@ func GenerateContext(ctx context.Context, m *alloy.Model, opts GenOptions) (*Dat
 				}
 				s.Sweep(t)
 			}
-			cond := CondForT(t)
+			cond := mc.CondForT(t)
 			for i := 0; i < opts.SamplesPerTemp; i++ {
 				for g := 0; g < opts.GapSweeps; g++ {
 					s.Sweep(t)
-				}
-				if opts.EnergyCond {
-					cond = mc.CondForEnergy(s.E, len(s.Cfg))
 				}
 				ds.Append(s.Cfg.Clone(), cond, s.E)
 				select {

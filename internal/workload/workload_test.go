@@ -6,6 +6,7 @@ import (
 
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/lattice"
+	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
 )
 
@@ -63,7 +64,7 @@ func TestGenerateCondLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[float64]bool{CondForT(400): true, CondForT(1600): true}
+	want := map[float64]bool{mc.CondForT(400): true, mc.CondForT(1600): true}
 	for _, c := range ds.Conds {
 		if !want[c] {
 			t.Fatalf("unexpected condition %g", c)
@@ -87,7 +88,7 @@ func TestGenerateEnergyOrdering(t *testing.T) {
 	}
 	var lowSum, highSum float64
 	var lowN, highN int
-	lowCond := CondForT(150)
+	lowCond := mc.CondForT(150)
 	for i, c := range ds.Conds {
 		if c == lowCond {
 			lowSum += ds.Energies[i]
