@@ -13,7 +13,8 @@
 //
 // All energies are in eV; temperatures in kelvin via the Boltzmann constant
 // KB. The package provides O(z) swap energy differences (z = coordination),
-// the operation on the Metropolis hot path.
+// the operation on the Metropolis hot path; they only read the
+// configuration.
 package alloy
 
 import (
@@ -27,7 +28,7 @@ const KB = 8.617333262e-5
 
 // Model is an EPI Hamiltonian bound to a lattice. It is immutable after
 // construction and safe for concurrent use by many walkers (methods that
-// take a configuration do not retain or mutate it except where documented).
+// take a configuration neither retain nor mutate it).
 type Model struct {
 	lat   *lattice.Lattice
 	k     int
@@ -125,19 +126,52 @@ func (m *Model) siteEnergy(cfg lattice.Config, site int, sp lattice.Species) flo
 }
 
 // SwapDeltaE returns E(cfg with sites i and j swapped) − E(cfg) in O(z).
-// cfg is temporarily mutated and restored, so it must not be shared with
-// concurrent readers. The i–j bond (if any) is handled exactly because the
-// "after" local energies are evaluated on the swapped configuration.
+// It only reads cfg, so walkers may share a configuration with concurrent
+// readers.
+//
+// One pass walks the neighbour rows of i and j together and keeps four
+// running sums: the local energies of i and j before the swap, and after
+// it, where the partner site reads as the swapped species (so the i–j
+// bond, and its repeated images on a small supercell, are counted
+// exactly). Each sum adds its terms in siteEnergy's order, so the result
+// is bit-identical to evaluating the four local energies one after the
+// other on the swapped and unswapped configurations. A lattice never
+// lists a site as its own neighbour, so only the partner needs the
+// override.
 func (m *Model) SwapDeltaE(cfg lattice.Config, i, j int) float64 {
 	a, b := cfg[i], cfg[j]
 	if a == b {
 		return 0
 	}
-	before := m.siteEnergy(cfg, i, a) + m.siteEnergy(cfg, j, b)
-	cfg[i], cfg[j] = b, a
-	after := m.siteEnergy(cfg, i, b) + m.siteEnergy(cfg, j, a)
-	cfg[i], cfg[j] = a, b
-	return after - before
+	k := m.k
+	ni, nj := m.lat.AllNeighbors(i), m.lat.AllNeighbors(j)
+	pi, pj := int32(i), int32(j)
+	var bi, bj, ai, aj float64
+	off := 0
+	for s, flat := range m.v {
+		rowA := flat[int(a)*k : (int(a)+1)*k]
+		rowB := flat[int(b)*k : (int(b)+1)*k]
+		end := off + m.lat.ShellSize(s)
+		xs := ni[off:end]
+		ys := nj[off:end]
+		ys = ys[:len(xs)] // lets the compiler drop the check on ys[t]
+		for t, x := range xs {
+			y := ys[t]
+			sx, sy := cfg[x], cfg[y]
+			bi += rowA[sx]
+			bj += rowB[sy]
+			if x == pj {
+				sx = a
+			}
+			if y == pi {
+				sy = b
+			}
+			ai += rowB[sx]
+			aj += rowA[sy]
+		}
+		off = end
+	}
+	return (ai + aj) - (bi + bj)
 }
 
 // MutateDeltaE returns the energy change from setting cfg[site] = sp,

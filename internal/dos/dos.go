@@ -40,19 +40,21 @@ func (d *LogDOS) Bins() int { return len(d.LogG) }
 // EMax returns the upper edge of the energy range.
 func (d *LogDOS) EMax() float64 { return d.EMin + d.BinWidth*float64(len(d.LogG)) }
 
-// Bin returns the bin index containing energy e, or -1 if out of range.
+// Bin returns the bin index containing energy e, or -1 if out of range
+// (NaN included). The range is checked on the float before it is converted:
+// Go leaves the int conversion of a float beyond the int range to the
+// implementation.
 func (d *LogDOS) Bin(e float64) int {
-	if e < d.EMin {
+	if !(e >= d.EMin) {
 		return -1
 	}
-	i := int((e - d.EMin) / d.BinWidth)
-	if i >= len(d.LogG) {
-		if e < d.EMax()+1e-9*d.BinWidth { // tolerate fp at the top edge
-			return len(d.LogG) - 1
-		}
-		return -1
+	if x := (e - d.EMin) / d.BinWidth; x < float64(len(d.LogG)) {
+		return int(x)
 	}
-	return i
+	if e < d.EMax()+1e-9*d.BinWidth { // tolerate fp at the top edge
+		return len(d.LogG) - 1
+	}
+	return -1
 }
 
 // BinEnergy returns the center energy of bin i.

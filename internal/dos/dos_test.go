@@ -44,6 +44,38 @@ func TestBinMapping(t *testing.T) {
 	}
 }
 
+// TestBinOutOfRangeTable holds Bin to its contract at the values whose int
+// conversion Go leaves to the implementation: every energy outside the
+// window, NaN and the infinities included, maps to -1.
+func TestBinOutOfRangeTable(t *testing.T) {
+	d, err := New(-1, 1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		e    float64
+		want int
+	}{
+		{math.NaN(), -1},
+		{math.Inf(1), -1},
+		{math.Inf(-1), -1},
+		{1e300, -1},
+		{-1e300, -1},
+		{math.MaxFloat64, -1},
+		{1e19, -1}, // above the int64 range, below +Inf
+		{math.Nextafter(-1, math.Inf(-1)), -1},
+		{1 + 1e-9, -1},
+		{-1, 0},
+		{0, 10},
+		{math.Nextafter(1, 0), 19},
+		{1, 19},
+	} {
+		if got := d.Bin(c.e); got != c.want {
+			t.Errorf("Bin(%v) = %d, want %d", c.e, got, c.want)
+		}
+	}
+}
+
 func TestBinRoundTrip(t *testing.T) {
 	d, _ := New(-3, 7, 137)
 	err := quick.Check(func(raw uint16) bool {

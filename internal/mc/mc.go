@@ -4,13 +4,15 @@
 // The package separates three concerns the paper's framework also
 // separates:
 //
-//   - the target ensemble, expressed as a log-weight over energies
-//     (canonical e^{-βE}, or Wang-Landau 1/g(E) via package wanglandau);
+//   - the target ensemble, which turns a proposed move into its log
+//     acceptance ratio (canonical −βΔE in StepCanonical, Wang-Landau
+//     ln g(E) − ln g(E′) in package wanglandau);
 //   - the proposal mechanism, from the classic local swap baseline to
 //     DeepThermo's deep-learning global update (GlobalProposal);
 //   - the sampling driver (Sampler), which owns the walker state and the
 //     exact Metropolis-Hastings accept/reject including the proposal
-//     density correction.
+//     density correction. A step is Propose, then Settle with the
+//     ensemble's ratio plus the correction Propose returned.
 package mc
 
 import (
@@ -69,41 +71,46 @@ func NewSampler(m *alloy.Model, cfg lattice.Config, prop Proposal, src *rng.Sour
 // energy is recomputed from scratch to cancel floating-point drift.
 const resyncInterval = 1 << 20
 
-// StepWeighted performs one Metropolis-Hastings step against an arbitrary
-// ensemble: logWeight(E) is the log of the (unnormalized) stationary
-// density of a configuration with energy E. Returns whether the move was
-// accepted.
-func (s *Sampler) StepWeighted(logWeight func(e float64) float64) bool {
-	dE, lqr := s.Proposal.Propose(s.Cfg, s.E, s.Src)
+// Propose draws a candidate from the proposal, applying it to Cfg, and
+// returns its ΔE and Metropolis-Hastings correction ln q(x|x′) − ln q(x′|x).
+// E still holds the energy of the configuration before the move; the
+// caller computes the log acceptance ratio of the target ensemble and
+// passes it to Settle, which ends the step. Splitting the step this way
+// lets an ensemble keep state across steps (the Wang-Landau walker reuses
+// the bin of the current energy) without a per-step callback.
+func (s *Sampler) Propose() (deltaE, logQRatio float64) {
+	deltaE, logQRatio = s.Proposal.Propose(s.Cfg, s.E, s.Src)
 	s.Proposed++
-	newE := s.E + dE
-	logA := logWeight(newE) - logWeight(s.E) + lqr
-	if logA >= 0 || math.Log(s.Src.Float64()+1e-300) < logA {
-		s.Proposal.Accept()
-		s.E = newE
-		s.Accepted++
-		s.maybeResync()
-		return true
+	return deltaE, logQRatio
+}
+
+// Settle accepts the candidate of the last Propose with probability
+// min(1, e^logA) and commits it (E += dE), or restores the configuration.
+// A uniform is drawn whenever logA < 0, so the random stream does not
+// depend on the ratio's value; a ratio of −Inf (a forbidden candidate)
+// skips the logarithm of that draw. Returns whether the move was accepted.
+func (s *Sampler) Settle(dE, logA float64) bool {
+	accept := logA >= 0
+	if !accept {
+		u := s.Src.Float64()
+		accept = logA > math.Inf(-1) && math.Log(u+1e-300) < logA
 	}
-	s.Proposal.Reject(s.Cfg)
-	return false
+	if !accept {
+		s.Proposal.Reject(s.Cfg)
+		return false
+	}
+	s.Proposal.Accept()
+	s.E += dE
+	s.Accepted++
+	s.maybeResync()
+	return true
 }
 
 // StepCanonical performs one step of canonical sampling at inverse
 // temperature beta (1/(k_B·T), 1/eV).
 func (s *Sampler) StepCanonical(beta float64) bool {
-	dE, lqr := s.Proposal.Propose(s.Cfg, s.E, s.Src)
-	s.Proposed++
-	logA := -beta*dE + lqr
-	if logA >= 0 || math.Log(s.Src.Float64()+1e-300) < logA {
-		s.Proposal.Accept()
-		s.E += dE
-		s.Accepted++
-		s.maybeResync()
-		return true
-	}
-	s.Proposal.Reject(s.Cfg)
-	return false
+	dE, lqr := s.Propose()
+	return s.Settle(dE, -beta*dE+lqr)
 }
 
 // Sweep performs one canonical sweep: NumSites steps at temperature T (K).

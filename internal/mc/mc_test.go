@@ -247,17 +247,49 @@ func TestSweepAndAnneal(t *testing.T) {
 	}
 }
 
-func TestStepWeightedUniform(t *testing.T) {
-	// A flat log-weight must accept every swap (ΔlogW = 0 and symmetric q).
+func TestSettleUniform(t *testing.T) {
+	// A flat ensemble must accept every swap (ΔlogW = 0 and symmetric q).
 	lat := lattice.MustNew(lattice.SC, 2, 2, 2)
 	m := alloy.BinaryOrdering(lat, 0.05)
 	src := rng.New(16)
 	cfg := lattice.EquiatomicConfig(lat, 2, src)
 	s := NewSampler(m, cfg, NewSwapProposal(m), src)
 	for i := 0; i < 50; i++ {
-		if !s.StepWeighted(func(float64) float64 { return 0 }) {
+		dE, lqr := s.Propose()
+		if !s.Settle(dE, lqr) {
 			t.Fatal("flat ensemble rejected a symmetric move")
 		}
+	}
+}
+
+// TestSettleForbiddenDrawsUniform checks that a forbidden candidate
+// (log acceptance −Inf) is rejected, restores the configuration, and still
+// consumes the uniform a finite ratio would: the random stream does not
+// depend on whether the candidate was allowed.
+func TestSettleForbiddenDrawsUniform(t *testing.T) {
+	lat := lattice.MustNew(lattice.SC, 2, 2, 2)
+	m := alloy.BinaryOrdering(lat, 0.05)
+	run := func(logA float64) (rng.State, lattice.Config, bool) {
+		src := rng.New(17)
+		s := NewSampler(m, lattice.EquiatomicConfig(lat, 2, src), NewSwapProposal(m), src)
+		before := s.Cfg.Clone()
+		e := s.E
+		dE, _ := s.Propose()
+		acc := s.Settle(dE, logA)
+		if !acc && (s.E != e || string(s.Cfg) != string(before)) {
+			t.Fatalf("logA %v: rejected move left E %v (was %v) or changed the configuration", logA, s.E, e)
+		}
+		return src.State(), s.Cfg, acc
+	}
+	forbidden, _, acc := run(math.Inf(-1))
+	if acc {
+		t.Fatal("forbidden candidate accepted")
+	}
+	if _, _, acc := run(math.NaN()); acc {
+		t.Fatal("NaN log acceptance accepted")
+	}
+	if finite, _, _ := run(-1e9); finite != forbidden {
+		t.Fatal("a forbidden candidate drew a different number of uniforms than a finite rejection")
 	}
 }
 

@@ -3,6 +3,7 @@ package rewl
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +56,16 @@ var malformedLeaderStates = []struct {
 	}},
 	{"frozen ln g of 2 bins", func(ck *distCheckpoint) {
 		ck.Coord.FrozenLogG[0] = []float64{0, 0}
+	}},
+	{"walker energy +Inf", func(ck *distCheckpoint) {
+		ck.Walkers[0][0].Sampler.E = math.Inf(1)
+	}},
+	{"walker energy -Inf", func(ck *distCheckpoint) {
+		ck.Walkers[0][0].Sampler.E = math.Inf(-1)
+	}},
+	{"walker energy off its configuration", func(ck *distCheckpoint) {
+		st := &ck.Walkers[0][0]
+		st.Sampler.E = st.Window.EMin + 0.5*(st.Window.EMax-st.Window.EMin)
 	}},
 }
 
@@ -111,7 +122,8 @@ func TestCheckpointRejectsMalformedWalkerStates(t *testing.T) {
 
 // FuzzDistCheckpoint: whatever a leader round blob holds, the resume checks
 // never panic, and a checkpoint they accept puts every live walker on its
-// ladder window with a configuration the lattice can sweep.
+// ladder window with a configuration the lattice can sweep, and every live
+// walker completes one sweep.
 func FuzzDistCheckpoint(f *testing.F) {
 	m, wins, opts, blob := leaderRoundBlob(f)
 	f.Add(blob)
@@ -147,6 +159,7 @@ func FuzzDistCheckpoint(f *testing.F) {
 						t.Fatalf("window %d walker %d holds species %d of %d", wi, k, sp, species)
 					}
 				}
+				w.Sweep()
 			}
 		}
 	})

@@ -57,7 +57,9 @@ func (w *Walker) State() WalkerState {
 // the run's proposal factory); src is then rewound in place to the
 // checkpointed stream position, so the restored walker's future chain is
 // bit-identical to the uninterrupted one regardless of any draws the
-// factory consumed while rebuilding.
+// factory consumed while rebuilding. A snapshot whose energy is not finite,
+// disagrees with its configuration or lies outside its window is refused:
+// Sweep needs the walker inside its window.
 func RestoreWalker(m *alloy.Model, prop mc.Proposal, src *rng.Source, st WalkerState, opts Options) (*Walker, error) {
 	if len(st.LogG) != st.Window.Bins || len(st.Hist) != st.Window.Bins || len(st.Visited) != st.Window.Bins {
 		return nil, fmt.Errorf("wanglandau: checkpoint arrays (%d/%d/%d bins) disagree with window (%d bins)",
@@ -83,8 +85,21 @@ func RestoreWalker(m *alloy.Model, prop mc.Proposal, src *rng.Source, st WalkerS
 	w.steps = st.Steps
 	w.oneOverT = st.OneOverT
 	w.sampler.RestoreState(st.Sampler)
-	if b := w.dosEst.Bin(w.sampler.E); b < 0 && !math.IsInf(w.sampler.E, 0) {
-		return nil, fmt.Errorf("wanglandau: checkpointed energy %g outside window [%g,%g)", w.sampler.E, st.Window.EMin, st.Window.EMax)
+	e := w.sampler.E
+	// Also refuses ±Inf and NaN, which no comparison puts within the tolerance.
+	if exact := m.Energy(w.sampler.Cfg); !(math.Abs(e-exact) <= restoreEnergyTol) {
+		return nil, fmt.Errorf("wanglandau: checkpointed energy %g is not within %g eV of its configuration's %g", e, restoreEnergyTol, exact)
+	}
+	if w.dosEst.Bin(e) < 0 {
+		return nil, fmt.Errorf("wanglandau: checkpointed energy %g outside window [%g,%g)", e, st.Window.EMin, st.Window.EMax)
 	}
 	return w, nil
 }
+
+// restoreEnergyTol is how far a checkpointed energy may sit from the energy
+// of its configuration recomputed from scratch. A sampler's energy is a sum
+// of ΔE that drifts by rounding between resyncs, a few ulps per accepted
+// move, so a checkpoint taken mid-interval is off by far less than this;
+// a bond energy is of order 10⁻³ eV, far more. An accepted energy is kept
+// bit for bit, so the resumed chain replays the uninterrupted one.
+const restoreEnergyTol = 1e-6

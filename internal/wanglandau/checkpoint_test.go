@@ -119,3 +119,47 @@ func TestRestoreWalkerValidates(t *testing.T) {
 		t.Fatal("mismatched checkpoint arrays accepted")
 	}
 }
+
+// TestRestoreWalkerRefusesBadEnergy checks that a restored walker is one
+// Sweep can run: a checkpointed energy that is not finite, or that sits in
+// the window but disagrees with the configuration, is refused; one within
+// rounding drift of the configuration's energy is kept bit for bit.
+func TestRestoreWalkerRefusesBadEnergy(t *testing.T) {
+	m, exact := smallSystem(t)
+	win := Window{EMin: exact.EMin, EMax: exact.EMax(), Bins: exact.Bins()}
+	src := rng.New(5)
+	w, err := NewWalker(m, lattice.EquiatomicConfig(m.Lattice(), 2, src), mc.NewSwapProposal(m), src, win, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Sweep()
+	e := w.Energy()
+	// The in-window energy farthest from e: the centre of an end bin.
+	far := exact.BinEnergy(0)
+	if e-far < exact.BinEnergy(exact.Bins()-1)-e {
+		far = exact.BinEnergy(exact.Bins() - 1)
+	}
+	for name, bad := range map[string]float64{
+		"+Inf":             math.Inf(1),
+		"-Inf":             math.Inf(-1),
+		"NaN":              math.NaN(),
+		"in window, wrong": far,
+	} {
+		st := w.State()
+		st.Sampler.E = bad
+		if _, err := RestoreWalker(m, mc.NewSwapProposal(m), rng.New(6), st, Options{}); err == nil {
+			t.Errorf("%s: checkpointed energy %v accepted for a configuration of energy %v", name, bad, e)
+		}
+	}
+
+	st := w.State()
+	st.Sampler.E = e + 1e-12
+	r, err := RestoreWalker(m, mc.NewSwapProposal(m), rng.New(6), st, Options{})
+	if err != nil {
+		t.Fatalf("energy within rounding drift refused: %v", err)
+	}
+	if math.Float64bits(r.Energy()) != math.Float64bits(st.Sampler.E) {
+		t.Fatalf("restored energy %v, checkpoint held %v", r.Energy(), st.Sampler.E)
+	}
+	r.Sweep()
+}

@@ -108,13 +108,9 @@ type Walker struct {
 	steps    int64
 	oneOverT bool // in the 1/t phase of the Belardinelli-Pereyra schedule
 
-	// weightFn caches the w.logWeight method value: binding it fresh on
-	// every step would allocate a closure in the innermost sampling loop.
-	weightFn func(e float64) float64
-
-	// The fields above come to 312 bytes; the pad makes five whole lines.
+	// The fields above come to 304 bytes; the pad makes five whole lines.
 	// The rewl layout test fails when a new field outgrows it.
-	_ [5*cacheline.Size - 312]byte
+	_ [5*cacheline.Size - 304]byte
 }
 
 // Sampler aliases mc.Sampler to keep the public surface of this package
@@ -155,7 +151,6 @@ func newWalker(m *alloy.Model, sites int, prop mc.Proposal, src *rng.Source, w W
 	}
 	wk.dosEst.LogG = cacheline.Make[float64](w.Bins)
 	copy(wk.dosEst.LogG, d.LogG)
-	wk.weightFn = wk.logWeight
 	return wk, nil
 }
 
@@ -178,48 +173,65 @@ func (w *Walker) Config() lattice.Config { return w.sampler.Cfg }
 // Sampler returns the underlying Metropolis sampler.
 func (w *Walker) Sampler() *mc.Sampler { return &w.sampler }
 
-// logWeight is the Wang-Landau stationary log-density: −ln g(E), with
-// moves out of the window rejected outright.
-func (w *Walker) logWeight(e float64) float64 {
-	b := w.dosEst.Bin(e)
-	if b < 0 {
-		return math.Inf(-1)
-	}
-	lg := w.dosEst.LogG[b]
-	if math.IsInf(lg, -1) {
-		return 0 // unvisited bin: g treated as 1, maximally attractive
-	}
-	return -lg
-}
-
-// step performs one WL Metropolis step and the visit update.
-func (w *Walker) step() {
-	w.sampler.StepWeighted(w.weightFn)
-	w.steps++
-	if w.oneOverT {
-		lnF := float64(w.dosEst.Bins()) / float64(w.steps)
-		if lnF < w.lnF {
-			w.lnF = lnF
-		}
-	}
-	b := w.dosEst.Bin(w.sampler.E)
-	// b >= 0 invariant: out-of-window proposals are rejected, so the walker
-	// energy stays inside the window.
-	if math.IsInf(w.dosEst.LogG[b], -1) {
-		w.dosEst.LogG[b] = w.lnF
-	} else {
-		w.dosEst.LogG[b] += w.lnF
-	}
-	w.hist[b]++
-	w.visited[b] = true
-}
-
-// Sweep performs one sweep (NumSites steps).
+// Sweep performs one sweep: NumSites Metropolis steps against the
+// Wang-Landau weight 1/g(E), each followed by the visit update of the bin
+// the walker then sits in.
+//
+// The current energy is binned once here and carried from step to step, so
+// a step bins only its candidate: a rejected move stays in the bin, an
+// accepted one moves to the candidate's bin, and only a resync that moved
+// E re-bins it. Both ln g values are read from LogG at the step, after the
+// previous step's update. A candidate outside the window has log
+// acceptance −Inf and is rejected. The walker's energy must be inside the
+// window when the sweep starts; NewWalker, RestoreWalker and every caller
+// that moves a configuration between walkers keep it there.
 func (w *Walker) Sweep() {
-	for i := 0; i < len(w.sampler.Cfg); i++ {
-		w.step()
+	s := &w.sampler
+	logG := w.dosEst.LogG
+	cur := w.dosEst.Bin(s.E)
+	if cur < 0 {
+		panic(fmt.Sprintf("wanglandau: sweep starts at energy %g outside window [%g,%g)", s.E, w.dosEst.EMin, w.dosEst.EMax()))
+	}
+	for n := 0; n < len(s.Cfg); n++ {
+		dE, lqr := s.Propose()
+		newE := s.E + dE
+		next := w.dosEst.Bin(newE)
+		logA := math.Inf(-1)
+		if next >= 0 {
+			logA = binLogWeight(logG[next]) - binLogWeight(logG[cur]) + lqr
+		}
+		if s.Settle(dE, logA) {
+			cur = next
+			if s.E != newE { // a resync corrected the drift
+				cur = w.dosEst.Bin(s.E)
+			}
+		}
+		w.steps++
+		if w.oneOverT {
+			lnF := float64(len(logG)) / float64(w.steps)
+			if lnF < w.lnF {
+				w.lnF = lnF
+			}
+		}
+		if math.IsInf(logG[cur], -1) {
+			logG[cur] = w.lnF
+		} else {
+			logG[cur] += w.lnF
+		}
+		w.hist[cur]++
+		w.visited[cur] = true
 	}
 	w.sweeps++
+}
+
+// binLogWeight is the Wang-Landau stationary log-density −ln g of a bin
+// whose estimate is lg. An unvisited bin counts as g = 1, maximally
+// attractive.
+func binLogWeight(lg float64) float64 {
+	if math.IsInf(lg, -1) {
+		return 0
+	}
+	return -lg
 }
 
 // flat reports whether the visit histogram satisfies the flatness
