@@ -34,6 +34,14 @@ func TestNewEPIValidation(t *testing.T) {
 	if _, err := NewEPI(lat, 2, [][][]float64{{{0, 1}}}, nil); err == nil {
 		t.Error("non-square matrix accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewEPI(lat, 2, [][][]float64{{{0, v}, {v, 0}}}, nil); err == nil {
+			t.Errorf("interaction %g accepted", v)
+		}
+	}
+	if _, err := NewEPI(lat, 2, [][][]float64{{{0, 1e307}, {1e307, 0}}}, nil); err == nil {
+		t.Error("interactions whose energies overflow accepted")
+	}
 	m, err := NewEPI(lat, 2, [][][]float64{sym}, []string{"A", "B"})
 	if err != nil {
 		t.Fatal(err)

@@ -84,14 +84,43 @@ func TestExchangesAccepted(t *testing.T) {
 }
 
 // TestEnergyMonotoneInT: mean energy must increase along the ladder.
+// seriesProposal is the swap proposal that also records the energy its
+// walker starts each round from, which is the energy the previous round
+// measured (an exchange moves configurations, not proposals).
+type seriesProposal struct {
+	mc.Proposal
+	stepsPerRound int
+	steps         int
+	roundStarts   []float64
+}
+
+func (p *seriesProposal) Propose(cfg lattice.Config, curE float64, src *rng.Source) (float64, float64) {
+	if p.steps%p.stepsPerRound == 0 {
+		p.roundStarts = append(p.roundStarts, curE)
+	}
+	p.steps++
+	return p.Proposal.Propose(cfg, curE, src)
+}
+
+// TestEnergyMonotoneInT: ⟨E⟩ rises with T, and the fluctuation C_v is never
+// negative and is positive exactly where the replica's measured energy
+// series varies. Energies are exact, so a replica frozen in its ground
+// state measures C_v = 0, not rounding noise.
 func TestEnergyMonotoneInT(t *testing.T) {
 	m, _ := smallSystem(t)
 	seed := lattice.EquiatomicConfig(m.Lattice(), 2, rng.New(5))
+	const sweepsPerRound, equil = 10, 100
+	props := make([]*seriesProposal, 3)
 	res, err := Run(m, seed, Options{
-		Temps:         []float64{300, 1000, 5000},
-		EquilRounds:   100,
-		MeasureRounds: 800,
-		Seed:          6,
+		Temps:          []float64{300, 1000, 5000},
+		SweepsPerRound: sweepsPerRound,
+		EquilRounds:    equil,
+		MeasureRounds:  800,
+		Seed:           6,
+		NewProposal: func(i int, _ *rng.Source) mc.Proposal {
+			props[i] = &seriesProposal{Proposal: mc.NewSwapProposal(m), stepsPerRound: sweepsPerRound * m.Lattice().NumSites()}
+			return props[i]
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +131,24 @@ func TestEnergyMonotoneInT(t *testing.T) {
 				res.Replicas[i-1].Energy.Mean(), res.Replicas[i].Energy.Mean())
 		}
 	}
-	// Cv positive everywhere.
-	for _, rep := range res.Replicas {
-		if rep.Cv <= 0 {
-			t.Errorf("T=%g: Cv = %g", rep.T, rep.Cv)
+	for i, rep := range res.Replicas {
+		// Round r's measurement is where round r+1 starts; the last one is
+		// the final configuration's energy.
+		series := append(props[i].roundStarts[equil+1:], m.Energy(res.FinalConfigs[i]))
+		if len(series) != rep.Energy.N() {
+			t.Fatalf("T=%g: reconstructed %d measurements, the run took %d", rep.T, len(series), rep.Energy.N())
+		}
+		varies := false
+		for _, e := range series {
+			varies = varies || e != series[0]
+		}
+		switch {
+		case rep.Cv < 0:
+			t.Errorf("T=%g: Cv = %g < 0", rep.T, rep.Cv)
+		case varies && rep.Cv == 0:
+			t.Errorf("T=%g: the energy series varies but Cv = 0", rep.T)
+		case !varies && rep.Cv != 0:
+			t.Errorf("T=%g: the energy series is constant at %g but Cv = %g", rep.T, series[0], rep.Cv)
 		}
 	}
 }
