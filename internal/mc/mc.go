@@ -48,7 +48,7 @@ type Proposal interface {
 type Sampler struct {
 	Model    *alloy.Model
 	Cfg      lattice.Config
-	E        float64 // energy of Cfg, maintained incrementally
+	E        float64 // energy of Cfg, maintained incrementally (exactly; see package alloy)
 	Src      *rng.Source
 	Proposal Proposal
 
@@ -56,9 +56,7 @@ type Sampler struct {
 	// the last ResetCounters.
 	Accepted, Proposed int64
 
-	stepsSinceResync int
-
-	_ [2*cacheline.Size - 88]byte
+	_ [2*cacheline.Size - 80]byte
 }
 
 // NewSampler creates a walker over cfg. The configuration is owned by the
@@ -66,10 +64,6 @@ type Sampler struct {
 func NewSampler(m *alloy.Model, cfg lattice.Config, prop Proposal, src *rng.Source) *Sampler {
 	return &Sampler{Model: m, Cfg: cfg, E: m.Energy(cfg), Src: src, Proposal: prop}
 }
-
-// resyncInterval is how many incremental updates are allowed before the
-// energy is recomputed from scratch to cancel floating-point drift.
-const resyncInterval = 1 << 20
 
 // Propose draws a candidate from the proposal, applying it to Cfg, and
 // returns its ΔE and Metropolis-Hastings correction ln q(x|x′) − ln q(x′|x).
@@ -102,7 +96,6 @@ func (s *Sampler) Settle(dE, logA float64) bool {
 	s.Proposal.Accept()
 	s.E += dE
 	s.Accepted++
-	s.maybeResync()
 	return true
 }
 
@@ -132,23 +125,6 @@ func (s *Sampler) AcceptanceRate() float64 {
 
 // ResetCounters zeroes the acceptance statistics.
 func (s *Sampler) ResetCounters() { s.Accepted, s.Proposed = 0, 0 }
-
-// ResyncEnergy recomputes E from the configuration, returning the drift it
-// corrected.
-func (s *Sampler) ResyncEnergy() float64 {
-	exact := s.Model.Energy(s.Cfg)
-	drift := exact - s.E
-	s.E = exact
-	s.stepsSinceResync = 0
-	return drift
-}
-
-func (s *Sampler) maybeResync() {
-	s.stepsSinceResync++
-	if s.stepsSinceResync >= resyncInterval {
-		s.ResyncEnergy()
-	}
-}
 
 // Anneal runs sweepsPerT canonical sweeps at each temperature of the
 // (typically decreasing) ladder. It is used to prepare low-energy

@@ -17,11 +17,6 @@ type SamplerState struct {
 	RNG      rng.State
 	Accepted int64
 	Proposed int64
-	// StepsSinceResync counts incremental energy updates since the last
-	// full recomputation; it matters because the periodic resync at
-	// resyncInterval steps rounds away accumulated floating-point drift
-	// and therefore changes subsequent accept/reject decisions.
-	StepsSinceResync int
 }
 
 // State snapshots the sampler's chain state. The configuration is copied,
@@ -30,12 +25,11 @@ func (s *Sampler) State() SamplerState {
 	cfg := make(lattice.Config, len(s.Cfg))
 	copy(cfg, s.Cfg)
 	return SamplerState{
-		Cfg:              cfg,
-		E:                s.E,
-		RNG:              s.Src.State(),
-		Accepted:         s.Accepted,
-		Proposed:         s.Proposed,
-		StepsSinceResync: s.stepsSinceResync,
+		Cfg:      cfg,
+		E:        s.E,
+		RNG:      s.Src.State(),
+		Accepted: s.Accepted,
+		Proposed: s.Proposed,
 	}
 }
 
@@ -54,5 +48,4 @@ func (s *Sampler) RestoreState(st SamplerState) {
 	s.Src.Restore(st.RNG)
 	s.Accepted = st.Accepted
 	s.Proposed = st.Proposed
-	s.stepsSinceResync = st.StepsSinceResync
 }

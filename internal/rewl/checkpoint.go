@@ -35,8 +35,10 @@ func HasCheckpoint(dir string) bool {
 }
 
 // checkpointVersion guards against format drift across releases; files of
-// another version are not offered for resume.
-const checkpointVersion = 2
+// another version are not offered for resume. Version 3: a walker's
+// sampler state has no resync counter, and its energy must equal its
+// configuration's exactly.
+const checkpointVersion = 3
 
 // distCoordState is the leader-only coordination state.
 type distCoordState struct {

@@ -67,6 +67,11 @@ var malformedLeaderStates = []struct {
 		st := &ck.Walkers[0][0]
 		st.Sampler.E = st.Window.EMin + 0.5*(st.Window.EMax-st.Window.EMin)
 	}},
+	{"walker energy one quantum off its configuration", func(ck *distCheckpoint) {
+		m := alloy.BinaryOrdering(lattice.MustNew(lattice.SC, 2, 2, 4), 0.05) // exact16's model
+		st := &ck.Walkers[0][0]
+		st.Sampler.E = m.Energy(st.Sampler.Cfg) + m.Quantum()
+	}},
 }
 
 func editBlob(t testing.TB, blob []byte, edit func(*distCheckpoint)) []byte {

@@ -11,7 +11,6 @@ package wanglandau
 
 import (
 	"fmt"
-	"math"
 
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/mc"
@@ -86,20 +85,12 @@ func RestoreWalker(m *alloy.Model, prop mc.Proposal, src *rng.Source, st WalkerS
 	w.oneOverT = st.OneOverT
 	w.sampler.RestoreState(st.Sampler)
 	e := w.sampler.E
-	// Also refuses ±Inf and NaN, which no comparison puts within the tolerance.
-	if exact := m.Energy(w.sampler.Cfg); !(math.Abs(e-exact) <= restoreEnergyTol) {
-		return nil, fmt.Errorf("wanglandau: checkpointed energy %g is not within %g eV of its configuration's %g", e, restoreEnergyTol, exact)
+	// Energies are exact, so this also refuses ±Inf and NaN.
+	if exact := m.Energy(w.sampler.Cfg); e != exact {
+		return nil, fmt.Errorf("wanglandau: checkpointed energy %v is not its configuration's %v", e, exact)
 	}
 	if w.dosEst.Bin(e) < 0 {
 		return nil, fmt.Errorf("wanglandau: checkpointed energy %g outside window [%g,%g)", e, st.Window.EMin, st.Window.EMax)
 	}
 	return w, nil
 }
-
-// restoreEnergyTol is how far a checkpointed energy may sit from the energy
-// of its configuration recomputed from scratch. A sampler's energy is a sum
-// of ΔE that drifts by rounding between resyncs, a few ulps per accepted
-// move, so a checkpoint taken mid-interval is off by far less than this;
-// a bond energy is of order 10⁻³ eV, far more. An accepted energy is kept
-// bit for bit, so the resumed chain replays the uninterrupted one.
-const restoreEnergyTol = 1e-6

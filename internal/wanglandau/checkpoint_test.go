@@ -122,8 +122,8 @@ func TestRestoreWalkerValidates(t *testing.T) {
 
 // TestRestoreWalkerRefusesBadEnergy checks that a restored walker is one
 // Sweep can run: a checkpointed energy that is not finite, or that sits in
-// the window but disagrees with the configuration, is refused; one within
-// rounding drift of the configuration's energy is kept bit for bit.
+// the window but is not exactly the configuration's, even by one quantum,
+// is refused; the configuration's own energy is kept bit for bit.
 func TestRestoreWalkerRefusesBadEnergy(t *testing.T) {
 	m, exact := smallSystem(t)
 	win := Window{EMin: exact.EMin, EMax: exact.EMax(), Bins: exact.Bins()}
@@ -144,6 +144,7 @@ func TestRestoreWalkerRefusesBadEnergy(t *testing.T) {
 		"-Inf":             math.Inf(-1),
 		"NaN":              math.NaN(),
 		"in window, wrong": far,
+		"one quantum off":  e + m.Quantum(),
 	} {
 		st := w.State()
 		st.Sampler.E = bad
@@ -153,10 +154,9 @@ func TestRestoreWalkerRefusesBadEnergy(t *testing.T) {
 	}
 
 	st := w.State()
-	st.Sampler.E = e + 1e-12
 	r, err := RestoreWalker(m, mc.NewSwapProposal(m), rng.New(6), st, Options{})
 	if err != nil {
-		t.Fatalf("energy within rounding drift refused: %v", err)
+		t.Fatalf("exact energy refused: %v", err)
 	}
 	if math.Float64bits(r.Energy()) != math.Float64bits(st.Sampler.E) {
 		t.Fatalf("restored energy %v, checkpoint held %v", r.Energy(), st.Sampler.E)

@@ -178,13 +178,14 @@ func (w *Walker) Sampler() *mc.Sampler { return &w.sampler }
 // the walker then sits in.
 //
 // The current energy is binned once here and carried from step to step, so
-// a step bins only its candidate: a rejected move stays in the bin, an
-// accepted one moves to the candidate's bin, and only a resync that moved
-// E re-bins it. Both ln g values are read from LogG at the step, after the
-// previous step's update. A candidate outside the window has log
-// acceptance −Inf and is rejected. The walker's energy must be inside the
-// window when the sweep starts; NewWalker, RestoreWalker and every caller
-// that moves a configuration between walkers keep it there.
+// a step bins only its candidate: a rejected move stays in the bin and an
+// accepted one moves to the candidate's bin, whose energy E + ΔE is now
+// the walker's to the bit (energies are exact). Both ln g values are read
+// from LogG at the step, after the previous step's update. A candidate
+// outside the window has log acceptance −Inf and is rejected. The walker's
+// energy must be inside the window when the sweep starts; NewWalker,
+// RestoreWalker and every caller that moves a configuration between
+// walkers keep it there.
 func (w *Walker) Sweep() {
 	s := &w.sampler
 	logG := w.dosEst.LogG
@@ -202,9 +203,6 @@ func (w *Walker) Sweep() {
 		}
 		if s.Settle(dE, logA) {
 			cur = next
-			if s.E != newE { // a resync corrected the drift
-				cur = w.dosEst.Bin(s.E)
-			}
 		}
 		w.steps++
 		if w.oneOverT {
@@ -426,8 +424,7 @@ func (w *Walker) Run() *Result {
 // random start; seed from an annealed configuration in that case). A nil
 // error guarantees NewWalker accepts cfg for w.
 func PrepareInWindow(m *alloy.Model, cfg lattice.Config, w Window, src *rng.Source, maxSweeps int) (float64, error) {
-	grid, err := dos.New(w.EMin, w.EMax, w.Bins)
-	if err != nil {
+	if _, err := dos.New(w.EMin, w.EMax, w.Bins); err != nil {
 		return 0, err
 	}
 	e := m.Energy(cfg)
@@ -459,18 +456,10 @@ func PrepareInWindow(m *alloy.Model, cfg lattice.Config, w Window, src *rng.Sour
 			nd := dist(e + dE)
 			if nd <= d || src.Float64() < math.Exp((d-nd)/temp) {
 				cfg[i], cfg[j] = cfg[j], cfg[i]
-				e += dE
+				e += dE // exact: e is m.Energy(cfg), which NewWalker bins
 				d = nd
 				if d == 0 {
-					// The incrementally tracked e can sit an ulp on the other
-					// side of a window edge that coincides with an energy
-					// level. Succeed only on what NewWalker tests — the energy
-					// recomputed from scratch, binned on the window's grid —
-					// and keep steering otherwise.
-					if e = m.Energy(cfg); grid.Bin(e) >= 0 {
-						return e, nil
-					}
-					d = dist(e)
+					return e, nil
 				}
 			}
 		}
