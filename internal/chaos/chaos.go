@@ -240,20 +240,6 @@ func (p *Plan) RejoinDelay(rank int) (time.Duration, bool) {
 	return 0, false
 }
 
-// NumRejoins counts ranks scheduled for kill-then-rejoin.
-func (p *Plan) NumRejoins() int {
-	if p == nil {
-		return 0
-	}
-	n := 0
-	for r := range p.faults {
-		if _, ok := p.RejoinDelay(r); ok {
-			n++
-		}
-	}
-	return n
-}
-
 // HeartbeatLost reports whether rank's seq-th lease heartbeat is
 // suppressed. A LoseHeartbeat fault at step S silences every renewal from
 // S onward — the replica is "paused", not flaky — so once a rank loses

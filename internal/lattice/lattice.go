@@ -36,19 +36,6 @@ func (s Structure) String() string {
 	return fmt.Sprintf("Structure(%d)", int(s))
 }
 
-// SitesPerCell returns the number of basis atoms in the conventional cell.
-func (s Structure) SitesPerCell() int {
-	switch s {
-	case SC:
-		return 1
-	case BCC:
-		return 2
-	case FCC:
-		return 4
-	}
-	return 0
-}
-
 // basisOffsets returns the basis atom positions in doubled coordinates.
 func (s Structure) basisOffsets() [][3]int {
 	switch s {

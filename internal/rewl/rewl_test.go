@@ -116,7 +116,7 @@ func TestSplitWindowsAdversarialCorners(t *testing.T) {
 		{"two-zero-overlap", 1, 2, 0, false},
 		{"five-zero-overlap", 1, 5, 0, false},
 		{"nine-of-ten-bins", 1, 9, 0, false},
-		{"ten-of-ten-bins", 1, 10, 0, true},   // stride would need to be 0
+		{"ten-of-ten-bins", 1, 10, 0, true}, // stride would need to be 0
 		{"three-of-three-bins", 0.3, 3, 0, true},
 		{"high-overlap-few-bins", 0.5, 4, 0.75, false},
 		{"exact-divisible", 1, 4, 0.5, false},

@@ -249,9 +249,6 @@ func (s *Server) Drain(ctx context.Context) {
 	s.jobs.Drain(ctx)
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // setDOSLoader swaps the function that resolves DOS artifacts for
 // /v1/thermo. Tests use it to inject registry/disk faults behind the
 // circuit breaker.

@@ -141,15 +141,6 @@ func NewCoordinatorOpts(addr string, size int, opts CoordinatorOptions) (*Coordi
 	return co, nil
 }
 
-// SetLogf installs a progress logger (e.g. log.Printf). The default
-// discards.
-func (co *Coordinator) SetLogf(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	co.logf = f
-}
-
 // Addr returns the coordinator's bound address.
 func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 
