@@ -15,7 +15,8 @@ package rewl
 // The window ladder is the caller's for the whole run; only the walker
 // count per window changes. The controller lives on the leader and reads
 // walker histograms and configurations directly, so it runs only when
-// rank 0 owns every window.
+// rank 0 owns every window. The telemetry is built from the owners' round
+// reports, at every world size.
 //
 // Determinism: every decision is a pure function of state the run
 // checkpoints capture (stages, alive masks, walker histograms, consensus
@@ -96,38 +97,30 @@ func migrantSeed(seed uint64, win, slot, gen int) uint64 {
 }
 
 // collectTelemetry refreshes the per-window snapshots at the round
-// barrier. Like the rest of the controller it reads walker histograms
-// directly, so it runs only when rank 0 owns every window. Sweep rates
-// compare against the previous snapshot; everything the controller
-// *decides* on is checkpoint-covered state, so the rate being
+// barrier from the owners' round reports, so it is the same at every world
+// size. Sweep rates compare against the previous snapshot; everything the
+// controller *decides* on is checkpoint-covered state, so the rate being
 // informational-only keeps resumed runs bit-identical.
 func (L *distLeader) collectTelemetry(round int) {
 	telem := make([]WindowTelemetry, len(L.windows))
 	for wi := range L.windows {
-		aw := aliveIn(L.o.walkers[wi], L.o.alive[wi])
 		t := WindowTelemetry{
-			Window:   wi,
-			Round:    round,
-			Stage:    L.stages[wi],
-			LnF:      L.lastLnFG[wi],
-			Walkers:  len(aw),
-			Sweeps:   L.retiredSweeps[wi],
-			Degraded: len(aw) == 0,
+			Window: wi,
+			Round:  round,
+			Stage:  L.stages[wi],
+			LnF:    L.lastLnFG[wi],
+			Sweeps: L.retiredSweeps[wi],
 		}
-		flat, cov := math.Inf(1), math.Inf(1)
-		for _, w := range aw {
-			t.Sweeps += w.Sweeps()
-			if f := w.FlatnessRatio(); f < flat {
-				flat = f
-			}
-			if c := w.Coverage(); c < cov {
-				cov = c
+		for _, a := range L.aliveG[wi] {
+			if a {
+				t.Walkers++
 			}
 		}
-		if len(aw) > 0 {
-			t.Flatness, t.Coverage = flat, cov
-			t.LnF = aw[0].LnF()
-			t.Converged = windowConverged(aw)
+		t.Degraded = t.Walkers == 0
+		if !t.Degraded {
+			rep := L.winRep[wi]
+			t.Flatness, t.Coverage, t.Converged = rep.flatness, rep.coverage, rep.conv
+			t.Sweeps += rep.sweeps
 		}
 		t.SweepRate = float64(t.Sweeps - L.prevSweeps[wi])
 		L.prevSweeps[wi] = t.Sweeps

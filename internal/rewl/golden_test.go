@@ -184,7 +184,8 @@ func runDistTCP(t *testing.T, n int, m *alloy.Model, seed lattice.Config, wins [
 
 // TestGoldenREWL replays every golden row through RunContext, and the
 // static rows through chan worlds of 2 and 3 ranks and (one row) a 2-rank
-// TCP world: all of them must reproduce the recorded trajectory.
+// TCP world: all of them must reproduce the recorded trajectory, and the
+// other worlds the world of one's telemetry.
 func TestGoldenREWL(t *testing.T) {
 	for _, row := range goldenRows() {
 		row := row
@@ -234,8 +235,25 @@ func TestGoldenREWL(t *testing.T) {
 				}
 			}
 
+			// The world-of-one result, whose telemetry every other world
+			// must reproduce.
+			var localRes *Result
+			localRun := func(t *testing.T) *Result {
+				if localRes == nil {
+					localRes = run(t, local)
+				}
+				return localRes
+			}
+			requireLocalTelemetry := func(t *testing.T, res *Result) {
+				t.Helper()
+				want := localRun(t).Telemetry
+				if len(want) != len(wins) || !reflect.DeepEqual(res.Telemetry, want) {
+					t.Errorf("telemetry differs from the world of one:\n got %+v\nwant %+v", res.Telemetry, want)
+				}
+			}
+
 			t.Run("local", func(t *testing.T) {
-				res := run(t, local)
+				res := localRun(t)
 				requireGolden(t, row.name, res)
 				if res.Rounds < 4 || res.ExchangeTried == 0 {
 					t.Errorf("row pins too little: %d rounds, %d exchanges tried", res.Rounds, res.ExchangeTried)
@@ -251,17 +269,21 @@ func TestGoldenREWL(t *testing.T) {
 				for _, ranks := range []int{2, 3} {
 					ranks := ranks
 					t.Run("chan"+strconv.Itoa(ranks), func(t *testing.T) {
-						requireGolden(t, row.name, run(t, func(opts Options) *Result {
+						res := run(t, func(opts Options) *Result {
 							return runDistChan(t, ranks, m, seed, wins, opts)
-						}))
+						})
+						requireGolden(t, row.name, res)
+						requireLocalTelemetry(t, res)
 					})
 				}
 			}
 			if row.tcp {
 				t.Run("tcp2", func(t *testing.T) {
-					requireGolden(t, row.name, run(t, func(opts Options) *Result {
+					res := run(t, func(opts Options) *Result {
 						return runDistTCP(t, 2, m, seed, wins, opts)
-					}))
+					})
+					requireGolden(t, row.name, res)
+					requireLocalTelemetry(t, res)
 				})
 			}
 		})

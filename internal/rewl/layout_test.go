@@ -201,40 +201,22 @@ func testLeader(t testing.TB, m *alloy.Model, seed lattice.Config, wins []wangla
 	return L
 }
 
-// stepRound is runDistLeader's round in miniature — sweep, report,
-// exchange, stage transitions, adaptive rebalancing — built from the
-// leader's own methods. It returns the boundaries whose exchange was
-// accepted.
+// stepRound runs the leader's round and returns the boundaries whose
+// exchange was accepted: an accepted exchange moves a replica id out of
+// the boundary's lower window, which exchanges at no other boundary that
+// round.
 func stepRound(t testing.TB, L *distLeader, round int) (accepted []int) {
 	t.Helper()
-	ctx := context.Background()
-	L.o.sweepAndMerge(ctx)
-	L.parseReport(0, L.o.report())
-	L.collectTelemetry(round + 1)
-	nWin := len(L.windows)
-	for wi := round % 2; wi+1 < nWin; wi += 2 {
-		ia, ib := aliveIdx(L.aliveG[wi]), aliveIdx(L.aliveG[wi+1])
-		ka, kb := ia[L.coord.Intn(len(ia))], ib[L.coord.Intn(len(ib))]
-		before := L.res.ExchangeAccept
-		L.tryExchangeDist(ctx, wi, ka, kb)
-		if L.res.ExchangeAccept > before {
+	before := make([][]int, len(L.replicaID))
+	for wi, ids := range L.replicaID {
+		before[wi] = append([]int(nil), ids...)
+	}
+	if _, err := L.round(context.Background(), round); err != nil {
+		t.Fatal(err)
+	}
+	for wi := round % 2; wi+1 < len(L.windows); wi += 2 {
+		if !reflect.DeepEqual(before[wi], L.replicaID[wi][:len(before[wi])]) {
 			accepted = append(accepted, wi)
-		}
-	}
-	for wi := 0; wi < nWin; wi++ {
-		conv, flat := true, true
-		for _, k := range aliveIdx(L.aliveG[wi]) {
-			conv = conv && L.reported[wi][k].conv
-			flat = flat && L.reported[wi][k].flat
-		}
-		if !conv && flat {
-			L.commandEndStage(ctx, wi)
-			L.stages[wi]++
-		}
-	}
-	if L.opts.Adaptive.Enabled && (round+1)%rebalanceEvery == 0 {
-		if err := L.adapt(round + 1); err != nil {
-			t.Fatal(err)
 		}
 	}
 	return accepted
@@ -451,7 +433,7 @@ func BenchmarkSweepPhase(b *testing.B) {
 	m, seed, wins := ladder54(b)
 	L := testLeader(b, m, seed, wins, swapFactory(m), Options{Seed: 3, WL: wanglandau.Options{LnFInit: 0.05, LnFFinal: 1e-300}})
 	ctx := context.Background()
-	L.o.sweepAndMerge(ctx)
+	L.o.sweepPhase(ctx)
 	steps := func() (n int64) {
 		for _, ws := range L.o.walkers {
 			n += ws[0].Steps()
@@ -461,7 +443,7 @@ func BenchmarkSweepPhase(b *testing.B) {
 	before := steps()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		L.o.sweepAndMerge(ctx)
+		L.o.sweepPhase(ctx)
 	}
 	b.ReportMetric(float64(steps()-before)/b.Elapsed().Seconds(), "steps/s")
 }
