@@ -1,11 +1,15 @@
-// Command dtreport runs the complete DeepThermo evaluation suite —
-// experiments E1-E13 and ablations A1, A3-A6 — and writes a single
-// markdown report with every regenerated table. It is the only front-end
-// of package experiments and the tool behind EXPERIMENTS.md:
+// Command dtreport runs the DeepThermo evaluation suite — experiments
+// E1-E10 and ablation A6 — and writes a single markdown report with every
+// regenerated table. It is the only front-end of package experiments and
+// the tool behind EXPERIMENTS.md:
 //
 //	dtreport -out report.md            # full suite (several minutes)
-//	dtreport -only E1,E2,A4            # a subset
+//	dtreport -only E1,E2,A6            # a subset
 //	dtreport -cells 2 -only E1         # smaller testbed for a fast look
+//
+// The methods-section cross-checks E11-E13 are tier-1 tests, not report
+// sections: TestE11Validation and TestE13ChaosResilience in internal/rewl,
+// TestE12CrossCheck in the root package.
 package main
 
 import (
@@ -19,13 +23,11 @@ import (
 	"time"
 
 	"deepthermo/internal/experiments"
-	"deepthermo/internal/hpcsim"
 )
 
 // tableIDs lists every table dtreport regenerates, in report order.
 var tableIDs = []string{
-	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13",
-	"A1", "A3", "A4", "A5", "A6",
+	"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "A6",
 }
 
 // parseOnly turns the -only flag (comma-separated table IDs, or "all")
@@ -81,7 +83,7 @@ func main() {
 
 	// The sampling experiments share one trained testbed.
 	var tb *experiments.Testbed
-	if want["E1"] || want["E2"] || want["E5"] || want["E6"] || want["A1"] || want["A3"] || want["A6"] {
+	if want["E1"] || want["E2"] || want["E5"] || want["E6"] || want["A6"] {
 		log.Printf("training the shared testbed (cells=%d)...", *cells)
 		tb, err = experiments.NewTestbed(experiments.TestbedOptions{Cells: *cells, Seed: *seed})
 		if err != nil {
@@ -168,55 +170,6 @@ func main() {
 			return "", err
 		}
 		return r.Format(), nil
-	})
-	section("E11", func() (string, error) {
-		r, err := experiments.Validation(experiments.E11Options{})
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	})
-	section("E12", func() (string, error) {
-		r, err := experiments.TemperingCrossCheck(experiments.E12Options{})
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	})
-	section("E13", func() (string, error) {
-		r, err := experiments.ChaosResilience(experiments.E13Options{})
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	})
-	section("A1", func() (string, error) {
-		r, err := experiments.AblationKLWeight(tb, nil, 0)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	})
-	section("A3", func() (string, error) {
-		r, err := experiments.AblationDLWeight(tb, nil)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	})
-	section("A4", func() (string, error) {
-		r, err := experiments.AblationWLSchedule(0, 0)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	})
-	section("A5", func() (string, error) {
-		var b strings.Builder
-		for _, m := range []hpcsim.Machine{hpcsim.Summit, hpcsim.Crusher} {
-			b.WriteString(experiments.AblationAllreduce(m, 0, nil).Format())
-		}
-		return b.String(), nil
 	})
 	section("A6", func() (string, error) {
 		r, err := experiments.AblationScheduledMixture(tb, 0)

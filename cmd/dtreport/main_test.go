@@ -17,9 +17,21 @@ func TestParseOnly(t *testing.T) {
 		errWant string // substring of the error; "" means no error
 	}{
 		{in: "all", want: all},
+		{in: "ALL", want: map[string]bool{
+			"E1": true, "E2": true, "E3": true, "E4": true, "E5": true, "E6": true,
+			"E7": true, "E8": true, "E9": true, "E10": true, "A6": true,
+		}},
 		{in: " e1 ", want: map[string]bool{"E1": true}},
-		{in: "E13,A6", want: map[string]bool{"E13": true, "A6": true}},
+		{in: "E10,A6", want: map[string]bool{"E10": true, "A6": true}},
 		{in: "E99", errWant: `unknown table ID "E99"`},
+		// E11-E13 are tier-1 tests now; A1, A3, A4 and A5 were retired.
+		{in: "E11", errWant: `unknown table ID "E11"`},
+		{in: "E12", errWant: `unknown table ID "E12"`},
+		{in: "e13", errWant: `unknown table ID "e13"`},
+		{in: "A1", errWant: `unknown table ID "A1"`},
+		{in: "A3", errWant: `unknown table ID "A3"`},
+		{in: "A4", errWant: `unknown table ID "A4"`},
+		{in: "E7,A5", errWant: `unknown table ID "A5"`},
 		{in: "A2", errWant: "dl-walk and dl-jump columns of E1"},
 	}
 	for _, c := range cases {

@@ -1,52 +1,6 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-
-	"deepthermo/internal/hpcsim"
-)
-
-func TestAblationKLWeight(t *testing.T) {
-	tb := smallTestbed(t)
-	res, err := AblationKLWeight(tb, []float64{1.0, 0.3}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Recon <= 0 || row.KL < 0 {
-			t.Errorf("βKL=%g: implausible losses %g/%g", row.BetaKL, row.Recon, row.KL)
-		}
-		if row.Acc300 < 0 || row.Acc300 > 1 || row.Acc1000 < 0 || row.Acc1000 > 1 {
-			t.Errorf("βKL=%g: acceptance out of range", row.BetaKL)
-		}
-	}
-	if !strings.Contains(res.Format(), "A1") {
-		t.Error("format missing banner")
-	}
-}
-
-func TestAblationDLWeight(t *testing.T) {
-	tb := smallTestbed(t)
-	res, err := AblationDLWeight(tb, []float64{0.1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.Speedup <= 0 {
-			t.Errorf("weight %g: speedup %g", row.DLWeight, row.Speedup)
-		}
-		if row.MixBins <= 0 {
-			t.Errorf("weight %g: no coverage", row.DLWeight)
-		}
-	}
-}
+import "testing"
 
 func TestAblationScheduledMixture(t *testing.T) {
 	tb := smallTestbed(t)
@@ -67,66 +21,5 @@ func TestAblationScheduledMixture(t *testing.T) {
 	}
 	if res.Speedup <= 0 {
 		t.Error("no speedup computed")
-	}
-}
-
-func TestAblationWLSchedule(t *testing.T) {
-	res, err := AblationWLSchedule(1e-4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.RMS > 0.3 {
-			t.Errorf("%s: rms %g", row.Schedule, row.RMS)
-		}
-		if row.Sweeps <= 0 {
-			t.Errorf("%s: no sweeps", row.Schedule)
-		}
-	}
-}
-
-func TestAblationAllreduce(t *testing.T) {
-	res := AblationAllreduce(hpcsim.Summit, 1e8, []int{8, 512})
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	// Hierarchical must not lose to the flat ring across nodes.
-	for _, row := range res.Rows {
-		if row.Devices > hpcsim.Summit.GPUsPerNode && row.Hierarchical >= row.FlatRing {
-			t.Errorf("devices=%d: hierarchical %g not faster than flat %g", row.Devices, row.Hierarchical, row.FlatRing)
-		}
-	}
-	if res.Format() == "" {
-		t.Error("empty format")
-	}
-}
-
-func TestE12CrossCheck(t *testing.T) {
-	res, err := TemperingCrossCheck(E12Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sites != 16 || len(res.Rows) != 8 {
-		t.Fatalf("unexpected shape: %d sites, %d rows", res.Sites, len(res.Rows))
-	}
-	// Independent estimators agree to a few meV/site.
-	if res.MaxDU > 0.004 {
-		t.Errorf("methods disagree by %g eV/site", res.MaxDU)
-	}
-	// Both methods see the same Cv peak location (coarse ladder check).
-	bestPT, bestDOS := 0, 0
-	for i, row := range res.Rows {
-		if row.CvPT > res.Rows[bestPT].CvPT {
-			bestPT = i
-		}
-		if row.CvDOS > res.Rows[bestDOS].CvDOS {
-			bestDOS = i
-		}
-	}
-	if abs := bestPT - bestDOS; abs < -1 || abs > 1 {
-		t.Errorf("Cv peak at different rungs: PT %d vs DOS %d", bestPT, bestDOS)
 	}
 }

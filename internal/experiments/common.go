@@ -1,8 +1,9 @@
-// Package experiments implements the DeepThermo evaluation suite: one
-// entry point per reconstructed table/figure (E1-E13) and per ablation
-// (A1, A3-A6; see DESIGN.md). cmd/dtreport is its only front-end — each
-// table is the section `dtreport -only <ID>` writes — so every number in
-// EXPERIMENTS.md is regenerated from a single implementation.
+// Package experiments implements the DeepThermo evaluation suite's report
+// tables: one entry point per reconstructed table/figure E1-E10 and for
+// ablation A6 (see DESIGN.md). cmd/dtreport is its only front-end — each
+// table is the section `dtreport -only <ID>` writes. The methods-section
+// cross-checks E11-E13 are tier-1 tests in internal/rewl and the root
+// package instead.
 package experiments
 
 import (

@@ -265,59 +265,6 @@ func TestE10TimeToSolution(t *testing.T) {
 	}
 }
 
-func TestE11Validation(t *testing.T) {
-	res, err := Validation(E11Options{LnFFinal: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("%d systems", len(res.Rows))
-	}
-	for _, row := range res.Rows {
-		if row.RMSSerial > 0.3 || row.RMSREWL > 0.35 {
-			t.Errorf("%s: rms %g / %g too large", row.System, row.RMSSerial, row.RMSREWL)
-		}
-	}
-}
-
-// TestE13ChaosResilience is the PR's fault-rate acceptance check: a 10%
-// walker-crash rate must still complete sampling with a DOS error
-// comparable to the fault-free seed-to-seed spread.
-func TestE13ChaosResilience(t *testing.T) {
-	res, err := ChaosResilience(E13Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.BaselineRMS) != 5 || res.SpreadMax <= 0 {
-		t.Fatalf("baseline spread not measured: %+v", res.BaselineRMS)
-	}
-	var got10 bool
-	for _, row := range res.Rows {
-		if row.Rate > 0 && row.Crashes == 0 {
-			t.Errorf("rate %.2f sampled a crash-free plan", row.Rate)
-		}
-		if row.Rate != 0.10 {
-			continue
-		}
-		got10 = true
-		if row.FailedWalkers < 1 {
-			t.Errorf("10%% row lost no walkers: %+v", row)
-		}
-		if !row.Converged {
-			t.Errorf("10%% fault rate did not converge: %+v", row)
-		}
-		// "Within the seed-to-seed spread": no worse than the worst
-		// fault-free seed, with modest slack for the lost walker's
-		// statistics.
-		if row.RMS > 1.5*res.SpreadMax {
-			t.Errorf("10%% row RMS %.4f exceeds spread max %.4f", row.RMS, res.SpreadMax)
-		}
-	}
-	if !got10 {
-		t.Fatal("no 10% fault-rate row")
-	}
-}
-
 func TestQuotaConfigComposition(t *testing.T) {
 	tb := smallTestbed(t)
 	cfg := QuotaConfig(tb.Quota, newTestSrc())

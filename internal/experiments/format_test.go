@@ -25,13 +25,6 @@ func TestFormatRenderers(t *testing.T) {
 		{"E5", (&E5Result{Sites: 54, OnsetT: 600, Rows: []E5Row{{T: 300, AlphaMoTa: -1, EtaB2: 0.9}}}).Format()},
 		{"E6", (&E6Result{Params: 100, Rows: []E6Row{{Workers: 1, FinalRecon: 60, Seconds: 1, SamplesPerSec: 100}}}).Format()},
 		{"E10", (&E10Result{Devices: 3072, Speedup: 2, Rows: []E10Row{{Machine: "m", Method: "x", Hours: 1}}}).Format()},
-		{"E11", (&E11Result{Rows: []E11Row{{System: "s", States: 70, Bins: 4, RMSSerial: 0.05}}}).Format()},
-		{"E12", (&E12Result{Sites: 16, MaxDU: 0.001, Rows: []E12Row{{T: 300, UPT: -1, UDOS: -1}}}).Format()},
-		{"E13", (&E13Result{BaselineRMS: []float64{0.05}, SpreadMin: 0.04, SpreadMax: 0.06,
-			Rows: []E13Row{{Rate: 0.1, Crashes: 1, FailedWalkers: 1, Converged: true, RMS: 0.05, Rounds: 20}}}).Format()},
-		{"A1", (&A1Result{Rows: []A1Row{{BetaKL: 1, Recon: 60}}}).Format()},
-		{"A3", (&A3Result{Rows: []A3Row{{DLWeight: 0.2, Speedup: 2, MixBins: 24}}}).Format()},
-		{"A4", (&A4Result{Rows: []A4Row{{Schedule: "1/t", RMS: 0.01, Sweeps: 100}}}).Format()},
 		{"A6", (&A6Result{Speedup: 2, Rows: []A6Row{{Policy: "scheduled", Sweeps: 100, Bins: 24}}}).Format()},
 	}
 	for _, c := range cases {

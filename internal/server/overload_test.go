@@ -68,6 +68,46 @@ func TestParseTempsRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// FuzzParseTemps: for any T= list (comma-separated here) and any sweep=
+// string, parseTemps either refuses the query or returns 1 to
+// maxTempsPerQuery temperatures, all finite and positive.
+//
+//	go test -run '^$' -fuzz '^FuzzParseTemps$' -fuzztime 30s ./internal/server/
+func FuzzParseTemps(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"300", ""},
+		{"", "100:3500:50"},
+		{"300,400", "100:500:5"},
+		{"NaN", ""},
+		{"", "100:Inf:5"},
+		{"", "0:1:1"},
+		{"", "-1e308:1e308:3"},
+		{"1e-320", ""},
+		{"300", "1:2:10000"},
+		{"", "100:3500:0"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, tlist, sweep string) {
+		var ts []string
+		if tlist != "" {
+			ts = strings.Split(tlist, ",")
+		}
+		temps, err := parseTemps(ts, sweep)
+		if err != nil {
+			return
+		}
+		if len(temps) < 1 || len(temps) > maxTempsPerQuery {
+			t.Fatalf("parseTemps(%q, %q) returned %d temperatures", ts, sweep, len(temps))
+		}
+		for _, v := range temps {
+			if !isFinite(v) || v <= 0 {
+				t.Fatalf("parseTemps(%q, %q) returned temperature %g", ts, sweep, v)
+			}
+		}
+	})
+}
+
 func TestThermoNaNReturns400(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	info := putDOS(t, srv)

@@ -8,9 +8,9 @@
 // equilibration across free-energy barriers but — unlike Wang-Landau —
 // yields observables only at the ladder temperatures, which is precisely
 // the contrast the paper draws when it targets g(E) directly. The package
-// is the comparison baseline: experiment E12 checks the DOS route's
-// canonical curves against it. Training data comes from package workload,
-// not from here.
+// is the comparison baseline: experiment E12, the root package's
+// TestE12CrossCheck, checks the facade's DOS route against it. Training
+// data comes from package workload, not from here.
 package tempering
 
 import (

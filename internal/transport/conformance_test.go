@@ -796,7 +796,7 @@ func TestConformanceCollectiveCrash(t *testing.T) {
 }
 
 // Chan-only contracts; the world's other chan-only checks are in
-// internal/comm.
+// chan_test.go.
 
 // TestChanBarrierWithdrawsOnTimeout: a rank that times out of a barrier
 // withdraws its arrival, so the next full barrier still completes rather

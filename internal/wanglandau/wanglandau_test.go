@@ -26,8 +26,9 @@ func smallSystem(t testing.TB) (*alloy.Model, *dos.LogDOS) {
 	return m, d
 }
 
-// TestWLConvergesToExactDOS is the core validation (experiment E11): the
-// WL estimate must match exact enumeration to a few percent RMS in ln g.
+// TestWLConvergesToExactDOS is the core validation: the WL estimate must
+// match exact enumeration to a few percent RMS in ln g. Experiment E11
+// (rewl's TestE11Validation) repeats it on three systems, with REWL too.
 func TestWLConvergesToExactDOS(t *testing.T) {
 	m, exact := smallSystem(t)
 	src := rng.New(1)
@@ -204,7 +205,8 @@ func TestWLWithDLProposalStaysExact(t *testing.T) {
 }
 
 // TestOneOverTConvergesToExactDOS: the 1/t schedule must reach the same
-// exact DOS as the halving schedule (experiment ablation A4).
+// exact DOS as the halving schedule (ablation A4, recorded in
+// EXPERIMENTS.md).
 func TestOneOverTConvergesToExactDOS(t *testing.T) {
 	m, exact := smallSystem(t)
 	src := rng.New(21)
