@@ -299,10 +299,11 @@ func (s *System) SampleDOS(cfg DOSConfig) (*DOSResult, error) {
 }
 
 // SampleDOSContext is SampleDOS with cooperative cancellation: the REWL
-// walkers poll ctx once per sweep. On cancellation a partial DOSResult
-// (Converged=false, normalized over whatever was merged) is returned
-// alongside ctx's error when the sampled windows can still be stitched,
-// so callers may persist partial progress.
+// walkers poll ctx once per sweep. On cancellation the DOSResult of the
+// last completed REWL round (Converged=false; what its checkpoint holds
+// and Resume restarts from) is returned alongside ctx's error, so callers
+// may persist partial progress; it is nil when no round completed or the
+// sampled windows cannot yet be stitched.
 func (s *System) SampleDOSContext(ctx context.Context, cfg DOSConfig) (*DOSResult, error) {
 	if cfg.Windows == 0 {
 		cfg.Windows = 4

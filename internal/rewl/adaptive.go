@@ -119,7 +119,7 @@ func (L *distLeader) collectTelemetry(round int) {
 		t.Degraded = t.Walkers == 0
 		if !t.Degraded {
 			rep := L.winRep[wi]
-			t.Flatness, t.Coverage, t.Converged = rep.flatness, rep.coverage, rep.conv
+			t.Flatness, t.Coverage, t.Converged = rep.flatness, rep.coverage, rep.convBefore()
 			t.Sweeps += rep.sweeps
 		}
 		t.SweepRate = float64(t.Sweeps - L.prevSweeps[wi])
@@ -234,10 +234,15 @@ func (L *distLeader) adapt(round int) error {
 			return err
 		}
 		if retire >= 0 {
+			// The round's report counted the retiree's moves, which the
+			// window's Result leaves out with the walker.
+			w := walkers[from][retire]
 			alive[from][retire] = false
 			L.aliveG[from][retire] = false
 			L.retired[from]++
-			L.retiredSweeps[from] += walkers[from][retire].Sweeps()
+			L.retiredSweeps[from] += w.Sweeps()
+			L.winRep[from].acc -= w.Sampler().Accepted
+			L.winRep[from].prop -= w.Sampler().Proposed
 		}
 		L.res.Migrations++
 		L.res.Events = append(L.res.Events, MigrationEvent{Round: round, From: from, To: s, Slot: slot, Gen: L.gen})

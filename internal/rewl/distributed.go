@@ -12,12 +12,14 @@ package rewl
 // side of each live pair, one Float64 only when a bin-compatible exchange
 // has logA < 0), evaluates each exchange on its copy of the two windows'
 // consensus, and asks the owners only to move the configurations of accepted
-// exchanges (getCfg, setCfg). Rank 0 runs its own windows' commands through
-// the same command handler the workers run; that is the only seam. Floats
-// travel as raw IEEE-754 bits, so every decision input — and therefore every
-// decision — is the same bits however the windows are placed: a world of one
-// rank (RunContext) and a world of N yield the same DOS, exchange/round-trip
-// counts, stage schedule and telemetry for the same seed.
+// exchanges (getCfg, setCfg). The Result, too, is built from the reports of
+// the last completed round; finish only releases the workers. Rank 0 runs
+// its own windows' commands through the same command handler the workers
+// run; that is the only seam. Floats travel as raw IEEE-754 bits, so every
+// decision input — and therefore every decision — is the same bits however
+// the windows are placed: a world of one rank (RunContext) and a world of N
+// yield the same Result, telemetry included, for the same seed, cancelled
+// or not.
 //
 // Fault model: a rank that drops (TCP peer disconnect, injected crash) is
 // handled like a failed MPI rank — the leader marks every walker of the
@@ -48,7 +50,7 @@ const (
 	dopGetCfg     = 3  // [op, wi, k] → [E, cfg...]
 	dopSetCfg     = 4  // [op, wi, k, E, cfg...] (no reply)
 	dopCheckpoint = 6  // [op, nextRound] → [ok]
-	dopFinish     = 7  // [op] → finish report, then the owner returns
+	dopFinish     = 7  // [op] (no reply); the owner returns
 	dopAbort      = 8  // [op] (no reply); the owner returns an error
 	dopListRounds = 9  // [op] → [n, round1..roundN] (verifiable ckpt rounds)
 	dopRollback   = 10 // [op, round] → [ok]; reload state from that round (0 = fresh)
@@ -135,9 +137,13 @@ func unpackBytes(words []float64, n int) ([]byte, error) {
 // opts); rank 0 acts as the leader and returns the merged Result, other
 // ranks return (nil, nil) after a clean run. The world size must not
 // exceed the window count. Walkers poll ctx once per sweep; on
-// cancellation the leader skips the interrupted round's coordination and
-// checkpoint and returns what was sampled so far, merged, alongside ctx's
-// error.
+// cancellation the leader drops the interrupted round — its reports,
+// coordination and checkpoint — and returns the Result of the last
+// completed round (Rounds counting the interrupted one) alongside ctx's
+// error: what that round's checkpoint holds and Resume restarts from. A run
+// cancelled before it completed a round since its start or its last rejoin
+// rollback returns (nil, ctx's error). No rank counts as failed because
+// the run was cancelled.
 //
 // With Options.CheckpointDir set, each rank writes its own round files and
 // manifest (DistManifestPath) every CheckpointEvery rounds; Options.Resume
@@ -340,7 +346,7 @@ func (w *distWorker) command(ctx context.Context, msg []float64) (reply []float6
 		w.o = o2
 		return []float64{1}, false, nil
 	case dopFinish:
-		return o.finishReport(), true, nil
+		return nil, true, nil
 	default: // dopAbort
 		return nil, false, fmt.Errorf("rewl: rank %d: run aborted by leader", w.rank)
 	}

@@ -10,10 +10,11 @@
 // per-window densities of states are stitched into one (package dos).
 //
 // The driver is bulk-synchronous. In each round every window's owner
-// sweeps its walkers independently, merges their ln g, reports, and ends
-// the window's stage when its walkers are flat; then the leader runs the
-// serial exchange phase from the reports alone. This mirrors the paper's
-// MPI implementation, where the exchange phase is a nearest-neighbor
+// sweeps its walkers independently, merges their ln g, ends the window's
+// stage when its walkers are flat, and reports; then the leader runs the
+// serial exchange phase from the reports alone, and builds the Result from
+// the last completed round's reports. This mirrors the paper's MPI
+// implementation, where the exchange phase is a nearest-neighbor
 // communication step between window communicators. There is one round loop
 // (distributed.go); RunContext runs it over a world of one rank that owns
 // every window, RunDistributed over however many ranks the endpoint has.
@@ -310,9 +311,9 @@ func Run(m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, ne
 // RunContext is Run with cooperative cancellation: RunDistributed over a
 // world of one rank, which owns every window. Walkers poll ctx once per
 // sweep, so cancellation takes effect within one sweep rather than one
-// exchange round. On cancellation the windows sampled so far are still
-// merged and returned alongside ctx's error, so callers can persist the
-// partial density of states.
+// exchange round. On cancellation the Result of the last completed round
+// is returned alongside ctx's error, so callers can persist the partial
+// density of states.
 func RunContext(ctx context.Context, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
 	return RunDistributed(ctx, transport.NewChanWorld(1).Endpoint(0), m, seedCfg, windows, newProposal, opts)
 }

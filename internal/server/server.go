@@ -778,8 +778,9 @@ func (s *Server) putArtifact(jb Job, kind ArtifactKind, name string, data []byte
 
 // runJob executes one job against the deepthermo facade. Artifacts
 // produced before a failure or cancellation are still attached to the job
-// — a cancelled REWL run persists its partial density of states (marked
-// partial=true) so the sampling already spent is not lost.
+// — a cancelled REWL run persists the density of states of its last
+// completed round (marked partial=true; none when no round completed) so
+// the sampling already spent is not lost.
 func (s *Server) runJob(ctx context.Context, jb Job) (map[string]any, []string, error) {
 	spec := jb.Spec
 	sys, err := deepthermo.NewSystem(deepthermo.SystemConfig{
