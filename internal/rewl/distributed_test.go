@@ -20,22 +20,51 @@ func swapFactory(m *alloy.Model) ProposalFactory {
 	return func(win, widx int, s *rng.Source) mc.Proposal { return mc.NewSwapProposal(m) }
 }
 
-// runDistChan executes RunDistributed over an in-process world of n ranks
-// and returns the leader's result.
-func runDistChan(t *testing.T, n int, m *alloy.Model, seed lattice.Config, wins []wanglandau.Window, opts Options) *Result {
+// runWorld runs RunDistributed under ctx on every rank of an in-process
+// world of n ranks, or of a TCP loopback world when tcp is set, and
+// returns each rank's result and error, indexed by rank.
+func runWorld(t *testing.T, ctx context.Context, tcp bool, n int, m *alloy.Model, seed lattice.Config, wins []wanglandau.Window, factory ProposalFactory, opts Options) ([]*Result, []error) {
 	t.Helper()
 	world := transport.NewChanWorld(n)
+	var co *transport.Coordinator
+	if tcp {
+		var err error
+		if co, err = transport.NewCoordinator("127.0.0.1:0", n); err != nil {
+			t.Fatal(err)
+		}
+		defer co.Close()
+	}
 	results := make([]*Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(r int) {
+		go func(i int) {
 			defer wg.Done()
-			results[r], errs[r] = RunDistributed(context.Background(), world.Endpoint(r), m, seed, wins, swapFactory(m), opts)
-		}(r)
+			var ep transport.Endpoint = world.Endpoint(i)
+			if tcp {
+				tep, err := transport.Join(context.Background(), co.Addr(), transport.JoinOptions{Timeout: 20 * time.Second})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer tep.Close()
+				ep = tep
+			}
+			r := ep.Rank()
+			results[r], errs[r] = RunDistributed(ctx, ep, m, seed, wins, factory, opts)
+		}(i)
 	}
 	wg.Wait()
+	return results, errs
+}
+
+// runDist runs a world of n ranks (see runWorld) to the end and returns the
+// leader's result, failing the test unless every rank returned cleanly and
+// only the leader returned a result.
+func runDist(t *testing.T, tcp bool, n int, m *alloy.Model, seed lattice.Config, wins []wanglandau.Window, opts Options) *Result {
+	t.Helper()
+	results, errs := runWorld(t, context.Background(), tcp, n, m, seed, wins, swapFactory(m), opts)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -50,6 +79,20 @@ func runDistChan(t *testing.T, n int, m *alloy.Model, seed lattice.Config, wins 
 		t.Fatal("leader returned no result")
 	}
 	return results[0]
+}
+
+// runDistChan executes RunDistributed over an in-process world of n ranks
+// and returns the leader's result.
+func runDistChan(t *testing.T, n int, m *alloy.Model, seed lattice.Config, wins []wanglandau.Window, opts Options) *Result {
+	t.Helper()
+	return runDist(t, false, n, m, seed, wins, opts)
+}
+
+// runDistTCP executes RunDistributed over a TCP loopback world of n ranks
+// and returns the leader's result.
+func runDistTCP(t *testing.T, n int, m *alloy.Model, seed lattice.Config, wins []wanglandau.Window, opts Options) *Result {
+	t.Helper()
+	return runDist(t, true, n, m, seed, wins, opts)
 }
 
 // sameResult asserts two runs are bit-identical: every counter, every
