@@ -55,58 +55,3 @@ func TestAutocorrTimeDegenerate(t *testing.T) {
 		t.Errorf("constant series τ = %g", tau)
 	}
 }
-
-func TestJackknifeMean(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	est, se := Jackknife(xs, Mean)
-	if math.Abs(est-4.5) > 1e-12 {
-		t.Errorf("jackknife estimate = %g", est)
-	}
-	// For the mean, jackknife SE equals the standard error of the mean.
-	want := math.Sqrt(Variance(xs) / 8)
-	if math.Abs(se-want) > 1e-9 {
-		t.Errorf("jackknife SE = %g, want %g", se, want)
-	}
-}
-
-func TestJackknifeShort(t *testing.T) {
-	est, se := Jackknife([]float64{7}, Mean)
-	if est != 7 || se != 0 {
-		t.Error("singleton jackknife wrong")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -1, 10, 11} {
-		h.Add(x)
-	}
-	if h.Total() != 5 {
-		t.Errorf("in-range total = %d", h.Total())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("outliers = %d, %d", under, over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d", h.Counts[0])
-	}
-	if c := h.BinCenter(0); math.Abs(c-1) > 1e-12 {
-		t.Errorf("BinCenter(0) = %g", c)
-	}
-	if h.Bin(-0.5) != -1 || h.Bin(10.0) != -1 {
-		t.Error("out-of-range Bin not -1")
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
