@@ -78,10 +78,9 @@ func main() {
 	oneOverT := flag.Bool("one-over-t", false, "rewl: use the Belardinelli-Pereyra 1/t modification-factor schedule (must match across the world and across restarts)")
 	maxRounds := flag.Int("max-rounds", 0, "rewl: round cap (0 = default)")
 	exchangeEvery := flag.Int("exchange-interval", 20, "rewl: sweeps per exchange round")
-	ckptDir := flag.String("checkpoint", "", "rewl: per-rank checkpoint directory (empty disables)")
-	resume := flag.Bool("resume", false, "rewl: resume from -checkpoint files if present")
+	ckptDir := flag.String("checkpoint", "", "rewl: checkpoint directory, read and written by rank 0 only (empty disables)")
+	resume := flag.Bool("resume", false, "rewl: rank 0 resumes the world from its -checkpoint files if present")
 	ckptEvery := flag.Int("checkpoint-every", 0, "rewl: rounds between checkpoints (0 = default)")
-	ckptRetain := flag.Int("checkpoint-retain", 0, "rewl: checkpoint rounds each rank keeps (0 = default)")
 	rejoinWait := flag.Duration("rejoin-wait", 0, "rewl: how long the leader waits for a replacement of a dead rank (0 disables elastic rejoin)")
 
 	// DDP job parameters (must match across the world).
@@ -105,14 +104,14 @@ func main() {
 		runLocal(*job, *world, jobParams{
 			seed: *seed, windows: *nWindows, walkers: *nWalkers, lnf: *lnfFinal, oneOverT: *oneOverT,
 			maxRounds: *maxRounds, exchange: *exchangeEvery, ckptDir: *ckptDir, resume: *resume,
-			every: *ckptEvery, retain: *ckptRetain, rejoinWait: *rejoinWait,
+			every: *ckptEvery, rejoinWait: *rejoinWait,
 			epochs: *epochs, batch: *batch, lr: *lr, logf: logf,
 		})
 	case *join != "":
 		runWorker(ctx, *join, *bind, *job, *timeout, jobParams{
 			seed: *seed, windows: *nWindows, walkers: *nWalkers, lnf: *lnfFinal, oneOverT: *oneOverT,
 			maxRounds: *maxRounds, exchange: *exchangeEvery, ckptDir: *ckptDir, resume: *resume,
-			every: *ckptEvery, retain: *ckptRetain, rejoinWait: *rejoinWait,
+			every: *ckptEvery, rejoinWait: *rejoinWait,
 			epochs: *epochs, batch: *batch, lr: *lr, logf: logf,
 		})
 	default:
@@ -131,7 +130,7 @@ type jobParams struct {
 	exchange         int
 	ckptDir          string
 	resume           bool
-	every, retain    int
+	every            int
 	rejoinWait       time.Duration
 	epochs, batch    int
 	lr               float64
@@ -260,7 +259,6 @@ func rewlOptions(p jobParams) rewl.Options {
 		CheckpointDir:    p.ckptDir,
 		Resume:           p.resume,
 		CheckpointEvery:  p.every,
-		CheckpointRetain: p.retain,
 		RejoinWait:       p.rejoinWait,
 		Logf:             p.logf,
 	}

@@ -25,9 +25,10 @@ package rewl
 // handled like a failed MPI rank — the leader marks every walker of the
 // rank's windows dead, and those windows degrade to their last shipped
 // ln g consensus, exactly the degraded-window semantics walker faults get
-// inside a rank. Checkpoints are per-rank files written in the same round
-// on every rank (the leader's file carries the coordination state), so a
-// killed worker can rejoin by restarting the world with Resume set.
+// inside a rank. Checkpoints are one world file per round, written by the
+// leader from every rank's part and only in rounds the whole world
+// completed (checkpoint.go), so a killed worker can rejoin a running world
+// (RejoinWait) or the world can restart with Resume set.
 
 import (
 	"context"
@@ -43,67 +44,39 @@ import (
 
 // Protocol opcodes, leader → owner. Every command is a []float64 message;
 // replies (where a command has one) are likewise []float64.
-// Opcodes 2 and 5 are retired: exchanges are decided on the leader's
-// copy of the reported consensus, and owners end their own stages.
+// Opcodes 2, 5 and 9 are retired: exchanges are decided on the leader's
+// copy of the reported consensus, owners end their own stages, and the
+// leader alone reads the checkpoint directory.
 const (
 	dopSweep      = 1  // [op, round] → round report (ownerState.round), none if cancelled
 	dopGetCfg     = 3  // [op, wi, k] → [E, cfg...]
 	dopSetCfg     = 4  // [op, wi, k, E, cfg...] (no reply)
-	dopCheckpoint = 6  // [op, nextRound] → [ok]
+	dopCheckpoint = 6  // [op, nextRound] → [nbytes, packed…], the owner's checkpoint part
 	dopFinish     = 7  // [op] (no reply); the owner returns
 	dopAbort      = 8  // [op] (no reply); the owner returns an error
-	dopListRounds = 9  // [op] → [n, round1..roundN] (verifiable ckpt rounds)
-	dopRollback   = 10 // [op, round] → [ok]; reload state from that round (0 = fresh)
+	dopRollback   = 10 // [op, verdict…] → [ok]; rebuild the owner from a start verdict
 )
 
 // Start-handshake verdicts, leader → worker, replying to the worker's
-// hello ([n, round1..roundN], its locally restorable checkpoint rounds):
+// hello ([0], which says only that the worker is ready for its verdict):
 //
 //	[startFresh, 0]                     build fresh walkers, start at round 0
-//	[startLocal, c]                     restore round c from the local checkpoint
-//	[startShipped, c, nbytes, packed…]  restore round c from the shipped blob
-//	[startAbort, 0]                     abort (malformed hello)
+//	[startShipped, c, nbytes, packed…]  restore round c from the shipped part
+//	[startAbort, 0]                     abort
 //
 // The worker answers the verdict with [1] once its walkers exist, or [0]
 // when it could not build them, so the leader never waits on a rank that
-// will not enter the command loop.
+// will not enter the command loop. Verdict 1 is retired: it restored a
+// round from the worker's own files.
 const (
 	startAbort   = -1
 	startFresh   = 0
-	startLocal   = 1
 	startShipped = 2
 )
 
 // winRange returns the contiguous window block [lo, hi) owned by rank.
 func winRange(nWin, size, rank int) (lo, hi int) {
 	return rank * nWin / size, (rank + 1) * nWin / size
-}
-
-// decodeRoundsList parses a [n, round1..roundN] message (worker hello,
-// dopListRounds reply).
-func decodeRoundsList(msg []float64) ([]int, bool) {
-	if len(msg) < 1 {
-		return nil, false
-	}
-	n := int(msg[0])
-	if n < 0 || len(msg) != 1+n {
-		return nil, false
-	}
-	rs := make([]int, n)
-	for i := range rs {
-		rs[i] = int(msg[1+i])
-	}
-	return rs, true
-}
-
-// encodeRoundsList builds a [n, round1..roundN] message.
-func encodeRoundsList(rounds []int) []float64 {
-	msg := make([]float64, 1, 1+len(rounds))
-	msg[0] = float64(len(rounds))
-	for _, r := range rounds {
-		msg = append(msg, float64(r))
-	}
-	return msg
 }
 
 // packBytes packs a byte blob into float64 words (8 bytes per word,
@@ -145,10 +118,11 @@ func unpackBytes(words []float64, n int) ([]byte, error) {
 // rollback returns (nil, ctx's error). No rank counts as failed because
 // the run was cancelled.
 //
-// With Options.CheckpointDir set, each rank writes its own round files and
-// manifest (DistManifestPath) every CheckpointEvery rounds; Options.Resume
-// restarts the world from the newest round every rank holds,
-// bit-identically to the uninterrupted run.
+// With Options.CheckpointDir set, the leader writes one world file every
+// CheckpointEvery rounds from every rank's part; Options.Resume restarts
+// the world from the newest round that verifies, bit-identically to the
+// uninterrupted run, on a world of any size. Workers never read or write
+// the directory.
 func RunDistributed(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
 	opts.setDefaults()
 	if len(windows) == 0 {
@@ -183,57 +157,25 @@ func ownerFromStart(start []float64, m *alloy.Model, seedCfg lattice.Config, win
 	case startFresh:
 		lo, hi := winRange(len(windows), size, rank)
 		return newOwnerState(m, seedCfg, windows, newProposal, opts, lo, hi)
-	case startLocal:
-		c := int(start[1])
-		ck, err := loadDistRound(opts.CheckpointDir, rank, c, size)
-		if err != nil {
-			return nil, fmt.Errorf("rewl: rank %d restoring negotiated round %d: %w", rank, c, err)
-		}
-		return restoreOwnerState(m, windows, newProposal, opts, ck)
 	case startShipped:
-		if len(start) < 3 {
-			return nil, fmt.Errorf("rewl: rank %d received a truncated shipped checkpoint", rank)
-		}
-		c, n := int(start[1]), int(start[2])
-		blob, err := unpackBytes(start[3:], n)
-		if err != nil {
-			return nil, err
-		}
-		ck, err := decodeDistCheckpoint(blob, rank, size)
+		ck, err := decodeShipped(start[2:], rank, size, int(start[1]))
 		if err != nil {
 			return nil, fmt.Errorf("rewl: rank %d decoding shipped checkpoint: %w", rank, err)
 		}
-		if ck.Round != c {
-			return nil, fmt.Errorf("rewl: rank %d shipped checkpoint claims round %d, wanted %d", rank, ck.Round, c)
-		}
 		return restoreOwnerState(m, windows, newProposal, opts, ck)
 	default:
-		return nil, fmt.Errorf("rewl: rank %d: leader aborted the start (malformed hello?)", rank)
+		return nil, fmt.Errorf("rewl: rank %d: leader aborted the start", rank)
 	}
-}
-
-// rollbackVerdict is the start verdict that puts a rank at round c from
-// its own files: the local checkpoint, or a fresh build for round 0.
-func rollbackVerdict(c int) []float64 {
-	if c == 0 {
-		return []float64{startFresh, 0}
-	}
-	return []float64{startLocal, float64(c)}
 }
 
 func runDistWorker(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) error {
 	rank, size := ep.Rank(), ep.Size()
 
-	// Resume handshake: offer the leader every locally restorable
-	// checkpoint round; the leader negotiates the world's start verdict.
-	// A replacement worker joining a running world speaks the exact same
+	// Start handshake: hello, then the leader's start verdict. A
+	// replacement worker joining a running world speaks the exact same
 	// handshake — the leader's recovery path answers it instead of the
 	// startup path.
-	var rounds []int
-	if opts.Resume && opts.CheckpointDir != "" {
-		rounds = availableRounds(opts.CheckpointDir, rank, size)
-	}
-	if err := ep.SendCtx(ctx, 0, encodeRoundsList(rounds)); err != nil {
+	if err := ep.SendCtx(ctx, 0, []float64{0}); err != nil {
 		return fmt.Errorf("rewl: rank %d hello: %w", rank, err)
 	}
 	start, err := ep.RecvCtx(ctx, 0)
@@ -281,10 +223,11 @@ type distWorker struct {
 }
 
 // commandLen is each opcode's command length (see the dop* constants);
-// dopSetCfg's configuration payload follows its four fields.
+// dopSetCfg's configuration payload follows its four fields, and a
+// dopRollback verdict may carry a shipped part past its two.
 var commandLen = [...]int{
 	dopSweep: 2, dopGetCfg: 3, dopSetCfg: 4,
-	dopCheckpoint: 2, dopFinish: 1, dopAbort: 1, dopListRounds: 1, dopRollback: 2,
+	dopCheckpoint: 2, dopFinish: 1, dopAbort: 1, dopRollback: 3,
 }
 
 // command executes one leader command and returns the reply to send (nil
@@ -301,7 +244,7 @@ func (w *distWorker) command(ctx context.Context, msg []float64) (reply []float6
 	if op < 0 || commandLen[op] == 0 {
 		return nil, false, fmt.Errorf("rewl: rank %d received unknown opcode %v", w.rank, msg[0])
 	}
-	if n := commandLen[op]; len(msg) != n && (op != dopSetCfg || len(msg) < n) {
+	if n := commandLen[op]; len(msg) != n && (op != dopSetCfg && op != dopRollback || len(msg) < n) {
 		return nil, false, fmt.Errorf("rewl: rank %d received opcode %d with %d fields", w.rank, op, len(msg))
 	}
 	o := w.o
@@ -314,7 +257,7 @@ func (w *distWorker) command(ctx context.Context, msg []float64) (reply []float6
 		if k < 0 || o.walkers[wi][k] == nil {
 			return nil, false, fmt.Errorf("rewl: rank %d does not own walker %v of window %v", w.rank, msg[2], msg[1])
 		}
-	case dopCheckpoint, dopRollback:
+	case dopCheckpoint:
 		if fieldIndex(msg[1], math.MaxInt32) < 0 {
 			return nil, false, fmt.Errorf("rewl: rank %d received round %v", w.rank, msg[1])
 		}
@@ -330,18 +273,19 @@ func (w *distWorker) command(ctx context.Context, msg []float64) (reply []float6
 		o.setCfg(int(msg[1]), int(msg[2]), msg[3], msg[4:])
 		return nil, false, nil
 	case dopCheckpoint:
-		werr := o.saveDistCheckpoint(int(msg[1]), w.rank, w.size, nil)
-		return []float64{b2f(werr == nil)}, false, nil
-	case dopListRounds:
-		return encodeRoundsList(availableRounds(w.opts.CheckpointDir, w.rank, w.size)), false, nil
+		part, err := o.checkpointPart(int(msg[1]), w.rank, w.size).shipped()
+		if err != nil {
+			return []float64{-1}, false, fmt.Errorf("rewl: rank %d encoding its checkpoint part: %w", w.rank, err)
+		}
+		return part, false, nil
 	case dopRollback:
-		// Elastic recovery: reload this rank's state from the negotiated
-		// round (0 = rebuild fresh) so the world replays from a consistent
-		// snapshot after a dead rank was replaced.
-		c := int(msg[1])
-		o2, rerr := ownerFromStart(rollbackVerdict(c), w.m, w.seedCfg, w.windows, w.newProposal, w.opts, w.rank, w.size)
+		// Elastic recovery: rebuild this rank's state from the verdict —
+		// its part of the leader's checkpoint, or fresh — so the world
+		// replays from a consistent snapshot after a dead rank was
+		// replaced.
+		o2, rerr := ownerFromStart(msg[1:], w.m, w.seedCfg, w.windows, w.newProposal, w.opts, w.rank, w.size)
 		if rerr != nil {
-			return []float64{0}, false, fmt.Errorf("rewl: rank %d rolling back to round %d: %w", w.rank, c, rerr)
+			return []float64{0}, false, fmt.Errorf("rewl: rank %d rolling back: %w", w.rank, rerr)
 		}
 		w.o = o2
 		return []float64{1}, false, nil

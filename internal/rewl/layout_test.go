@@ -195,7 +195,7 @@ func testLeader(t testing.TB, m *alloy.Model, seed lattice.Config, wins []wangla
 	t.Helper()
 	opts.setDefaults()
 	L := newDistLeader(transport.NewChanWorld(1).Endpoint(0), m, seed, wins, factory, opts)
-	if err := L.rollbackLeader(0); err != nil {
+	if err := L.rollbackLeader(nil); err != nil {
 		t.Fatal(err)
 	}
 	return L
@@ -272,13 +272,11 @@ func TestWalkersOwnTheirCacheLines(t *testing.T) {
 	})
 
 	t.Run("checkpoint then restore", func(t *testing.T) {
+		// Round 20 is a checkpoint round (CheckpointEvery defaults to 10).
 		L, m, wins := exchanged(t, Options{CheckpointDir: t.TempDir()})
-		if err := L.o.saveDistCheckpoint(20, 0, 1, L.coordState()); err != nil {
-			t.Fatal(err)
-		}
-		ck, err := loadDistRound(L.opts.CheckpointDir, 0, 20, 1)
-		if err != nil {
-			t.Fatal(err)
+		ck, err := L.newestCheckpoint()
+		if err != nil || ck == nil || ck.Round != 20 {
+			t.Fatalf("newest checkpoint %+v, %v; want round 20", ck, err)
 		}
 		o, err := restoreOwnerState(m, wins, kswapFactory(m), L.opts, ck)
 		if err != nil {

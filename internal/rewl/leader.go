@@ -122,46 +122,37 @@ func newDistLeader(ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config
 
 func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, seedCfg lattice.Config, windows []wanglandau.Window, newProposal ProposalFactory, opts Options) (*Result, error) {
 	L := newDistLeader(ep, m, seedCfg, windows, newProposal, opts)
-	size, logf := L.size, L.logf
-
-	// Resume handshake: gather every rank's verifiable checkpoint rounds
-	// and negotiate the newest round all of them hold. A mixed or partly
-	// corrupt checkpoint set rolls the world back to the newest common
-	// round — or starts fresh when nothing is universal — instead of
-	// aborting.
-	var ownRounds []int
-	if opts.Resume && opts.CheckpointDir != "" {
-		ownRounds = availableRounds(opts.CheckpointDir, 0, size)
-	}
-	lists := [][]int{ownRounds}
-	anyOffer := len(ownRounds) > 0
+	size := L.size
 	for r := 1; r < size; r++ {
-		hello, err := ep.RecvCtx(ctx, r)
-		if err != nil {
+		if _, err := ep.RecvCtx(ctx, r); err != nil {
 			return nil, fmt.Errorf("rewl: leader awaiting rank %d hello: %w", r, err)
 		}
-		rs, ok := decodeRoundsList(hello)
-		if !ok {
-			for r2 := 1; r2 < size; r2++ {
-				ep.SendCtx(ctx, r2, []float64{startAbort, 0}) //nolint:errcheck // aborting anyway
+	}
+
+	// Resume from the newest checkpoint round that verifies and belongs to
+	// this run; every worker gets its part of it shipped with its start
+	// verdict.
+	var ck *distCheckpoint
+	if opts.Resume && opts.CheckpointDir != "" {
+		var err error
+		if ck, err = L.newestCheckpoint(); err != nil {
+			for r := 1; r < size; r++ {
+				ep.SendCtx(ctx, r, []float64{startAbort, 0}) //nolint:errcheck // aborting anyway
 			}
-			return nil, fmt.Errorf("rewl: malformed hello from rank %d", r)
+			return nil, err
 		}
-		anyOffer = anyOffer || len(rs) > 0
-		lists = append(lists, rs)
 	}
 	startRound := 0
-	if opts.Resume {
-		startRound = newestCommonRound(lists)
-	}
-	resume := startRound > 0
-	if resume {
-		logf("rewl: resuming world from checkpoint round %d", startRound)
-	} else if anyOffer {
-		logf("rewl: no checkpoint round common to all %d ranks; starting fresh", size)
+	if ck != nil {
+		startRound = ck.Round
+		L.logf("rewl: resuming world from checkpoint round %d", startRound)
 	}
 	for r := 1; r < size; r++ {
-		if err := ep.SendCtx(ctx, r, rollbackVerdict(startRound)); err != nil {
+		start, err := L.startVerdict(ck, r)
+		if err == nil {
+			err = ep.SendCtx(ctx, r, start)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("rewl: leader starting rank %d: %w", r, err)
 		}
 	}
@@ -169,7 +160,7 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 	// Build the leader's own windows and (on resume) the coordination
 	// state — the same code path elastic recovery replays mid-run — while
 	// the workers build theirs, then collect their start acks.
-	if err := L.rollbackLeader(startRound); err != nil {
+	if err := L.rollbackLeader(ck); err != nil {
 		L.release(ctx, dopAbort)
 		return nil, err
 	}
@@ -178,7 +169,7 @@ func runDistLeader(ctx context.Context, ep transport.Endpoint, m *alloy.Model, s
 			L.rankDead(r)
 		}
 	}
-	L.res.Resumed = resume
+	L.res.Resumed = ck != nil
 	L.res.Rounds = startRound
 
 	for round := startRound; round < opts.MaxRounds && ctx.Err() == nil; round++ {
@@ -300,12 +291,12 @@ func (L *distLeader) round(ctx context.Context, round int) (stop bool, err error
 		}
 	}
 
-	// Skip the checkpoint while a dead rank awaits recovery: persisting
-	// the degraded alive mask would poison the very rounds the rollback
-	// negotiation is about to offer. Exchanges or a checkpoint cut by the
-	// cancellation drop the round too.
-	if L.opts.CheckpointDir != "" && (round+1)%L.opts.CheckpointEvery == 0 && len(L.pending) == 0 && !L.cancelled {
-		if err := L.checkpointAll(ctx, round+1); err != nil {
+	// A round in which a rank is dead writes no checkpoint (see
+	// checkpoint): the newest one stays a round the whole world completed,
+	// which resume and rejoin roll back to. Exchanges or a checkpoint cut
+	// by the cancellation drop the round too.
+	if L.opts.CheckpointDir != "" && (round+1)%L.opts.CheckpointEvery == 0 && !L.cancelled {
+		if err := L.checkpoint(ctx, round+1); err != nil {
 			return true, err
 		}
 	}
@@ -363,23 +354,20 @@ func (L *distLeader) lost(ctx context.Context, r int) {
 }
 
 // rollbackLeader (re)builds the leader's own windows and the coordination
-// state for round c: round 0 rebuilds everything fresh, any other round
-// restores the leader's checkpoint for it. Shared by the start handshake
-// and mid-run elastic recovery. The reports of the rounds before it are
-// discarded: until a round completes, there is no Result.
-func (L *distLeader) rollbackLeader(c int) error {
+// state: fresh for a nil checkpoint, else restored from the world
+// checkpoint ck. Shared by the start handshake and mid-run elastic
+// recovery. The reports of the rounds before it are discarded: until a
+// round completes, there is no Result.
+func (L *distLeader) rollbackLeader(ck *distCheckpoint) error {
 	L.done, L.doneG = nil, nil
-	if c > 0 {
-		ck, err := loadDistRound(L.opts.CheckpointDir, 0, c, L.size)
-		if err != nil {
-			return fmt.Errorf("rewl: leader restoring round %d: %w", c, err)
-		}
-		o, err := restoreOwnerState(L.m, L.windows, L.newProposal, L.opts, ck)
+	if ck != nil {
+		o, err := restoreOwnerState(L.m, L.windows, L.newProposal, L.opts, ck.part(0, L.size))
 		if err != nil {
 			return err
 		}
 		L.o = o
-		return L.restoreCoord(ck)
+		L.restoreCoord(&ck.Coord)
+		return nil
 	}
 	nWin, nWalk := len(L.windows), L.opts.WalkersPerWindow
 	lo, hi := winRange(nWin, L.size, 0)
@@ -442,100 +430,71 @@ func (L *distLeader) recoverPending(ctx context.Context) (int, bool) {
 }
 
 // rejoinRank runs the rejoin protocol for a replacement worker on rank r:
-// receive its hello, re-negotiate the newest checkpoint round common to
-// the leader, every survivor, and the replacement (counting rounds the
-// leader can ship from its own dir copy of r's files), command the
-// survivors to roll back, start the replacement (shipping the round's
-// blob if it has no local copy), and finally roll the leader itself back.
-// On success the rank is live again and the round loop replays from the
+// receive its hello, read the newest checkpoint round, roll every
+// survivor back to it with its part shipped in the command (dopRollback),
+// start the replacement from its part, and finally roll the leader itself
+// back. Since no round is written while a rank is dead, that round is the
+// last one the whole world completed, or round 0 when none was written. On
+// success the rank is live again and the round loop replays from the
 // returned round, bit-identically to a run that never lost it.
 func (L *distLeader) rejoinRank(ctx context.Context, r int) (int, error) {
-	hello, err := L.ep.RecvCtx(ctx, r)
-	if err != nil {
+	if _, err := L.ep.RecvCtx(ctx, r); err != nil {
 		return 0, fmt.Errorf("awaiting replacement hello: %w", err)
 	}
-	replRounds, ok := decodeRoundsList(hello)
-	if !ok {
-		return 0, fmt.Errorf("malformed replacement hello")
+	ck, err := L.newestCheckpoint()
+	if err != nil {
+		L.ep.SendCtx(ctx, r, []float64{startAbort, 0}) //nolint:errcheck // aborting anyway
+		return 0, err
 	}
-	dir := L.opts.CheckpointDir
-	// Rounds the leader could ship to the replacement from its own copy of
-	// rank r's files (shared checkpoint dir, or same host).
-	shipRounds := availableRounds(dir, r, L.size)
-	offer := map[int]bool{}
-	for _, c := range replRounds {
-		offer[c] = true
-	}
-	for _, c := range shipRounds {
-		offer[c] = true
-	}
-	reachable := make([]int, 0, len(offer))
-	for c := range offer {
-		reachable = append(reachable, c)
-	}
-
-	lists := [][]int{availableRounds(dir, 0, L.size), reachable}
-	for r2 := 1; r2 < L.size; r2++ {
-		if r2 == r {
-			continue
-		}
-		rep, ok := L.call(ctx, r2, []float64{dopListRounds})
-		if !ok {
-			continue
-		}
-		rs, ok := decodeRoundsList(rep)
-		if !ok {
-			L.rankDead(r2)
-			continue
-		}
-		lists = append(lists, rs)
-	}
-	c := newestCommonRound(lists)
 
 	// Survivors first: a survivor that fails its rollback degrades (and
 	// queues for its own recovery) but must not block this rejoin.
 	for r2 := 1; r2 < L.size; r2++ {
-		if r2 == r {
+		if r2 == r || !L.rankAlive[r2] {
 			continue
 		}
-		if ack, ok := L.call(ctx, r2, []float64{dopRollback, float64(c)}); ok && ack[0] != 1 {
+		start, err := L.startVerdict(ck, r2)
+		if err != nil {
+			return 0, err
+		}
+		if ack, ok := L.call(ctx, r2, append([]float64{dopRollback}, start...)); ok && ack[0] != 1 {
 			L.rankDead(r2)
 		}
 	}
 
-	// Start the replacement: local restore if it holds the round itself,
-	// shipped blob if only the leader does, fresh build when c == 0.
-	start := rollbackVerdict(c)
-	if c > 0 {
-		local := false
-		for _, rc := range replRounds {
-			if rc == c {
-				local = true
-				break
-			}
-		}
-		if !local {
-			blob, err := loadDistRoundBlob(dir, r, c)
-			if err != nil {
-				L.ep.SendCtx(ctx, r, []float64{startAbort, 0}) //nolint:errcheck // aborting anyway
-				return 0, fmt.Errorf("loading round %d blob to ship: %w", c, err)
-			}
-			start = append([]float64{startShipped, float64(c), float64(len(blob))}, packBytes(blob)...)
-		}
+	start, err := L.startVerdict(ck, r)
+	if err == nil {
+		err = L.ep.SendCtx(ctx, r, start)
 	}
-	if err := L.ep.SendCtx(ctx, r, start); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("starting replacement: %w", err)
 	}
 	if !L.startAcked(ctx, r) {
-		return 0, fmt.Errorf("replacement could not start from round %d", c)
+		return 0, fmt.Errorf("replacement could not start")
 	}
 
-	if err := L.rollbackLeader(c); err != nil {
+	if err := L.rollbackLeader(ck); err != nil {
 		return 0, err
 	}
 	L.rankAlive[r] = true
 	L.res.Rejoins++
-	return c, nil
+	if ck == nil {
+		return 0, nil
+	}
+	return ck.Round, nil
+}
+
+// startVerdict is the start verdict that puts rank r at the world
+// checkpoint ck: its part shipped, or a fresh build when ck is nil.
+func (L *distLeader) startVerdict(ck *distCheckpoint, r int) ([]float64, error) {
+	if ck == nil {
+		return []float64{startFresh, 0}, nil
+	}
+	part, err := ck.part(r, L.size).shipped()
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64{startShipped, float64(ck.Round)}, part...), nil
 }
 
 // parseReport folds one rank's round report into the leader's global
@@ -672,34 +631,14 @@ func (L *distLeader) tryExchangeDist(ctx context.Context, wi, ka, kb int) {
 	L.energy[wi][ka], L.energy[wi+1][kb] = repB[0], repA[0]
 }
 
-// checkpointAll persists a world-consistent checkpoint: every live rank
-// writes its walkers for the same next-round, and the leader's file
-// additionally carries the coordination state.
-func (L *distLeader) checkpointAll(ctx context.Context, nextRound int) error {
-	for r := 1; r < L.size; r++ {
-		if L.rankAlive[r] {
-			if err := L.ep.SendCtx(ctx, r, []float64{dopCheckpoint, float64(nextRound)}); err != nil {
-				L.lost(ctx, r)
-			}
+// allRanksAlive reports whether no rank is dead.
+func (L *distLeader) allRanksAlive() bool {
+	for _, a := range L.rankAlive {
+		if !a {
+			return false
 		}
 	}
-	if err := L.o.saveDistCheckpoint(nextRound, 0, L.size, L.coordState()); err != nil {
-		return fmt.Errorf("rewl: writing leader checkpoint: %w", err)
-	}
-	for r := 1; r < L.size; r++ {
-		if !L.rankAlive[r] {
-			continue
-		}
-		ack, err := L.ep.RecvCtx(ctx, r)
-		if err != nil {
-			L.lost(ctx, r)
-			continue
-		}
-		if len(ack) < 1 || ack[0] != 1 {
-			return fmt.Errorf("rewl: rank %d failed to write its checkpoint", r)
-		}
-	}
-	return nil
+	return true
 }
 
 // release sends every live worker its last command, finish or abort; it

@@ -37,10 +37,11 @@
 //   - checkpoint/restart (Options.CheckpointDir): the full run state —
 //     every walker's chain including its RNG stream position, the
 //     coordinator stream, replica-flow bookkeeping — is written
-//     atomically every CheckpointEvery rounds as a checksummed round file
-//     per rank, the last CheckpointRetain rounds are kept, and
-//     Options.Resume continues a run bit-identically to the uninterrupted
-//     one from the newest round that still verifies.
+//     atomically every CheckpointEvery rounds by the leader as one
+//     checksummed world file per round, the newest three rounds are kept,
+//     and Options.Resume continues a run bit-identically to the
+//     uninterrupted one from the newest round that still verifies, on a
+//     world of any size.
 package rewl
 
 import (
@@ -88,33 +89,30 @@ type Options struct {
 	Adaptive AdaptiveOptions
 
 	// CheckpointDir enables checkpoint/restart: every CheckpointEvery
-	// rounds (default 10 when a dir is set) each rank writes its state
-	// atomically to CheckpointDir/rewl-rank<r>-round<n>.ckpt and records
-	// it in rewl-rank<r>.manifest. Empty disables checkpointing.
+	// rounds (default 10 when a dir is set) the leader writes the world's
+	// state atomically to CheckpointDir/rewl-round<n>.ckpt, keeping the
+	// newest three rounds; a round in which any rank is dead is not
+	// written. Only the leader reads or writes the directory. Empty
+	// disables checkpointing.
 	CheckpointDir   string
 	CheckpointEvery int
-	// CheckpointRetain is how many checkpoint rounds each rank keeps
-	// (default 3 when a dir is set). Older rounds are pruned; the retained
-	// set is what the resume negotiation and the elastic rollback can fall
-	// back to when a newer round is corrupt or missing on some rank.
-	CheckpointRetain int
 	// Resume continues from CheckpointDir's checkpoint if one exists
 	// (bit-identically to the uninterrupted run); absent a checkpoint the
 	// run starts fresh, so restart loops can set it unconditionally. The
-	// leader negotiates the newest checkpoint round every rank verifiably
-	// holds and rolls the world back to it; with no common round the world
-	// starts fresh rather than aborting. A checkpoint of a different run
-	// (other windows, walker count, schedule or adaptive setting) is an
-	// error, not a fresh start.
+	// leader restores the newest round that verifies, so a truncated or
+	// corrupt newest round rolls the world back to the one before it, and
+	// with none left the world starts fresh rather than aborting. A
+	// checkpoint of a different run (other windows, walker count, schedule
+	// or adaptive setting) is an error, not a fresh start.
 	Resume bool
 	// RejoinWait, when positive and CheckpointDir is set, makes the
 	// leader elastic: a dead worker rank's windows are not
 	// degraded immediately — the leader waits up to RejoinWait for a
-	// replacement worker to join the world (transport.Rejoinable), ships
-	// or negotiates the rank's checkpoint state, rolls every rank back to
-	// the newest common checkpoint round, and replays from there
-	// bit-identically to an uninterrupted run. If no replacement arrives
-	// in time the windows degrade as usual. Zero disables rejoin.
+	// replacement worker to join the world (transport.Rejoinable), rolls
+	// every rank back to the newest checkpoint round, shipping each its
+	// part, and replays from there bit-identically to an uninterrupted
+	// run. If no replacement arrives in time the windows degrade as usual.
+	// Zero disables rejoin.
 	RejoinWait time.Duration
 	// Faults injects deterministic walker failures: rank wi·WalkersPerWindow+k
 	// is walker k of window wi, and steps are the walker's own sweep count.
@@ -143,9 +141,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.CheckpointDir != "" && o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 10
-	}
-	if o.CheckpointDir != "" && o.CheckpointRetain == 0 {
-		o.CheckpointRetain = defaultCheckpointRetain
 	}
 	if o.OneOverT {
 		o.WL.OneOverT = true

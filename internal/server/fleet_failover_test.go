@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -66,10 +65,9 @@ func TestFleetFailoverResumesJob(t *testing.T) {
 	})
 	// At least one checkpoint must land in the SHARED directory before the
 	// crash, or there is nothing for the survivor to resume from.
-	ckpt := rewl.CheckpointPath(filepath.Join(fleetDir, "checkpoints", job.ID))
+	ckpt := filepath.Join(fleetDir, "checkpoints", job.ID)
 	waitFor(t, time.Minute, "first shared checkpoint", func() bool {
-		_, err := os.Stat(ckpt)
-		return err == nil
+		return rewl.HasCheckpoint(ckpt)
 	})
 
 	srvB, err := New(cfgFor("rb"))

@@ -47,10 +47,9 @@ func TestCrashRecoveryResumesJob(t *testing.T) {
 	}
 
 	// Wait for the run to commit at least one checkpoint, then "kill -9".
-	ckpt := rewl.CheckpointPath(filepath.Join(dataDir, "checkpoints", job.ID))
+	ckpt := filepath.Join(dataDir, "checkpoints", job.ID)
 	waitFor(t, time.Minute, "first checkpoint", func() bool {
-		_, err := os.Stat(ckpt)
-		return err == nil
+		return rewl.HasCheckpoint(ckpt)
 	})
 	srv1.jobs.Crash()
 
