@@ -13,7 +13,7 @@
 # Scenario 3 (elastic rejoin): a two-process world runs the converging
 # job with checkpoints and -rejoin-wait; the non-leader worker is killed
 # with SIGKILL mid-run, a replacement process joins, the world rolls back
-# to the newest common checkpoint round, and the leader's summary must
+# to the leader's newest checkpoint round, and the leader's summary must
 # show rejoins=1, degraded_windows=0, and the exact DOS checksum of the
 # uninterrupted local reference run.
 #
@@ -162,7 +162,7 @@ done
 [[ -n "$leader" && -n "$victim" ]] || fail "could not map workers to ranks"
 
 # Kill rank 1 once several checkpoints exist but long before the
-# 1000-round cap: the world must roll back to the newest common round.
+# 1000-round cap: the world must roll back to the newest checkpoint round.
 wait_for "$tmp/w3$leader.log" 'round 50:' 60
 log "killing rank 1 (worker $victim, pid ${wpid[$victim]})"
 kill -9 "${wpid[$victim]}"

@@ -120,11 +120,12 @@ survivor=$([ "$owner" = ra ] && echo rb || echo ra)
 log "replica $owner owns the lease; $survivor will survive"
 
 # The survivor can only resume from a checkpoint that reached the shared
-# dir before the crash.
-ckpt="$tmp/fleet/checkpoints/$job/rewl-rank0.manifest"
+# dir before the crash: the first world round file (rewl-round<n>.ckpt,
+# written atomically by the run's leader).
+ckpt="$tmp/fleet/checkpoints/$job"
 deadline=$((SECONDS + 60))
-until [[ -f "$ckpt" ]]; do
-    ((SECONDS < deadline)) || fail "no shared checkpoint appeared at $ckpt"
+until compgen -G "$ckpt/rewl-round*.ckpt" >/dev/null; do
+    ((SECONDS < deadline)) || fail "no shared checkpoint round appeared in $ckpt"
     sleep 0.1
 done
 
