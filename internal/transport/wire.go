@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Frame types.
@@ -63,6 +64,11 @@ const (
 // payload this codebase ships.
 const maxFrameLen = 1 << 30
 
+// frameChunk is how much of a frame's body readFrame allocates ahead of
+// the bytes that arrive: a frame up to this size is one allocation, and a
+// length prefix with no body behind it costs at most this much.
+const frameChunk = 64 << 10
+
 // writeFrame writes one frame. Callers serialize writes per connection.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
@@ -79,19 +85,25 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame.
+// readFrame reads one frame. The body grows by at most frameChunk bytes
+// ahead of what has been read, so memory follows the bytes that arrive,
+// not the length the prefix claims.
 func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n < 1 || n > maxFrameLen {
 		return 0, nil, fmt.Errorf("transport: frame length %d outside [1, %d]", n, maxFrameLen)
 	}
-	body := make([]byte, n)
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	body := make([]byte, 0, min(n, frameChunk))
+	for len(body) < n {
+		k := min(n-len(body), frameChunk)
+		body = slices.Grow(body, k)[:len(body)+k]
+		if _, err = io.ReadFull(r, body[len(body)-k:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	return body[0], body[1:], nil
 }
