@@ -1,5 +1,5 @@
 // Package experiments implements the DeepThermo evaluation suite's report
-// tables: one entry point per reconstructed table/figure E1-E10 and for
+// tables: one entry point per reconstructed table/figure E1-E5 and for
 // ablation A6 (see DESIGN.md). cmd/dtreport is its only front-end — each
 // table is the section `dtreport -only <ID>` writes. The methods-section
 // cross-checks E11-E13 are tier-1 tests in internal/rewl and the root

@@ -200,71 +200,6 @@ func TestE5ShortRangeOrder(t *testing.T) {
 	}
 }
 
-func TestE6Training(t *testing.T) {
-	tb := smallTestbed(t)
-	res, err := VAETraining(tb, E6Options{Workers: []int{1, 2}, Epochs: 3, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	if len(res.Trajectory) != 3 {
-		t.Fatalf("%d trajectory epochs", len(res.Trajectory))
-	}
-	if res.Params <= 0 {
-		t.Error("no parameter count")
-	}
-	for _, row := range res.Rows {
-		if row.SamplesPerSec <= 0 || row.Seconds <= 0 {
-			t.Error("throughput not measured")
-		}
-	}
-}
-
-func TestE7E8E9Scaling(t *testing.T) {
-	opts := ScalingOptions{DeviceCounts: []int{8, 64, 512}, Sites: 1024}
-	for _, res := range []*ScalingResult{StrongScaling(opts), WeakScaling(opts), TrainingScaling(opts)} {
-		if len(res.Series) != 2 {
-			t.Fatalf("%s: %d series", res.ID, len(res.Series))
-		}
-		for _, s := range res.Series {
-			if len(s.Points) != 3 {
-				t.Fatalf("%s %s: %d points", res.ID, s.Machine, len(s.Points))
-			}
-			for _, p := range s.Points {
-				if p.Time <= 0 || p.Throughput <= 0 {
-					t.Fatalf("%s: non-positive point", res.ID)
-				}
-			}
-		}
-		if res.Format() == "" {
-			t.Error("empty format")
-		}
-	}
-}
-
-func TestE10TimeToSolution(t *testing.T) {
-	res, err := TimeToSolution(E10Options{Speedup: 3.0, Devices: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	// DeepThermo total must beat conventional on each machine (speedup 3x
-	// dominates decoder + training overhead at these settings).
-	for i := 0; i < len(res.Rows); i += 2 {
-		conv, dt := res.Rows[i], res.Rows[i+1]
-		if dt.Hours >= conv.Hours {
-			t.Errorf("%s: DeepThermo %.2fh not faster than conventional %.2fh", conv.Machine, dt.Hours, conv.Hours)
-		}
-	}
-	if _, err := TimeToSolution(E10Options{}); err == nil {
-		t.Error("missing speedup accepted")
-	}
-}
-
 func TestQuotaConfigComposition(t *testing.T) {
 	tb := smallTestbed(t)
 	cfg := QuotaConfig(tb.Quota, newTestSrc())

@@ -23,8 +23,6 @@ func TestFormatRenderers(t *testing.T) {
 		{"E3", (&E3Result{PaperSites: 8192, PaperLogStates: 11343, Rows: []E3Row{{Sites: 16, Bins: 4, MeasuredSpan: 12, LogStates: 18, Converged: true}}}).Format()},
 		{"E4", (&E4Result{Sites: 16, Tc: 600, CvPeak: 0.001, Points: []thermo.Point{{T: 300, U: -1, Cv: 0.001, F: -2, S: 0.001}}}).Format()},
 		{"E5", (&E5Result{Sites: 54, OnsetT: 600, Rows: []E5Row{{T: 300, AlphaMoTa: -1, EtaB2: 0.9}}}).Format()},
-		{"E6", (&E6Result{Params: 100, Rows: []E6Row{{Workers: 1, FinalRecon: 60, Seconds: 1, SamplesPerSec: 100}}}).Format()},
-		{"E10", (&E10Result{Devices: 3072, Speedup: 2, Rows: []E10Row{{Machine: "m", Method: "x", Hours: 1}}}).Format()},
 		{"A6", (&A6Result{Speedup: 2, Rows: []A6Row{{Policy: "scheduled", Sweeps: 100, Bins: 24}}}).Format()},
 	}
 	for _, c := range cases {

@@ -6,8 +6,8 @@ package transport
 // rank has a fail channel, closed when its incarnation dies, that wakes
 // any operation blocked on it. In the original DeepThermo each rank is one
 // GPU driven by an MPI process; here each rank is a goroutine, but who
-// talks to whom, how many messages and how many bytes are identical, which
-// is what the scaling model in package hpcsim reasons about.
+// talks to whom, how many messages and how many bytes are identical to a
+// TCP world of the same size.
 
 import (
 	"context"
