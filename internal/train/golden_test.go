@@ -75,8 +75,12 @@ var goldenFile = filepath.Join("testdata", "golden_train.json")
 type goldenRow struct {
 	name    string
 	opts    Options
-	drivers []string // "fit", "chan<n>" (FitDDP) or "tcp<n>" (FitDDPEndpoint)
+	drivers []string    // "fit", "chan<n>" (FitDDP) or "tcp<n>" (FitDDPEndpoint)
+	vcfg    *vae.Config // nil: testSetup's small model
 }
+
+// benchShape is the model the benchmark trains.
+var benchShape = vae.Config{Sites: 16, Species: 4, Latent: 6, Hidden: 96, BetaKL: 1}
 
 func goldenRows() []goldenRow {
 	return []goldenRow{
@@ -92,6 +96,13 @@ func goldenRows() []goldenRow {
 			opts: Options{Epochs: 3, BatchSize: 8, LR: 3e-3, Seed: 8}},
 		{name: "ddp3", drivers: []string{"chan3"},
 			opts: Options{Epochs: 3, BatchSize: 8, LR: 3e-3, Seed: 8}},
+		// The benchmark's model and batch: hidden 96 and latent 6 give the
+		// weight gradients 7-, 12- and 65-row shapes that the small model's
+		// 24-wide layers never reach.
+		{name: "fit_bench_shape", drivers: []string{"fit"},
+			opts: Options{Epochs: 2, BatchSize: 32, LR: 2e-3, Seed: 11}, vcfg: &benchShape},
+		{name: "ddp2_bench_shape", drivers: []string{"chan2", "tcp2"},
+			opts: Options{Epochs: 2, BatchSize: 32, LR: 2e-3, Seed: 11}, vcfg: &benchShape},
 	}
 }
 
@@ -141,8 +152,12 @@ func runTCP(t *testing.T, vcfg vae.Config, ds *workload.Dataset, n int, opts Opt
 // them must reproduce the recorded per-epoch statistics and final weights
 // bit for bit, and every TCP replica must hold the same weights.
 func TestGoldenTrain(t *testing.T) {
-	_, ds, vcfg := testSetup(t)
-	run := func(t *testing.T, driver string, opts Options) goldenRun {
+	_, ds, small := testSetup(t)
+	run := func(t *testing.T, row goldenRow, driver string) goldenRun {
+		vcfg, opts := small, row.opts
+		if row.vcfg != nil {
+			vcfg = *row.vcfg
+		}
 		switch {
 		case driver == "fit":
 			m, err := vae.New(vcfg, rng.New(opts.Seed))
@@ -176,7 +191,7 @@ func TestGoldenTrain(t *testing.T) {
 	want := map[string]goldenRun{}
 	if *updateGolden {
 		for _, row := range goldenRows() {
-			want[row.name] = run(t, row.drivers[0], row.opts)
+			want[row.name] = run(t, row, row.drivers[0])
 		}
 		b, err := json.MarshalIndent(want, "", " ")
 		if err != nil {
@@ -207,7 +222,7 @@ func TestGoldenTrain(t *testing.T) {
 			for _, driver := range row.drivers {
 				driver := driver
 				t.Run(driver, func(t *testing.T) {
-					if got := run(t, driver, row.opts); !reflect.DeepEqual(got, w) {
+					if got := run(t, row, driver); !reflect.DeepEqual(got, w) {
 						t.Errorf("trajectory differs from the golden:\n got %+v\nwant %+v", got, w)
 					}
 				})
