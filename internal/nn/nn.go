@@ -145,6 +145,14 @@ func (d *Dense) ForwardOneHot(ones []int, cond float64) *tensor.Matrix {
 // Backward accumulates ∂L/∂W = xᵀ·g and ∂L/∂b = Σrows g, and returns
 // ∂L/∂x = g·Wᵀ.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	d.backwardParams(gradOut)
+	d.gx = tensor.Ensure(d.gx, gradOut.Rows, d.In)
+	tensor.MatMulTransB(d.gx, gradOut, d.W)
+	return d.gx
+}
+
+// backwardParams is Backward without ∂L/∂x.
+func (d *Dense) backwardParams(gradOut *tensor.Matrix) {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
@@ -155,9 +163,6 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		d.colSums = make([]float64, d.Out)
 	}
 	tensor.Axpy(1, tensor.ColSumsInto(d.colSums, gradOut), d.gradB)
-	d.gx = tensor.Ensure(d.gx, gradOut.Rows, d.In)
-	tensor.MatMulTransB(d.gx, gradOut, d.W)
-	return d.gx
 }
 
 // Params exposes weights and bias with their gradient accumulators.
@@ -297,6 +302,16 @@ func (s *Sequential) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return gradOut
 }
 
+// BackwardParams is Backward for a chain whose first layer is Dense and
+// whose input gradient nobody reads: it accumulates the same parameter
+// gradients and skips computing ∂L/∂x.
+func (s *Sequential) BackwardParams(gradOut *tensor.Matrix) {
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		gradOut = s.Layers[i].Backward(gradOut)
+	}
+	s.Layers[0].(*Dense).backwardParams(gradOut)
+}
+
 // Params concatenates all layer parameters.
 func (s *Sequential) Params() []Param {
 	var ps []Param
@@ -309,9 +324,7 @@ func (s *Sequential) Params() []Param {
 // ZeroGrads clears the gradient accumulators of ps.
 func ZeroGrads(ps []Param) {
 	for _, p := range ps {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
+		clear(p.Grad)
 	}
 }
 

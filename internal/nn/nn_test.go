@@ -123,6 +123,36 @@ func TestGradientAccumulation(t *testing.T) {
 	}
 }
 
+// TestBackwardParamsMatchesBackward holds Sequential.BackwardParams to
+// Backward's parameter gradients, bit for bit, and checks that it leaves
+// the first layer's input gradient uncomputed.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	src := rng.New(4)
+	net := NewSequential(NewDense(5, 7, src), NewActivation(Tanh), NewDense(7, 3, src))
+	x, g := tensor.NewMatrix(6, 5), tensor.NewMatrix(6, 3)
+	for i := range x.Data {
+		x.Data[i] = src.NormFloat64()
+	}
+	for i := range g.Data {
+		g.Data[i] = src.NormFloat64()
+	}
+	net.Forward(x)
+	net.Backward(g)
+	want := FlattenGrads(net.Params(), nil)
+	fresh := NewSequential(NewDense(5, 7, rng.New(0)), NewActivation(Tanh), NewDense(7, 3, rng.New(0)))
+	SetValues(fresh.Params(), FlattenValues(net.Params(), nil))
+	fresh.Forward(x)
+	fresh.BackwardParams(g)
+	for i, v := range FlattenGrads(fresh.Params(), nil) {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("gradient %d: %v, Backward gives %v", i, v, want[i])
+		}
+	}
+	if fresh.Layers[0].(*Dense).gx != nil {
+		t.Error("BackwardParams computed the input gradient")
+	}
+}
+
 func TestSGDConvergesOnQuadratic(t *testing.T) {
 	// Minimize ‖Wx−b‖² for fixed x: a linear least squares SGD sanity run.
 	src := rng.New(4)
@@ -278,5 +308,29 @@ func TestXavierInitScale(t *testing.T) {
 		if b != 0 {
 			t.Fatal("bias not zero-initialized")
 		}
+	}
+}
+
+// BenchmarkAdamStep is one optimizer step over the benchmarked proposal
+// model's 33,100 parameters: the 65→96→96→12 encoder and 7→96→96→64
+// decoder layers of a 16-site, 4-species VAE with hidden 96, latent 6.
+func BenchmarkAdamStep(b *testing.B) {
+	src := rng.New(1)
+	var ps []Param
+	for _, s := range [][2]int{{65, 96}, {96, 96}, {96, 12}, {7, 96}, {96, 96}, {96, 64}} {
+		ps = append(ps, NewDense(s[0], s[1], src).Params()...)
+	}
+	for _, p := range ps {
+		for i := range p.Grad {
+			p.Grad[i] = 1e-3 * src.NormFloat64()
+		}
+	}
+	if n := NumParams(ps); n != 33100 {
+		b.Fatalf("%d parameters", n)
+	}
+	opt := NewAdam(1e-3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(ps)
 	}
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"deepthermo/internal/tensor"
+)
 
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
@@ -63,13 +67,7 @@ func (o *Adam) Step(ps []Param) {
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	for i, p := range ps {
-		m, v := o.m[i], o.v[i]
-		for j := range p.Value {
-			g := p.Grad[j]
-			m[j] = o.Beta1*m[j] + (1-o.Beta1)*g
-			v[j] = o.Beta2*v[j] + (1-o.Beta2)*g*g
-			p.Value[j] -= o.LR * (m[j] / c1) / (math.Sqrt(v[j]/c2) + o.Eps)
-		}
+		tensor.Adam(p.Value, p.Grad, o.m[i], o.v[i], o.Beta1, o.Beta2, o.LR, o.Eps, c1, c2)
 	}
 }
 
@@ -87,9 +85,7 @@ func ClipGradNorm(ps []Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range ps {
-			for j := range p.Grad {
-				p.Grad[j] *= scale
-			}
+			tensor.Scale(scale, p.Grad)
 		}
 	}
 	return norm

@@ -41,15 +41,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // The assembler bodies trust their lengths; the wrappers below do the
-// bounds checks the Go loops would have done. noescape keeps the k-outer
-// driver's coefficient array on its stack. An assembler call cannot be
-// preempted, so none is handed a whole batch: axpyRowsAVX2 covers at most
-// one pass over dst (one k), mulTransB calls mulTransBAVX2 a band of rows
-// at a time — at most 11 rows × n·k multiply-adds at about 10 per ns,
-// 10 µs at the model's 96×96 and 0.3 ms at 512×512 — and rowMul calls
-// rowMulAVX2 one column tile at a time, at most 48·k multiply-adds
-// (0.5 µs at k = 96). exp, log and tanh hand the assembler at most
-// mathChunk elements a call.
+// bounds checks the Go loops would have done. noescape keeps adam's
+// coefficients on the caller's stack. An assembler call cannot be
+// preempted, so none is handed a whole batch: mulTransB calls
+// mulTransBAVX2 a band of rows at a time — at most 11 rows × n·k
+// multiply-adds at about 10 per ns, 10 µs at the model's 96×96 and 0.3 ms
+// at 512×512 — mulTransA four dst rows (4·n·k, 1.5 µs at the model's 96
+// columns and batch 32), and rowMul one column tile of rowMulAVX2, at most
+// 48·k (0.5 µs at k = 96). adam, exp, log and tanh hand the assembler at
+// most mathChunk elements a call.
 
 //go:noescape
 func saxpyAVX2(alpha float64, x, y []float64)
@@ -57,8 +57,18 @@ func saxpyAVX2(alpha float64, x, y []float64)
 //go:noescape
 func scaleAVX2(alpha float64, x, y []float64)
 
+// mulTransAAVX2 computes dst rows r0..r3 of mulTransAGo's block (a row
+// index may repeat, rewriting the same bits) in tiles of 4 rows × 8, then
+// 4, columns, the last 4-column tile overlapping its neighbour; a block
+// narrower than 4 columns runs 4 rows × 1.
+//
 //go:noescape
-func axpyRowsAVX2(coef, x, y []float64, stride int)
+func mulTransAAVX2(dst, a, b []float64, k, lda, n, r0, r1, r2, r3 int)
+
+// adamAVX2 is adamGo over len(val)&^3 elements.
+//
+//go:noescape
+func adamAVX2(val, grad, m, v []float64, h *adamHyper)
 
 // mulTransBAVX2 computes dst = a·bᵀ over k&^3 in 4×4 tiles, the last tile
 // of a row or column overlapping its neighbour. It needs rows, n >= 4.
@@ -108,15 +118,32 @@ func scale(alpha float64, x, y []float64) {
 	scaleAVX2(alpha, x, y[:len(x)])
 }
 
-func axpyRows(coef, x, y []float64, stride int) {
-	if !useAVX2 {
-		axpyRowsGo(coef, x, y, stride)
+func mulTransA(dst, a, b []float64, rows, n, k, lda int) {
+	if !useAVX2 || rows == 0 || n == 0 || k == 0 {
+		mulTransAGo(dst, a, b, rows, n, k, lda)
 		return
 	}
-	if len(coef) == 0 || len(x) == 0 {
-		return
+	dst, a, b = dst[:rows*n], a[:(k-1)*lda+rows], b[:k*n]
+	// Four dst rows a call; the last group moves back to overlap its
+	// neighbour, and a block of fewer than four rows repeats its last.
+	for i := 0; i < rows; i += 4 {
+		i = max(min(i, rows-4), 0)
+		mulTransAAVX2(dst, a, b, k, lda, n, i, min(i+1, rows-1), min(i+2, rows-1), min(i+3, rows-1))
 	}
-	axpyRowsAVX2(coef, x, y[:(len(coef)-1)*stride+len(x)], stride)
+}
+
+func adam(val, grad, m, v []float64, h *adamHyper) {
+	n := len(val)
+	grad, m, v = grad[:n], m[:n], v[:n]
+	i := 0
+	if useAVX2 {
+		for n4 := n &^ 3; i < n4; {
+			end := min(i+mathChunk, n4)
+			adamAVX2(val[i:end], grad[i:end], m[i:end], v[i:end], h)
+			i = end
+		}
+	}
+	adamGo(val[i:], grad[i:], m[i:], v[i:], h)
 }
 
 func mulTransB(dst, a, b []float64, rows, n, k int) {
@@ -148,7 +175,7 @@ func mulTransB(dst, a, b []float64, rows, n, k int) {
 			brow := b[j*k : (j+1)*k]
 			s := dst[i*n+j]
 			for kk := k4; kk < k; kk++ {
-				s += arow[kk] * brow[kk]
+				s += float64(arow[kk] * brow[kk])
 			}
 			dst[i*n+j] = s
 		}

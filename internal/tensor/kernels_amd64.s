@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the eight tensor primitives (kernels.go). The rules that
+// AVX2 bodies of the nine tensor primitives (kernels.go). The rules that
 // keep them bit-identical to the portable Go loops:
 //
-//   - a product is VMULPD/VMULSD and a sum is VADDPD/VADDSD, each rounded
-//     on its own as the compiler's MULSD/ADDSD are — never FMA, except
+//   - a product is VMULPD/VMULSD, a sum VADDPD/VADDSD, and adam's
+//     quotient, root and difference VDIVPD, VSQRTPD, VSUBPD, each rounded
+//     on its own as the compiler's scalar forms are — never FMA, except
 //     where exp replays the fused multiply-adds of math.Exp's own amd64
 //     body (see the transcendental bodies at the end of this file);
 //   - a vector lane is one output element; no lane ever holds a partial
@@ -147,106 +148,221 @@ scale_done:
 	VZEROUPPER
 	RET
 
-// func axpyRowsAVX2(coef, x, y []float64, stride int)
-// y[r*stride+j] += coef[r]*x[j] for r < len(coef), j < len(x); needs
-// len(coef) >= 1. Columns are the outer loop, so a group of x lanes is
-// loaded once and applied to every row; rows are the inner loop, each
-// with its own broadcast coefficient.
+// One tile row's term of mulTransAAVX2: a[kk][r], at aoff, times the
+// tile's b lanes (Y8, Y9), added to the row's accumulators.
+#define TA_ROW8(aoff, lo, hi) \
+	VBROADCASTSD aoff, Y10; \
+	VMULPD       Y8, Y10, Y11; \
+	VMULPD       Y9, Y10, Y12; \
+	VADDPD       Y11, lo, lo; \
+	VADDPD       Y12, hi, hi
+
+#define TA_ROW4(aoff, acc) \
+	VBROADCASTSD aoff, Y10; \
+	VMULPD       Y8, Y10, Y11; \
+	VADDPD       Y11, acc, acc
+
+#define TA_ROW1(aoff, acc) \
+	VMULSD aoff, X8, X11; \
+	VADDSD X11, acc, acc
+
+// func mulTransAAVX2(dst, a, b []float64, k, lda, n, r0, r1, r2, r3 int)
+// dst[r*n+j] = Σ a[kk*lda+r]*b[kk*n+j] over kk < k (k >= 1), from +0 in
+// ascending kk, for r in r0 <= r1 <= r2 <= r3 and every j < n. The tile's
+// four rows broadcast their a[kk][r] against the same b lanes, so a lane
+// is one dst element and kk stays sequential in it; the accumulators stay
+// in registers over all of k and are stored once. Tiles are 8 columns
+// while they fit, then 4, then the last 4 moved back to end at n (dst is
+// assigned, so the overlap rewrites the same bits), or single columns
+// when n < 4.
 //
-//	SI x cursor      DI y cursor (row 0)     CX columns left
-//	R8 coef base     R9 rows                 R10 stride in bytes
-//	BX coef cursor   DX y cursor (row r)     AX rows left
-TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-80
-	MOVQ coef_base+0(FP), R8
-	MOVQ coef_len+8(FP), R9
-	MOVQ x_base+24(FP), SI
-	MOVQ x_len+32(FP), CX
-	MOVQ y_base+48(FP), DI
-	MOVQ stride+72(FP), R10
+//	R8  lda in bytes   R9  n in bytes   R10-R12 a offsets of rows r1-r3
+//	R13 tile column in bytes            BX tile width in bytes
+//	SI  a cursor       DI  b cursor     CX k left     AX, DX scratch
+//	Y0-Y7 accumulators (row t in Y2t, Y2t+1)   Y8, Y9 b   Y10-Y12 scratch
+TEXT ·mulTransAAVX2(SB), NOSPLIT, $0-128
+	MOVQ lda+80(FP), R8
+	SHLQ $3, R8
+	MOVQ n+88(FP), R9
+	SHLQ $3, R9
+	MOVQ r0+96(FP), AX
+	MOVQ r1+104(FP), R10
+	MOVQ r2+112(FP), R11
+	MOVQ r3+120(FP), R12
+	SUBQ AX, R10
+	SUBQ AX, R11
+	SUBQ AX, R12
 	SHLQ $3, R10
-	SUBQ $16, CX
-	JL   rows_lt16
+	SHLQ $3, R11
+	SHLQ $3, R12
+	XORQ R13, R13
 
-rows_cols16:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VMOVUPD 64(SI), Y2
-	VMOVUPD 96(SI), Y3
-	MOVQ    R8, BX
-	MOVQ    DI, DX
-	MOVQ    R9, AX
+ta_next:
+	MOVQ R9, DX
+	SUBQ R13, DX
+	JLE  ta_done
+	MOVQ $64, BX
+	CMPQ DX, BX
+	JGE  ta_start
+	MOVQ $32, BX
+	CMPQ DX, BX
+	JGE  ta_start
+	CMPQ R9, BX
+	JLT  ta_one
+	LEAQ -32(R9), R13
+	JMP  ta_start
 
-rows_row16:
-	VBROADCASTSD (BX), Y4
-	VMULPD  Y0, Y4, Y5
-	VMULPD  Y1, Y4, Y6
-	VMULPD  Y2, Y4, Y7
-	VMULPD  Y3, Y4, Y8
-	VADDPD  (DX), Y5, Y5
-	VADDPD  32(DX), Y6, Y6
-	VADDPD  64(DX), Y7, Y7
-	VADDPD  96(DX), Y8, Y8
-	VMOVUPD Y5, (DX)
-	VMOVUPD Y6, 32(DX)
-	VMOVUPD Y7, 64(DX)
-	VMOVUPD Y8, 96(DX)
-	ADDQ    $8, BX
-	ADDQ    R10, DX
-	DECQ    AX
-	JNZ     rows_row16
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $16, CX
-	JGE     rows_cols16
+ta_one:
+	MOVQ $8, BX
 
-rows_lt16:
-	ADDQ $12, CX
-	JL   rows_lt4
+ta_start:
+	MOVQ   a_base+24(FP), SI
+	MOVQ   r0+96(FP), AX
+	LEAQ   (SI)(AX*8), SI
+	MOVQ   b_base+48(FP), DI
+	ADDQ   R13, DI
+	MOVQ   k+72(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	CMPQ   BX, $32
+	JEQ    ta_k4
+	JLT    ta_k1
 
-rows_cols4:
-	VMOVUPD (SI), Y0
-	MOVQ    R8, BX
-	MOVQ    DI, DX
-	MOVQ    R9, AX
+ta_k8:
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	TA_ROW8((SI), Y0, Y1)
+	TA_ROW8((SI)(R10*1), Y2, Y3)
+	TA_ROW8((SI)(R11*1), Y4, Y5)
+	TA_ROW8((SI)(R12*1), Y6, Y7)
+	ADDQ    R8, SI
+	ADDQ    R9, DI
+	DECQ    CX
+	JNZ     ta_k8
+	JMP     ta_store
 
-rows_row4:
-	VBROADCASTSD (BX), Y4
-	VMULPD  Y0, Y4, Y5
-	VADDPD  (DX), Y5, Y5
-	VMOVUPD Y5, (DX)
-	ADDQ    $8, BX
-	ADDQ    R10, DX
-	DECQ    AX
-	JNZ     rows_row4
+ta_k4:
+	VMOVUPD (DI), Y8
+	TA_ROW4((SI), Y0)
+	TA_ROW4((SI)(R10*1), Y2)
+	TA_ROW4((SI)(R11*1), Y4)
+	TA_ROW4((SI)(R12*1), Y6)
+	ADDQ    R8, SI
+	ADDQ    R9, DI
+	DECQ    CX
+	JNZ     ta_k4
+	JMP     ta_store
+
+ta_k1:
+	VMOVSD (DI), X8
+	TA_ROW1((SI), X0)
+	TA_ROW1((SI)(R10*1), X2)
+	TA_ROW1((SI)(R11*1), X4)
+	TA_ROW1((SI)(R12*1), X6)
+	ADDQ   R8, SI
+	ADDQ   R9, DI
+	DECQ   CX
+	JNZ    ta_k1
+
+	// Row t of the tile starts at dst + r_t·n + the tile column.
+ta_store:
+	MOVQ  dst_base+0(FP), DI
+	ADDQ  R13, DI
+	MOVQ  r0+96(FP), AX
+	MOVQ  r1+104(FP), DX
+	MOVQ  r2+112(FP), SI
+	MOVQ  r3+120(FP), CX
+	IMULQ R9, AX
+	IMULQ R9, DX
+	IMULQ R9, SI
+	IMULQ R9, CX
+	ADDQ  DI, AX
+	ADDQ  DI, DX
+	ADDQ  DI, SI
+	ADDQ  DI, CX
+	CMPQ  BX, $32
+	JLT   ta_store1
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y4, (SI)
+	VMOVUPD Y6, (CX)
+	JEQ   ta_stored
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y3, 32(DX)
+	VMOVUPD Y5, 32(SI)
+	VMOVUPD Y7, 32(CX)
+	JMP   ta_stored
+
+ta_store1:
+	VMOVSD X0, (AX)
+	VMOVSD X2, (DX)
+	VMOVSD X4, (SI)
+	VMOVSD X6, (CX)
+
+ta_stored:
+	ADDQ BX, R13
+	JMP  ta_next
+
+ta_done:
+	VZEROUPPER
+	RET
+
+// func adamAVX2(val, grad, m, v []float64, h *adamHyper)
+// adamGo four lanes at a time over len(val)&^3 elements: the same
+// products, sums, quotients and square root in the same order, each
+// rounded on its own.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+	MOVQ         h+96(FP), AX
+	VBROADCASTSD 0(AX), Y0  // b1
+	VBROADCASTSD 8(AX), Y1  // d1
+	VBROADCASTSD 16(AX), Y2 // b2
+	VBROADCASTSD 24(AX), Y3 // d2
+	VBROADCASTSD 32(AX), Y4 // lr
+	VBROADCASTSD 40(AX), Y5 // eps
+	VBROADCASTSD 48(AX), Y6 // c1
+	VBROADCASTSD 56(AX), Y7 // c2
+	MOVQ         val_base+0(FP), DI
+	MOVQ         val_len+8(FP), CX
+	MOVQ         grad_base+24(FP), SI
+	MOVQ         m_base+48(FP), R8
+	MOVQ         v_base+72(FP), R9
+	SHRQ         $2, CX
+	JZ           adam_done
+
+adam_loop:
+	VMOVUPD (SI), Y8       // g
+	VMULPD  (R8), Y0, Y9
+	VMULPD  Y8, Y1, Y10
+	VADDPD  Y10, Y9, Y9    // m = b1·m + d1·g
+	VMOVUPD Y9, (R8)
+	VMULPD  (R9), Y2, Y10
+	VMULPD  Y8, Y3, Y11
+	VMULPD  Y8, Y11, Y11
+	VADDPD  Y11, Y10, Y10  // v = b2·v + (d2·g)·g
+	VMOVUPD Y10, (R9)
+	VDIVPD  Y6, Y9, Y9
+	VMULPD  Y9, Y4, Y9     // lr·(m/c1)
+	VDIVPD  Y7, Y10, Y10
+	VSQRTPD Y10, Y10
+	VADDPD  Y5, Y10, Y10   // √(v/c2) + ε
+	VDIVPD  Y10, Y9, Y9
+	VMOVUPD (DI), Y10
+	VSUBPD  Y9, Y10, Y10
+	VMOVUPD Y10, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JGE     rows_cols4
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     adam_loop
 
-rows_lt4:
-	ADDQ $4, CX
-	JZ   rows_done
-
-rows_cols1:
-	VMOVSD (SI), X0
-	MOVQ   R8, BX
-	MOVQ   DI, DX
-	MOVQ   R9, AX
-
-rows_row1:
-	VMULSD (BX), X0, X5
-	VADDSD (DX), X5, X5
-	VMOVSD X5, (DX)
-	ADDQ   $8, BX
-	ADDQ   R10, DX
-	DECQ   AX
-	JNZ    rows_row1
-	ADDQ   $8, SI
-	ADDQ   $8, DI
-	DECQ   CX
-	JNZ    rows_cols1
-
-rows_done:
+adam_done:
 	VZEROUPPER
 	RET
 

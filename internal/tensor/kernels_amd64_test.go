@@ -110,32 +110,78 @@ func TestSaxpyScaleAVX2MatchPortable(t *testing.T) {
 	}
 }
 
-func TestAxpyRowsAVX2MatchesPortable(t *testing.T) {
+// TestMulTransAAVX2MatchesPortable covers the weight-gradient tiles: dst
+// widths 1–17 (8- and 4-column tiles, the overlapping last 4, single
+// columns) and 1–9 rows (repeated and overlapping row groups), plus the
+// model's gradient shapes, at batch 1, 3 and 32. a is a strided stripe,
+// as parallelRows hands it over, with one-hot rows of exact ±0 and 1
+// beside dense rows; b draws ±0 and the edge values.
+func TestMulTransAAVX2MatchesPortable(t *testing.T) {
 	needAVX2(t)
-	src := rng.New(12)
+	src := rng.New(15)
 	const guard = 4
-	for n := 0; n <= 130; n++ {
-		for rows := 1; rows <= 9; rows++ {
-			for _, stride := range []int{n, n + 1, n + 3, 2*n + 5} {
-				ox, oy := (n+rows)%4, (n+stride)%4
-				xbuf := make([]float64, ox+n+guard)
-				ybuf := make([]float64, oy+(rows-1)*stride+n+guard)
-				coef := make([]float64, rows)
-				fillMixed(xbuf, src)
-				fillMixed(ybuf, src)
-				fillMixed(coef, src)
-				got := append([]float64(nil), ybuf...)
-				want := append([]float64(nil), ybuf...)
-				x := xbuf[ox : ox+n]
-				axpyRowsAVX2(coef, x, got[oy:oy+(rows-1)*stride+n], stride)
-				axpyRowsGo(coef, x, want[oy:], stride)
-				sameBits(t, got, want, "axpyRows n=%d rows=%d stride=%d x+%d y+%d", n, rows, stride, ox, oy)
-			}
+	shapes := [][2]int{{65, 96}, {96, 96}, {96, 12}, {7, 96}, {96, 64}}
+	for rows := 1; rows <= 9; rows++ {
+		for n := 1; n <= 17; n++ {
+			shapes = append(shapes, [2]int{rows, n})
 		}
 	}
-	// Empty inputs never reach the assembler.
-	axpyRows(nil, []float64{1}, nil, 1)
-	axpyRows([]float64{1}, nil, nil, 0)
+	for _, k := range []int{1, 3, 32} {
+		for _, s := range shapes {
+			rows, n := s[0], s[1]
+			lda, oa := rows+(n+k)%3, (rows+n)%3
+			abuf := make([]float64, oa+k*lda+guard)
+			bbuf := make([]float64, n*k+guard)
+			dbuf := make([]float64, rows*n+guard)
+			fillMixed(abuf, src)
+			for kk := 0; kk < k; kk++ {
+				if kk%2 == 0 {
+					for i := range abuf[oa+kk*lda : oa+(kk+1)*lda] {
+						abuf[oa+kk*lda+i] = [3]float64{1, 0, math.Copysign(0, -1)}[src.Intn(3)]
+					}
+				}
+			}
+			fillMixed(bbuf, src)
+			fillMixed(dbuf, src) // stale contents must be overwritten, not added to
+			got := append([]float64(nil), dbuf...)
+			want := append([]float64(nil), dbuf...)
+			mulTransA(got, abuf[oa:], bbuf, rows, n, k, lda)
+			mulTransAGo(want, abuf[oa:], bbuf, rows, n, k, lda)
+			sameBits(t, got, want, "mulTransA rows=%d n=%d k=%d lda=%d", rows, n, k, lda)
+		}
+	}
+}
+
+// TestAdamAVX2MatchesPortable runs the vector Adam step against adamGo on
+// lengths that end on every lane and cross mathChunk, with ±0 and the
+// edge values in the gradient, over three steps' bias corrections.
+func TestAdamAVX2MatchesPortable(t *testing.T) {
+	needAVX2(t)
+	src := rng.New(16)
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 13, 64, 97, mathChunk + 5, 2*mathChunk + 3} {
+		val, grad := make([]float64, n), make([]float64, n)
+		m, v := make([]float64, n), make([]float64, n)
+		fillMixed(val, src)
+		for i := range m {
+			m[i], v[i] = src.NormFloat64(), math.Abs(src.NormFloat64())
+		}
+		gotVal, gotM, gotV := append([]float64(nil), val...), append([]float64(nil), m...), append([]float64(nil), v...)
+		for step := 1; step <= 3; step++ {
+			fillMixed(grad, src)
+			for i := range grad {
+				if src.Intn(5) == 0 {
+					grad[i] = math.Copysign(0, float64(src.Intn(2))-0.5)
+				}
+			}
+			h := &adamHyper{b1: 0.9, d1: 1 - 0.9, b2: 0.999, d2: 1 - 0.999, lr: 3e-3, eps: 1e-8,
+				c1: 1 - math.Pow(0.9, float64(step)), c2: 1 - math.Pow(0.999, float64(step))}
+			adam(gotVal, grad, gotM, gotV, h)
+			adamGo(val, grad, m, v, h)
+			sameBits(t, gotVal, val, "adam val n=%d step %d", n, step)
+			sameBits(t, gotM, m, "adam m n=%d step %d", n, step)
+			sameBits(t, gotV, v, "adam v n=%d step %d", n, step)
+		}
+	}
 }
 
 func TestMulTransBAVX2MatchesPortable(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,7 +166,7 @@ func TestShapePanics(t *testing.T) {
 		"Hadamard":     func() { Hadamard(c, a, b) },
 		"Apply":        func() { Apply(c, a, math.Abs) },
 		"Axpy":         func() { Axpy(1, []float64{1}, []float64{1, 2}) },
-		"Dot":          func() { Dot([]float64{1}, []float64{1, 2}) },
+		"Adam":         func() { Adam([]float64{1}, []float64{1}, []float64{1, 2}, []float64{1}, 0.9, 0.999, 1, 1, 1, 1) },
 		"FromSlice":    func() { FromSlice(2, 2, []float64{1}) },
 		"NewMatrix":    func() { NewMatrix(-1, 2) },
 	} {
@@ -189,7 +190,7 @@ func TestAddBiasAndColSums(t *testing.T) {
 			t.Fatalf("AddBias: %v", m.Data)
 		}
 	}
-	sums := ColSums(m)
+	sums := ColSumsInto([]float64{7, 7, 7}, m)
 	if sums[0] != 25 || sums[1] != 47 || sums[2] != 69 {
 		t.Fatalf("ColSums = %v", sums)
 	}
@@ -220,12 +221,6 @@ func TestBlas1(t *testing.T) {
 	Axpy(2, x, y)
 	if y[0] != 6 || y[1] != 9 || y[2] != 12 {
 		t.Fatalf("Axpy: %v", y)
-	}
-	if d := Dot(x, x); d != 14 {
-		t.Fatalf("Dot = %g", d)
-	}
-	if n := Norm2([]float64{3, 4}); math.Abs(n-5) > 1e-12 {
-		t.Fatalf("Norm2 = %g", n)
 	}
 	Scale(0.5, y)
 	if y[0] != 3 {
@@ -304,14 +299,14 @@ func sparseRows(m *Matrix, src *rng.Source) {
 	}
 }
 
-// TestDriversMatchScalarReference pins the matmul drivers, bit for bit,
-// to scalar loops that spell out each dst element's operation sequence:
-// MatMul, and SparseRowMul over a row's nonzero entries, assign at the
-// first nonzero a[i][k] and accumulate at later ones in ascending k (a
-// row with none is zero), MatMulTransA accumulates onto zero skipping
-// zero coefficients, MatMulTransB sums every k from zero. The column
-// tiles, k-outer and row-run groupings may only change which elements
-// are updated together, never an element's own sequence.
+// TestDriversMatchScalarReference pins the matmul drivers and Adam, bit
+// for bit, to scalar loops that spell out each dst element's operation
+// sequence: MatMul, and SparseRowMul over a row's nonzero entries, assign
+// at the first nonzero a[i][k] and accumulate at later ones in ascending
+// k (a row with none is zero), MatMulTransA and MatMulTransB sum every k
+// from +0. The tiles may only change which elements are computed
+// together, never an element's own sequence. Each product that feeds a
+// sum is converted explicitly, so no build fuses the reference either.
 func TestDriversMatchScalarReference(t *testing.T) {
 	src := rng.New(7)
 	for rows := 1; rows <= 19; rows++ {
@@ -330,7 +325,7 @@ func TestDriversMatchScalarReference(t *testing.T) {
 							case first:
 								s, first = av*b.At(kk, j), false
 							default:
-								s += av * b.At(kk, j)
+								s += float64(av * b.At(kk, j))
 							}
 						}
 						want.Set(i, j, s)
@@ -353,15 +348,7 @@ func TestDriversMatchScalarReference(t *testing.T) {
 				// aᵀ·g with a as the (sparse) layer input: dst is k×n.
 				g := randomMatrix(rows, n, src)
 				got, want = randomMatrix(k, n, src), NewMatrix(k, n)
-				for kk := 0; kk < rows; kk++ {
-					for i := 0; i < k; i++ {
-						if av := a.At(kk, i); av != 0 {
-							for j := 0; j < n; j++ {
-								want.Data[i*n+j] += av * g.At(kk, j)
-							}
-						}
-					}
-				}
+				transAReference(want, a, g)
 				MatMulTransA(got, a, g)
 				sameBits(t, got.Data, want.Data, "MatMulTransA (%dx%d)ᵀ·%d", rows, k, n)
 
@@ -372,7 +359,7 @@ func TestDriversMatchScalarReference(t *testing.T) {
 					for j := 0; j < n; j++ {
 						var s float64
 						for kk := 0; kk < k; kk++ {
-							s += a.At(i, kk) * w.At(j, kk)
+							s += float64(a.At(i, kk) * w.At(j, kk))
 						}
 						want.Set(i, j, s)
 					}
@@ -380,6 +367,68 @@ func TestDriversMatchScalarReference(t *testing.T) {
 				MatMulTransB(got, a, w)
 				sameBits(t, got.Data, want.Data, "MatMulTransB %dx%d·(%dx%d)ᵀ", rows, k, n, k)
 			}
+		}
+	}
+
+	// The weight gradient xᵀ·g over every tile shape: dst rows 1–9,
+	// columns 1–17, batch 1, 3 and 32, x with one-hot rows of exact
+	// zeros, g with ±0.
+	for _, batch := range []int{1, 3, 32} {
+		for in := 1; in <= 9; in++ {
+			for out := 1; out <= 17; out++ {
+				x, g := NewMatrix(batch, in), randomMatrix(batch, out, src)
+				for r := 0; r < batch; r++ {
+					x.Set(r, src.Intn(in), 1)
+					x.Set(r, in-1, src.NormFloat64())
+				}
+				for i := range g.Data {
+					if src.Intn(4) == 0 {
+						g.Data[i] = math.Copysign(0, float64(src.Intn(2))-0.5)
+					}
+				}
+				got, want := randomMatrix(in, out, src), NewMatrix(in, out)
+				transAReference(want, x, g)
+				MatMulTransA(got, x, g)
+				sameBits(t, got.Data, want.Data, "MatMulTransA (%dx%d)ᵀ·%d", batch, in, out)
+			}
+		}
+	}
+
+	// Adam, against nn.Adam's loop as it read before it became a kernel.
+	b1, b2, lr, eps := 0.9, 0.999, 3e-3, 1e-8 // variables: 1-b1 rounds as nn.Adam's does
+	for _, n := range []int{1, 3, 4, 7, 33, 1030} {
+		val, m, v := randomMatrix(1, n, src).Data, randomMatrix(1, n, src).Data, randomMatrix(1, n, src).Data
+		for i := range v {
+			v[i] = math.Abs(v[i])
+		}
+		wval, wm, wv := slices.Clone(val), slices.Clone(m), slices.Clone(v)
+		for step := 1; step <= 3; step++ {
+			grad := randomMatrix(1, n, src).Data
+			grad[src.Intn(n)] = math.Copysign(0, -1)
+			c1, c2 := 1-math.Pow(b1, float64(step)), 1-math.Pow(b2, float64(step))
+			for j, g := range grad {
+				wm[j] = float64(b1*wm[j]) + float64((1-b1)*g)
+				wv[j] = float64(b2*wv[j]) + float64(float64((1-b2)*g)*g)
+				wval[j] -= float64(lr*(wm[j]/c1)) / (math.Sqrt(wv[j]/c2) + eps)
+			}
+			Adam(val, grad, m, v, b1, b2, lr, eps, c1, c2)
+			sameBits(t, val, wval, "Adam val n=%d step %d", n, step)
+			sameBits(t, m, wm, "Adam m n=%d step %d", n, step)
+			sameBits(t, v, wv, "Adam v n=%d step %d", n, step)
+		}
+	}
+}
+
+// transAReference writes dst = aᵀ·g, each element summed from +0 over
+// a's rows in ascending order.
+func transAReference(dst, a, g *Matrix) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < g.Cols; j++ {
+			var s float64
+			for kk := 0; kk < a.Rows; kk++ {
+				s += float64(a.At(kk, i) * g.At(kk, j))
+			}
+			dst.Set(i, j, s)
 		}
 	}
 }

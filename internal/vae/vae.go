@@ -251,7 +251,7 @@ func (m *Model) Step(x *tensor.Matrix, cond []float64, targets []lattice.Config,
 			grow[l+j] = gz[j]*eps.At(i, j)*0.5*sigma.At(i, j) + bkl*0.5*(math.Exp(lv)-1)
 		}
 	}
-	m.enc.Backward(gradEncOut)
+	m.enc.BackwardParams(gradEncOut) // nothing reads the encoder input's gradient
 
 	return Losses{
 		Recon:    recon,
