@@ -200,6 +200,13 @@ func (e *chanEndpoint) RecvCtx(ctx context.Context, src int) ([]float64, error) 
 	case msg := <-w.ch[e.rank][src]:
 		return msg, nil
 	case <-w.failChOf(src):
+		// Both cases may be ready at once, and select picks at random:
+		// whatever src sent before failing is in the buffer by now.
+		select {
+		case msg := <-w.ch[e.rank][src]:
+			return msg, nil
+		default:
+		}
 		return nil, fmt.Errorf("%w: recv from rank %d", ErrPeerFailed, src)
 	case <-w.failChOf(e.rank):
 		return nil, fmt.Errorf("%w: rank %d", ErrRankFailed, e.rank)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"flag"
+	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -243,6 +244,34 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 	}
 	if big, empty := allocs(20000), allocs(0); big != empty {
 		t.Errorf("a 20 kB frame took %v allocations, an empty one %v", big, empty)
+	}
+}
+
+// TestReadFrameOneAllocation: a frame costs its body and nothing else,
+// the length prefix included. The prefix and the body each end as
+// io.ReadFull ends: io.EOF for a stream that stops before the part,
+// io.ErrUnexpectedEOF for one that stops inside it.
+func TestReadFrameOneAllocation(t *testing.T) {
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, frameData, make([]byte, 3200)); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(frame.Bytes())
+	br := bufio.NewReader(src)
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(frame.Bytes())
+		br.Reset(src)
+		if _, _, err := readFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a 3.2 kB frame took %v allocations, want 1", allocs)
+	}
+	for cut, want := range map[int]error{0: io.EOF, 2: io.ErrUnexpectedEOF, 4: io.EOF, 100: io.ErrUnexpectedEOF} {
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame.Bytes()[:cut]))); err != want {
+			t.Errorf("stream cut after %d bytes: %v, want %v", cut, err, want)
+		}
 	}
 }
 

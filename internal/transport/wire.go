@@ -89,11 +89,19 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 // ahead of what has been read, so memory follows the bytes that arrive,
 // not the length the prefix claims.
 func readFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read in place from r's buffer: a local array
+	// handed to io.ReadFull would escape through its io.Reader argument.
+	// As from io.ReadFull, a stream that ends inside the prefix reports
+	// io.ErrUnexpectedEOF and one that ends before it io.EOF.
+	hdr, err := r.Peek(4)
+	if len(hdr) < 4 {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
+	r.Discard(4) //nolint:errcheck // the 4 bytes are buffered
 	if n < 1 || n > maxFrameLen {
 		return 0, nil, fmt.Errorf("transport: frame length %d outside [1, %d]", n, maxFrameLen)
 	}
