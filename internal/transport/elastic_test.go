@@ -7,6 +7,7 @@ package transport
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -115,7 +116,16 @@ func TestHeartbeatDeclaresFrozenRankDead(t *testing.T) {
 		}
 	}()
 
-	// Rank 1 freezes: connections stay open, pongs stop.
+	// Rank 1 sends rank 0 more 8 KB frames than its inbox holds, so some
+	// wait in the socket, then freezes: connections stay open, pongs stop.
+	const sent = inboxDepth + 8
+	for i := 0; i < sent; i++ {
+		msg := make([]float64, 1024)
+		msg[0] = float64(i)
+		if err := eps[1].SendCtx(context.Background(), 0, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
 	eps[1].frozen.Store(true)
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -126,6 +136,19 @@ func TestHeartbeatDeclaresFrozenRankDead(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+
+	// With no op timeout set, a receive from the frozen rank delivers what
+	// it sent before freezing, even once the grace its still-open
+	// connection is given has run out, and then reports it dead.
+	time.Sleep(deadPeerGrace + 100*time.Millisecond)
+	for i := 0; i < sent; i++ {
+		if msg, err := eps[0].RecvCtx(context.Background(), 1); err != nil || msg[0] != float64(i) {
+			t.Fatalf("frame %d from the frozen rank: %v, %v", i, err, msg[:min(len(msg), 1)])
+		}
+	}
+	for _, r := range []int{0, 2} {
+		recvReportsDead(t, eps[r], 1, deadPeerGrace+5*time.Second)
 	}
 
 	// Survivor traffic still flows.
@@ -238,6 +261,54 @@ func TestTCPRejoinAfterDeath(t *testing.T) {
 	}
 	if len(failed) != 0 {
 		t.Errorf("failed ranks %v after a successful rejoin and clean shutdown", failed)
+	}
+}
+
+// TestRecvFromRankDeadAtRejoin: a replacement joins while another rank is
+// still dead; with no op timeout set, its receive from that rank, whose
+// slot has no connection, reports it dead at once.
+func TestRecvFromRankDeadAtRejoin(t *testing.T) {
+	const n = 3
+	co, err := NewCoordinator("127.0.0.1:0", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	eps := joinWorld(t, co, n)
+	defer eps[0].Close()
+	eps[1].Kill()
+	eps[2].Kill()
+	deadline := time.Now().Add(5 * time.Second)
+	for !eps[0].PeerFailed(1) || !eps[0].PeerFailed(2) {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 0 never observed the kills")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	repl, err := Join(context.Background(), co.Addr(), JoinOptions{Timeout: 20 * time.Second})
+	if err != nil {
+		t.Fatalf("replacement join: %v", err)
+	}
+	defer repl.Close()
+	recvReportsDead(t, repl, 3-repl.Rank(), time.Second)
+}
+
+// recvReportsDead fails t unless ep's RecvCtx from src, under a context
+// that never ends, returns ErrPeerFailed within limit.
+func recvReportsDead(t *testing.T, ep *TCPEndpoint, src int, limit time.Duration) {
+	t.Helper()
+	got := make(chan error, 1)
+	go func() {
+		_, err := ep.RecvCtx(context.Background(), src)
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrPeerFailed) {
+			t.Errorf("rank %d's receive from dead rank %d: %v, want ErrPeerFailed", ep.Rank(), src, err)
+		}
+	case <-time.After(limit):
+		t.Errorf("rank %d's receive from dead rank %d still blocked after %v", ep.Rank(), src, limit)
 	}
 }
 
