@@ -5,7 +5,7 @@
 //
 //	dtreport -out report.md            # full suite (several minutes)
 //	dtreport -only E1,E2,A6            # a subset
-//	dtreport -cells 2 -only E1         # smaller testbed for a fast look
+//	dtreport -cells 2 -only E1         # smaller system for a fast look
 //
 // The methods-section cross-checks E11-E13 are tier-1 tests, not report
 // sections: TestE11Validation and TestE13ChaosResilience in internal/rewl,
@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"deepthermo"
 	"deepthermo/internal/experiments"
 )
 
@@ -55,13 +56,30 @@ func parseOnly(only string) (map[string]bool, error) {
 	return want, nil
 }
 
+// trainedSystem builds the report's system: a temperature-ladder dataset
+// of 300 samples on each of 10 rungs over 250–3000 K, and a proposal
+// model of latent 8 and hidden 96 trained for 60 epochs.
+func trainedSystem(cells int, seed uint64) (*deepthermo.System, error) {
+	sys, err := deepthermo.NewSystem(deepthermo.SystemConfig{Cells: cells, Seed: seed, Latent: 8, Hidden: 96})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sys.GenerateData(&deepthermo.DataConfig{TempLo: 250, TempHi: 3000, LadderLen: 10, SamplesPerTemp: 300}); err != nil {
+		return nil, err
+	}
+	const epochs = 60
+	return sys, sys.TrainProposal(&deepthermo.TrainOptions{
+		Epochs: epochs, BatchSize: 32, LR: 2e-3, Seed: sys.Seed() + 17, KLWarmupEpochs: epochs / 3,
+	})
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dtreport: ")
 
 	outPath := flag.String("out", "", "output file (default stdout)")
 	only := flag.String("only", "all", "comma-separated table IDs ("+strings.Join(tableIDs, ",")+") or 'all'")
-	cells := flag.Int("cells", 3, "testbed BCC cells for the sampling experiments")
+	cells := flag.Int("cells", 3, "BCC cells per axis of the sampling experiments' system")
 	seed := flag.Uint64("seed", 1, "master seed")
 	flag.Parse()
 
@@ -83,12 +101,11 @@ func main() {
 
 	fmt.Fprintf(out, "# DeepThermo evaluation report\n\ngenerated %s\n\n", time.Now().Format(time.RFC3339))
 
-	// The sampling experiments share one trained testbed.
-	var tb *experiments.Testbed
+	// The sampling experiments share one trained system.
+	var sys *deepthermo.System
 	if want["E1"] || want["E2"] || want["E5"] || want["A6"] {
-		log.Printf("training the shared testbed (cells=%d)...", *cells)
-		tb, err = experiments.NewTestbed(experiments.TestbedOptions{Cells: *cells, Seed: *seed})
-		if err != nil {
+		log.Printf("training the shared system (cells=%d)...", *cells)
+		if sys, err = trainedSystem(*cells, *seed); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -107,14 +124,14 @@ func main() {
 	}
 
 	section("E1", func() (string, error) {
-		r, err := experiments.AcceptanceVsTemperature(tb, experiments.E1Options{IncludeJump: true})
+		r, err := experiments.AcceptanceVsTemperature(sys, experiments.E1Options{IncludeJump: true})
 		if err != nil {
 			return "", err
 		}
 		return r.Format(), nil
 	})
 	section("E2", func() (string, error) {
-		r, err := experiments.WLConvergence(tb, experiments.E2Options{Stages: 8})
+		r, err := experiments.WLConvergence(sys, experiments.E2Options{Stages: 8})
 		if err != nil {
 			return "", err
 		}
@@ -145,14 +162,14 @@ func main() {
 		return r.Format(), nil
 	})
 	section("E5", func() (string, error) {
-		r, err := experiments.ShortRangeOrder(tb, experiments.E5Options{})
+		r, err := experiments.ShortRangeOrder(sys, experiments.E5Options{})
 		if err != nil {
 			return "", err
 		}
 		return r.Format(), nil
 	})
 	section("A6", func() (string, error) {
-		r, err := experiments.AblationScheduledMixture(tb, 0)
+		r, err := experiments.AblationScheduledMixture(sys, 0)
 		if err != nil {
 			return "", err
 		}

@@ -17,15 +17,16 @@
 // disconnect, or -hb-timeout of heartbeat silence for a hung-but-connected
 // rank) and broadcast to the survivors; the leader degrades the dead
 // rank's windows to their frozen consensus and finishes the run, reporting
-// degraded_windows in its summary line. With -checkpoint set, every rank
-// writes per-round checkpoint files, and restarting the whole world with
-// -resume continues bit-identically from the newest checkpoint round all
-// ranks still hold. With -rejoin-wait additionally set, the world is
-// elastic: a replacement worker that joins the coordinator within the
-// wait takes over the dead rank, the world rolls back to the newest
-// common checkpoint round, and the run finishes with zero degraded
-// windows and rejoins=1 in the summary — bit-identical to a run that
-// never lost the worker.
+// degraded_windows in its summary line. With -checkpoint set, the leader
+// (rank 0) writes one self-verifying world file per checkpoint round;
+// workers never touch the directory. Restarting the whole world with
+// -resume ships every rank its part of the newest round that verifies and
+// continues bit-identically. With -rejoin-wait additionally set, the
+// world is elastic: a replacement worker that joins the coordinator
+// within the wait takes over the dead rank, the world rolls back to the
+// leader's newest checkpoint round, and the run finishes with zero
+// degraded windows and rejoins=1 in the summary — bit-identical to a run
+// that never lost the worker.
 package main
 
 import (

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"deepthermo/internal/lattice"
 	"deepthermo/internal/rng"
 )
 
@@ -33,7 +34,7 @@ func TestE12CrossCheck(t *testing.T) {
 			}
 			n := float64(sys.Lat.NumSites())
 			temps := GeometricLadder(300, 3000, 8)
-			pt, err := Run(sys.Ham, sys.randomConfig(rng.New(seed)), Options{
+			pt, err := Run(sys.Ham, lattice.QuotaConfig(sys.Quota, rng.New(seed)), Options{
 				Temps:          temps,
 				SweepsPerRound: 20,
 				EquilRounds:    150,

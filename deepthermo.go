@@ -121,17 +121,17 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	default:
 		return nil, fmt.Errorf("deepthermo: unknown alloy preset %q (want NbMoTaW or MoNbTaVW)", cfg.Alloy)
 	}
-	n := lat.NumSites()
-	k := ham.NumSpecies()
-	quota := make([]int, k)
-	for i := range quota {
-		quota[i] = n / k
-	}
-	for i := 0; i < n-(n/k)*k; i++ {
-		quota[i]++
-	}
+	quota := lattice.EquiQuota(lat.NumSites(), ham.NumSpecies())
 	return &System{Lat: lat, Ham: ham, Quota: quota, cfg: cfg}, nil
 }
+
+// Seed returns the master seed every stream of the system derives from
+// (SystemConfig.Seed, 1 when left zero).
+func (s *System) Seed() uint64 { return s.cfg.Seed }
+
+// Dataset returns the training set GenerateData stored on the system, or
+// nil before one was generated.
+func (s *System) Dataset() *Dataset { return s.data }
 
 // DataConfig controls training-set generation.
 type DataConfig struct {
@@ -417,23 +417,11 @@ func TransitionTemperature(pts []ThermoPoint) (tc, cvPeak float64, err error) {
 	return thermo.TransitionTemperature(pts)
 }
 
-// randomConfig builds a shuffled on-quota configuration.
-func (s *System) randomConfig(src *rng.Source) Config {
-	cfg := make(Config, 0, s.Lat.NumSites())
-	for sp, q := range s.Quota {
-		for i := 0; i < q; i++ {
-			cfg = append(cfg, lattice.Species(sp))
-		}
-	}
-	src.Shuffle(len(cfg), func(i, j int) { cfg[i], cfg[j] = cfg[j], cfg[i] })
-	return cfg
-}
-
 // sampleEnergyRange estimates the reachable [lo, hi) energy range by
 // annealing (minimum) and hot sampling (maximum), returning the annealed
 // minimum-energy configuration as the REWL seed.
 func (s *System) sampleEnergyRange(src *rng.Source) (lo, hi float64, best Config) {
-	cfg := s.randomConfig(src)
+	cfg := lattice.QuotaConfig(s.Quota, src)
 	w := mc.NewSampler(s.Ham, cfg, mc.NewSwapProposal(s.Ham), src)
 	hi = w.E
 	for i := 0; i < 100; i++ {

@@ -68,6 +68,9 @@ func TestGenerateDataDefaultsAndOverrides(t *testing.T) {
 	if ds.Len() != 60 {
 		t.Errorf("dataset = %d, want 60", ds.Len())
 	}
+	if sys.Dataset() != ds {
+		t.Error("Dataset() is not the generated training set")
+	}
 	// Every sample honors the fixed composition.
 	for _, cfg := range ds.Configs {
 		counts := cfg.Counts(4)
@@ -88,7 +91,7 @@ func TestTrainProposalAutogeneratesData(t *testing.T) {
 	if sys.Model == nil {
 		t.Fatal("no model after training")
 	}
-	if sys.data == nil {
+	if sys.Dataset() == nil {
 		t.Fatal("training did not generate data")
 	}
 }

@@ -42,12 +42,6 @@ const (
 	// DelaySweep stalls the rank before its configured sweep by Delay (a
 	// straggler walker, detected by the rewl driver's walker timeout).
 	DelaySweep
-	// KillRejoin kills the rank at the configured step exactly like Crash,
-	// and additionally schedules a replacement to rejoin the world Delay
-	// after the kill. The test harness (or smoke script) performs the
-	// actual respawn; the plan is the deterministic script for it —
-	// queried via ShouldCrash for the kill and RejoinDelay for the respawn.
-	KillRejoin
 	// LoseHeartbeat silences the rank's lease heartbeats from the
 	// configured renewal sequence number onward: the replica keeps running
 	// its job but stops renewing its lease, modelling a GC pause, SIGSTOP,
@@ -78,8 +72,6 @@ func (k Kind) String() string {
 		return "delay-send"
 	case DelaySweep:
 		return "delay-sweep"
-	case KillRejoin:
-		return "kill-rejoin"
 	case LoseHeartbeat:
 		return "lose-heartbeat"
 	case StaleWrite:
@@ -113,7 +105,7 @@ func NewPlan(faults ...Fault) *Plan {
 	p := &Plan{faults: make(map[int][]Fault), crash: make(map[int]int64)}
 	for _, f := range faults {
 		p.faults[f.Rank] = append(p.faults[f.Rank], f)
-		if f.Kind == Crash || f.Kind == KillRejoin {
+		if f.Kind == Crash {
 			if cur, ok := p.crash[f.Rank]; !ok || f.Step < cur {
 				p.crash[f.Rank] = f.Step
 			}
@@ -223,21 +215,6 @@ func (p *Plan) SendFault(rank int, seq int64) (drop bool, delay time.Duration) {
 		}
 	}
 	return drop, delay
-}
-
-// RejoinDelay reports whether rank is scheduled for kill-then-rejoin,
-// and if so how long after the kill its replacement should be spawned.
-// A rank with several KillRejoin entries rejoins after the earliest one.
-func (p *Plan) RejoinDelay(rank int) (time.Duration, bool) {
-	if p == nil {
-		return 0, false
-	}
-	for _, f := range p.faults[rank] {
-		if f.Kind == KillRejoin {
-			return f.Delay, true
-		}
-	}
-	return 0, false
 }
 
 // HeartbeatLost reports whether rank's seq-th lease heartbeat is

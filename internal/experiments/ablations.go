@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"deepthermo"
+	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/wanglandau"
@@ -33,11 +35,11 @@ type A6Result struct {
 // AblationScheduledMixture compares fixed DL weights against a schedule
 // that decays the DL fraction as ln f shrinks (w = wHi while ln f ≥ 0.1,
 // then wLo), all over the same low-energy window and stage count.
-func AblationScheduledMixture(tb *Testbed, stages int) (*A6Result, error) {
+func AblationScheduledMixture(sys *deepthermo.System, stages int) (*A6Result, error) {
 	if stages == 0 {
 		stages = 8
 	}
-	win, err := e2Window(tb, 0.55)
+	win, err := e2Window(sys.Dataset(), 0.55)
 	if err != nil {
 		return nil, err
 	}
@@ -49,23 +51,20 @@ func AblationScheduledMixture(tb *Testbed, stages int) (*A6Result, error) {
 		var bins float64
 		for rep := 0; rep < repeats; rep++ {
 			src := rng.New(seed + uint64(rep)*0x2000)
-			cfg := QuotaConfig(tb.Quota, src)
-			if _, err := wanglandau.PrepareInWindow(tb.Ham, cfg, win, src, 5000); err != nil {
+			cfg := lattice.QuotaConfig(sys.Quota, src)
+			if _, err := wanglandau.PrepareInWindow(sys.Ham, cfg, win, src, 5000); err != nil {
 				return 0, 0, err
 			}
 			var prop mc.Proposal
 			var mix *mc.Mixture
 			switch policy {
 			case "swap-only":
-				prop = mc.NewSwapProposal(tb.Ham)
+				prop = mc.NewSwapProposal(sys.Ham)
 			default:
-				mix = mc.NewMixture(
-					[]mc.Proposal{mc.NewSwapProposal(tb.Ham), tb.NewDLProposal(500, mc.WalkPosterior, src)},
-					[]float64{0.8, 0.2},
-				)
+				mix = newMixtureProposal(sys, 500, 0.2, mc.WalkPosterior, src)
 				prop = mix
 			}
-			w, err := wanglandau.NewWalker(tb.Ham, cfg, prop, src, win, wlOpts)
+			w, err := wanglandau.NewWalker(sys.Ham, cfg, prop, src, win, wlOpts)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -95,7 +94,7 @@ func AblationScheduledMixture(tb *Testbed, stages int) (*A6Result, error) {
 	res := &A6Result{}
 	var fixed02 int64
 	for i, policy := range []string{"swap-only", "fixed-0.2", "fixed-0.4", "scheduled"} {
-		sweeps, bins, err := run(policy, tb.Seed+980+uint64(i)*23)
+		sweeps, bins, err := run(policy, sys.Seed()+980+uint64(i)*23)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: A6 %s: %w", policy, err)
 		}
@@ -112,12 +111,12 @@ func AblationScheduledMixture(tb *Testbed, stages int) (*A6Result, error) {
 
 // e2Window reproduces the E2 window construction (lower windowFrac of the
 // training data's energy range, padded).
-func e2Window(tb *Testbed, windowFrac float64) (wanglandau.Window, error) {
-	if len(tb.Dataset.Energies) == 0 {
-		return wanglandau.Window{}, fmt.Errorf("experiments: testbed has no dataset")
+func e2Window(ds *deepthermo.Dataset, windowFrac float64) (wanglandau.Window, error) {
+	if ds == nil || len(ds.Energies) == 0 {
+		return wanglandau.Window{}, fmt.Errorf("experiments: the system has no training data")
 	}
-	lo, hi := tb.Dataset.Energies[0], tb.Dataset.Energies[0]
-	for _, e := range tb.Dataset.Energies {
+	lo, hi := ds.Energies[0], ds.Energies[0]
+	for _, e := range ds.Energies {
 		if e < lo {
 			lo = e
 		}

@@ -3,8 +3,8 @@ package experiments
 import "testing"
 
 func TestAblationScheduledMixture(t *testing.T) {
-	tb := smallTestbed(t)
-	res, err := AblationScheduledMixture(tb, 4)
+	sys := trained(t)
+	res, err := AblationScheduledMixture(sys, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"deepthermo"
 	"deepthermo/internal/alloy"
+	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
 )
@@ -41,7 +43,7 @@ type E1Result struct {
 // acceptance rate of the local swap baseline, the unguided K-site global
 // swap, and the DL global proposal. The paper's claim (2): learned global
 // updates retain usable acceptance where unguided global updates collapse.
-func AcceptanceVsTemperature(tb *Testbed, opts E1Options) (*E1Result, error) {
+func AcceptanceVsTemperature(sys *deepthermo.System, opts E1Options) (*E1Result, error) {
 	if opts.Temps == nil {
 		opts.Temps = []float64{300, 600, 1000, 1500, 2000, 3000}
 	}
@@ -51,12 +53,12 @@ func AcceptanceVsTemperature(tb *Testbed, opts E1Options) (*E1Result, error) {
 	if opts.EquilSweeps == 0 {
 		opts.EquilSweeps = 300
 	}
-	n := tb.Lat.NumSites()
+	n := sys.Lat.NumSites()
 	if opts.KSwap == 0 {
 		opts.KSwap = n / 4
 	}
 	if opts.Seed == 0 {
-		opts.Seed = tb.Seed + 100
+		opts.Seed = sys.Seed() + 100
 	}
 
 	res := &E1Result{Sites: n, KSwap: opts.KSwap}
@@ -66,8 +68,8 @@ func AcceptanceVsTemperature(tb *Testbed, opts E1Options) (*E1Result, error) {
 
 		// Equilibrate one configuration with local swaps, then measure
 		// every proposal from clones of it.
-		cfg := QuotaConfig(tb.Quota, src)
-		eq := mc.NewSampler(tb.Ham, cfg, mc.NewSwapProposal(tb.Ham), src)
+		cfg := lattice.QuotaConfig(sys.Quota, src)
+		eq := mc.NewSampler(sys.Ham, cfg, mc.NewSwapProposal(sys.Ham), src)
 		for i := 0; i < opts.EquilSweeps; i++ {
 			eq.Sweep(t)
 		}
@@ -75,7 +77,7 @@ func AcceptanceVsTemperature(tb *Testbed, opts E1Options) (*E1Result, error) {
 		row := E1Row{T: t}
 
 		measure := func(prop mc.Proposal) (acc float64, sites float64) {
-			s := mc.NewSampler(tb.Ham, eq.Cfg.Clone(), prop, rng.New(opts.Seed+uint64(ti)*0x97+1))
+			s := mc.NewSampler(sys.Ham, eq.Cfg.Clone(), prop, rng.New(opts.Seed+uint64(ti)*0x97+1))
 			hamBefore := int64(0)
 			if gp, ok := prop.(*mc.GlobalProposal); ok {
 				hamBefore = gp.AcceptedSiteChanges()
@@ -95,11 +97,11 @@ func AcceptanceVsTemperature(tb *Testbed, opts E1Options) (*E1Result, error) {
 			return acc, sites
 		}
 
-		row.Swap, row.SwapSites = measure(mc.NewSwapProposal(tb.Ham))
-		row.KSwap, row.KSwapSites = measure(mc.NewKSwapProposal(tb.Ham, opts.KSwap))
-		row.DLWalk, row.DLWalkSites = measure(tb.NewDLProposal(t, mc.WalkPosterior, src))
+		row.Swap, row.SwapSites = measure(mc.NewSwapProposal(sys.Ham))
+		row.KSwap, row.KSwapSites = measure(mc.NewKSwapProposal(sys.Ham, opts.KSwap))
+		row.DLWalk, row.DLWalkSites = measure(newDLProposal(sys, t, mc.WalkPosterior, src))
 		if opts.IncludeJump {
-			row.DLJump, _ = measure(tb.NewDLProposal(t, mc.JumpPrior, src))
+			row.DLJump, _ = measure(newDLProposal(sys, t, mc.JumpPrior, src))
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"deepthermo"
+	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/wanglandau"
@@ -51,7 +53,7 @@ type E2Result struct {
 // WLConvergence runs Wang-Landau twice over the same energy window — once
 // with the local-swap baseline, once with the swap+DL mixture — and
 // reports sweeps to histogram flatness per ln f stage.
-func WLConvergence(tb *Testbed, opts E2Options) (*E2Result, error) {
+func WLConvergence(sys *deepthermo.System, opts E2Options) (*E2Result, error) {
 	if opts.Stages == 0 {
 		opts.Stages = 10
 	}
@@ -65,7 +67,7 @@ func WLConvergence(tb *Testbed, opts E2Options) (*E2Result, error) {
 		opts.DLWeight = 0.2
 	}
 	if opts.Seed == 0 {
-		opts.Seed = tb.Seed + 200
+		opts.Seed = sys.Seed() + 200
 	}
 	if opts.WindowFrac == 0 {
 		// The low-energy half of the spectrum is where local swaps freeze
@@ -76,7 +78,7 @@ func WLConvergence(tb *Testbed, opts E2Options) (*E2Result, error) {
 
 	// Window over the lower WindowFrac of the training data's energy range
 	// (which spans the temperature ladder).
-	win, err := e2Window(tb, opts.WindowFrac)
+	win, err := e2Window(sys.Dataset(), opts.WindowFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -90,11 +92,11 @@ func WLConvergence(tb *Testbed, opts E2Options) (*E2Result, error) {
 
 	runStages := func(prop mc.Proposal, seed uint64) ([]wanglandau.StageStat, []int, error) {
 		src := rng.New(seed)
-		cfg := QuotaConfig(tb.Quota, src)
-		if _, err := wanglandau.PrepareInWindow(tb.Ham, cfg, win, src, 5000); err != nil {
+		cfg := lattice.QuotaConfig(sys.Quota, src)
+		if _, err := wanglandau.PrepareInWindow(sys.Ham, cfg, win, src, 5000); err != nil {
 			return nil, nil, err
 		}
-		w, err := wanglandau.NewWalker(tb.Ham, cfg, prop, src, win, wlOpts)
+		w, err := wanglandau.NewWalker(sys.Ham, cfg, prop, src, win, wlOpts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -126,7 +128,7 @@ func WLConvergence(tb *Testbed, opts E2Options) (*E2Result, error) {
 	lnFs := make([]float64, opts.Stages)
 	for rep := 0; rep < opts.Repeats; rep++ {
 		base := opts.Seed + uint64(rep)*0x1000
-		stats, bins, err := runStages(mc.NewSwapProposal(tb.Ham), base+1)
+		stats, bins, err := runStages(mc.NewSwapProposal(sys.Ham), base+1)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E2 swap run %d: %w", rep, err)
 		}
@@ -138,7 +140,7 @@ func WLConvergence(tb *Testbed, opts E2Options) (*E2Result, error) {
 		}
 		// Condition the DL proposal at a temperature whose equilibrium
 		// energies fall inside the studied window.
-		mix := tb.NewMixtureProposal(opts.CondT, opts.DLWeight, mc.WalkPosterior, rng.New(base+7))
+		mix := newMixtureProposal(sys, opts.CondT, opts.DLWeight, mc.WalkPosterior, rng.New(base+7))
 		stats, bins, err = runStages(mix, base+2)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E2 mixture run %d: %w", rep, err)

@@ -5,7 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"deepthermo/internal/alloy"
+	"deepthermo"
 	"deepthermo/internal/dos"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
@@ -84,25 +84,20 @@ func DOSRange(opts E3Options) (*E3Result, error) {
 
 	res := &E3Result{PaperSites: opts.PaperSites}
 	for _, cells := range opts.CellSizes {
-		lat, err := lattice.New(lattice.BCC, cells, cells, cells)
+		sys, err := deepthermo.NewSystem(deepthermo.SystemConfig{Cells: cells})
 		if err != nil {
 			return nil, err
 		}
-		ham := alloy.NbMoTaW(lat)
-		n := lat.NumSites()
-		quota := EquiQuota(n, 4)
+		n := sys.Lat.NumSites()
 
-		lo, hi, seedCfg, err := sampleEnergyRange(ham, quota, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
+		lo, hi, seedCfg := sampleEnergyRange(sys, opts.Seed)
 		binW := (hi - lo) / float64(opts.Bins)
 		wins, err := rewl.SplitWindows(lo, hi, opts.Windows, opts.Overlap, binW)
 		if err != nil {
 			return nil, err
 		}
-		run, err := rewl.Run(ham, seedCfg, wins,
-			func(win, widx int, s *rng.Source) mc.Proposal { return mc.NewSwapProposal(ham) },
+		run, err := rewl.Run(sys.Ham, seedCfg, wins,
+			func(win, widx int, s *rng.Source) mc.Proposal { return mc.NewSwapProposal(sys.Ham) },
 			rewl.Options{
 				Seed:          opts.Seed + uint64(cells)*1000,
 				WL:            wanglandau.Options{LnFFinal: opts.LnFFinal, Flatness: opts.Flatness},
@@ -112,7 +107,7 @@ func DOSRange(opts E3Options) (*E3Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E3 cells=%d: %w", cells, err)
 		}
-		logStates, err := dos.LogMultinomial(n, quota)
+		logStates, err := dos.LogMultinomial(n, sys.Quota)
 		if err != nil {
 			return nil, err
 		}
@@ -126,11 +121,10 @@ func DOSRange(opts E3Options) (*E3Result, error) {
 			Converged:    run.AllConverged,
 		})
 		res.LargestDOS = run.DOS
-		res.LargestQuota = quota
+		res.LargestQuota = sys.Quota
 	}
 
-	paperQuota := EquiQuota(opts.PaperSites, 4)
-	paperLog, err := dos.LogMultinomial(opts.PaperSites, paperQuota)
+	paperLog, err := dos.LogMultinomial(opts.PaperSites, lattice.EquiQuota(opts.PaperSites, 4))
 	if err != nil {
 		return nil, err
 	}
@@ -147,10 +141,10 @@ func DOSRange(opts E3Options) (*E3Result, error) {
 // sampling with local moves diverge, so the swap-driven DOS runs stop at
 // the equilibrium-at-150K level. The annealed low-energy configuration is
 // returned as the REWL seed.
-func sampleEnergyRange(ham *alloy.Model, quota []int, seed uint64) (lo, hi float64, seedCfg lattice.Config, err error) {
+func sampleEnergyRange(sys *deepthermo.System, seed uint64) (lo, hi float64, seedCfg lattice.Config) {
 	src := rng.New(seed ^ 0xE3)
-	cfg := QuotaConfig(quota, src)
-	s := mc.NewSampler(ham, cfg, mc.NewSwapProposal(ham), src)
+	cfg := lattice.QuotaConfig(sys.Quota, src)
+	s := mc.NewSampler(sys.Ham, cfg, mc.NewSwapProposal(sys.Ham), src)
 	hi = s.E
 	for i := 0; i < 100; i++ {
 		s.Sweep(6000)
@@ -179,7 +173,7 @@ func sampleEnergyRange(ham *alloy.Model, quota []int, seed uint64) (lo, hi float
 	}
 	lo = mean - 2*sigma
 	span := hi - lo
-	return lo, hi + 0.10*span, best, nil
+	return lo, hi + 0.10*span, best
 }
 
 // Format renders the E3 table.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"deepthermo"
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
@@ -43,7 +44,7 @@ type E5Result struct {
 
 // ShortRangeOrder measures equilibrium Warren-Cowley parameters across a
 // temperature ladder with canonical swap MC.
-func ShortRangeOrder(tb *Testbed, opts E5Options) (*E5Result, error) {
+func ShortRangeOrder(sys *deepthermo.System, opts E5Options) (*E5Result, error) {
 	if opts.Temps == nil {
 		opts.Temps = []float64{200, 400, 600, 800, 1000, 1300, 1600, 2000, 2500, 3000}
 	}
@@ -57,15 +58,15 @@ func ShortRangeOrder(tb *Testbed, opts E5Options) (*E5Result, error) {
 		opts.Samples = 20
 	}
 	if opts.Seed == 0 {
-		opts.Seed = tb.Seed + 500
+		opts.Seed = sys.Seed() + 500
 	}
 
-	res := &E5Result{Sites: tb.Lat.NumSites()}
+	res := &E5Result{Sites: sys.Lat.NumSites()}
 	rows := make([]E5Row, len(opts.Temps))
 	for ti, t := range opts.Temps {
 		src := rng.New(opts.Seed + uint64(ti)*0x77)
-		cfg := QuotaConfig(tb.Quota, src)
-		s := mc.NewSampler(tb.Ham, cfg, mc.NewSwapProposal(tb.Ham), src)
+		cfg := lattice.QuotaConfig(sys.Quota, src)
+		s := mc.NewSampler(sys.Ham, cfg, mc.NewSwapProposal(sys.Ham), src)
 		for i := 0; i < opts.EquilSweeps; i++ {
 			s.Sweep(t)
 		}
@@ -78,11 +79,11 @@ func ShortRangeOrder(tb *Testbed, opts E5Options) (*E5Result, error) {
 			for g := 0; g < gap; g++ {
 				s.Sweep(t)
 			}
-			alpha := lattice.WarrenCowley(tb.Lat, s.Cfg, 0, 4)
+			alpha := lattice.WarrenCowley(sys.Lat, s.Cfg, 0, 4)
 			aMoTa += alpha[alloy.Mo][alloy.Ta]
 			aNbW += alpha[alloy.Nb][alloy.W]
 			aMoW += alpha[alloy.Mo][alloy.W]
-			etas, err := lattice.B2OrderParameters(tb.Lat, s.Cfg, 4)
+			etas, err := lattice.B2OrderParameters(sys.Lat, s.Cfg, 4)
 			if err != nil {
 				return nil, err
 			}

@@ -2,69 +2,38 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"deepthermo"
 	"deepthermo/internal/mc"
 )
 
-// smallTestbed trains a reduced testbed once for the whole test package.
-func smallTestbed(t *testing.T) *Testbed {
+// smallSystem is a reduced report system (16 sites, 240 training samples,
+// 12 epochs), trained once for the whole test package.
+var smallSystem = sync.OnceValues(func() (*deepthermo.System, error) {
+	sys, err := deepthermo.NewSystem(deepthermo.SystemConfig{Cells: 2, Seed: 5, Latent: 4, Hidden: 32})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sys.GenerateData(&deepthermo.DataConfig{TempLo: 250, TempHi: 3000, LadderLen: 4, SamplesPerTemp: 60}); err != nil {
+		return nil, err
+	}
+	return sys, sys.TrainProposal(&deepthermo.TrainOptions{Epochs: 12, BatchSize: 32, LR: 2e-3, Seed: 5 + 17, KLWarmupEpochs: 4})
+})
+
+func trained(t *testing.T) *deepthermo.System {
 	t.Helper()
-	tb, err := NewTestbed(TestbedOptions{
-		Cells:          2, // 16 atoms
-		Seed:           5,
-		SamplesPerTemp: 60,
-		Epochs:         12,
-		Latent:         4,
-		Hidden:         32,
-		LadderLen:      4,
-	})
+	sys, err := smallSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb
-}
-
-func TestEquiQuota(t *testing.T) {
-	q := EquiQuota(54, 4)
-	if q[0] != 14 || q[1] != 14 || q[2] != 13 || q[3] != 13 {
-		t.Errorf("EquiQuota(54,4) = %v", q)
-	}
-	total := 0
-	for _, v := range q {
-		total += v
-	}
-	if total != 54 {
-		t.Errorf("quota sums to %d", total)
-	}
-	q = EquiQuota(16, 4)
-	for _, v := range q {
-		if v != 4 {
-			t.Errorf("EquiQuota(16,4) = %v", q)
-		}
-	}
-}
-
-func TestTestbedConstruction(t *testing.T) {
-	tb := smallTestbed(t)
-	if tb.Lat.NumSites() != 16 {
-		t.Fatalf("sites = %d", tb.Lat.NumSites())
-	}
-	if tb.Dataset.Len() != 240 {
-		t.Fatalf("dataset = %d", tb.Dataset.Len())
-	}
-	if len(tb.TrainStats) != 12 {
-		t.Fatalf("epochs = %d", len(tb.TrainStats))
-	}
-	// Training must have improved reconstruction.
-	if tb.TrainStats[11].Recon >= tb.TrainStats[0].Recon {
-		t.Error("training did not reduce loss")
-	}
+	return sys
 }
 
 func TestE1Acceptance(t *testing.T) {
-	tb := smallTestbed(t)
-	res, err := AcceptanceVsTemperature(tb, E1Options{
+	sys := trained(t)
+	res, err := AcceptanceVsTemperature(sys, E1Options{
 		Temps:       []float64{400, 2000},
 		StepsPerT:   150,
 		EquilSweeps: 80,
@@ -95,8 +64,8 @@ func TestE1Acceptance(t *testing.T) {
 }
 
 func TestE2Convergence(t *testing.T) {
-	tb := smallTestbed(t)
-	res, err := WLConvergence(tb, E2Options{Stages: 4, Bins: 12})
+	sys := trained(t)
+	res, err := WLConvergence(sys, E2Options{Stages: 4, Bins: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +142,8 @@ func TestE3AndE4(t *testing.T) {
 }
 
 func TestE5ShortRangeOrder(t *testing.T) {
-	tb := smallTestbed(t)
-	res, err := ShortRangeOrder(tb, E5Options{
+	sys := trained(t)
+	res, err := ShortRangeOrder(sys, E5Options{
 		Temps:       []float64{300, 1000, 3000},
 		EquilSweeps: 150,
 		MeasSweeps:  60,
@@ -200,20 +169,9 @@ func TestE5ShortRangeOrder(t *testing.T) {
 	}
 }
 
-func TestQuotaConfigComposition(t *testing.T) {
-	tb := smallTestbed(t)
-	cfg := QuotaConfig(tb.Quota, newTestSrc())
-	counts := cfg.Counts(4)
-	for sp := range tb.Quota {
-		if counts[sp] != tb.Quota[sp] {
-			t.Fatalf("composition %v vs quota %v", counts, tb.Quota)
-		}
-	}
-}
-
 func TestMixtureProposalBuilds(t *testing.T) {
-	tb := smallTestbed(t)
-	p := tb.NewMixtureProposal(1000, 0.2, mc.WalkPosterior, newTestSrc())
+	sys := trained(t)
+	p := newMixtureProposal(sys, 1000, 0.2, mc.WalkPosterior, newTestSrc())
 	if p.Name() != "mixture" {
 		t.Errorf("proposal name %q", p.Name())
 	}

@@ -43,9 +43,11 @@ func min(a, b int) int {
 }
 
 func TestE2WindowValidation(t *testing.T) {
-	// An empty dataset must yield an error, not an index panic.
-	tb := &Testbed{Dataset: &workload.Dataset{}}
-	if _, err := e2Window(tb, 0.5); err == nil {
+	// A missing or empty dataset must yield an error, not an index panic.
+	if _, err := e2Window(nil, 0.5); err == nil {
+		t.Fatal("missing dataset accepted")
+	}
+	if _, err := e2Window(&workload.Dataset{}, 0.5); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
 }

@@ -30,6 +30,39 @@ func (c Config) Counts(k int) []int {
 	return counts
 }
 
+// EquiQuota returns the near-equiatomic composition of n sites over k
+// species, with the remainder on the leading species (54 sites over 4
+// species → 14, 14, 13, 13). RandomConfig and EquiatomicConfig put their
+// remainder on the last species instead.
+func EquiQuota(n, k int) []int {
+	q := make([]int, k)
+	for i := range q {
+		q[i] = n / k
+	}
+	for i := 0; i < n%k; i++ {
+		q[i]++
+	}
+	return q
+}
+
+// QuotaConfig returns a configuration with exactly quota[i] sites of
+// species i, built in species order and then shuffled by one
+// src.Shuffle over all its sites.
+func QuotaConfig(quota []int, src *rng.Source) Config {
+	n := 0
+	for _, q := range quota {
+		n += q
+	}
+	cfg := make(Config, 0, n)
+	for sp, q := range quota {
+		for i := 0; i < q; i++ {
+			cfg = append(cfg, Species(sp))
+		}
+	}
+	src.Shuffle(n, func(i, j int) { cfg[i], cfg[j] = cfg[j], cfg[i] })
+	return cfg
+}
+
 // RandomConfig returns a configuration with exactly round(conc[i]*N) sites
 // of species i (remainders assigned to the last species), shuffled uniformly
 // at random. Fixed composition matters: the alloy Hamiltonian is sampled in

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"slices"
 	"testing"
 
 	"deepthermo/internal/rng"
@@ -156,6 +157,52 @@ func TestEquiatomicConfig(t *testing.T) {
 		if c != 32 {
 			t.Fatalf("equiatomic counts %v", counts)
 		}
+	}
+}
+
+func TestEquiQuota(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		want []int
+	}{
+		{54, 4, []int{14, 14, 13, 13}}, // remainder on the leading species
+		{16, 4, []int{4, 4, 4, 4}},
+		{16, 5, []int{4, 3, 3, 3, 3}},
+		{3, 4, []int{1, 1, 1, 0}},
+	} {
+		got := EquiQuota(c.n, c.k)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("EquiQuota(%d, %d) = %v, want %v", c.n, c.k, got, c.want)
+		}
+	}
+}
+
+func TestQuotaConfigComposition(t *testing.T) {
+	quota := EquiQuota(54, 4)
+	cfg := QuotaConfig(quota, rng.New(0xDEADBEEF))
+	if len(cfg) != 54 {
+		t.Fatalf("%d sites, want 54", len(cfg))
+	}
+	if counts := cfg.Counts(4); !slices.Equal(counts, quota) {
+		t.Fatalf("composition %v, want quota %v", counts, quota)
+	}
+}
+
+// TestQuotaConfigStream pins the configuration and the RNG state after it
+// for one seed. The values were recorded from the copies QuotaConfig
+// replaced (the facade's randomConfig, workload's chain start, the
+// experiments helper and testfix's walker start): each built the
+// configuration in species order and shuffled it with one Shuffle, so
+// every stream that starts from a QuotaConfig keeps its bits.
+func TestQuotaConfigStream(t *testing.T) {
+	src := rng.New(0xDEADBEEF)
+	cfg := QuotaConfig(EquiQuota(18, 4), src)
+	want := Config{1, 3, 0, 0, 0, 0, 2, 2, 3, 1, 3, 2, 1, 3, 0, 1, 1, 2}
+	if !slices.Equal(cfg, want) {
+		t.Errorf("QuotaConfig = %v, want %v", cfg, want)
+	}
+	if got := src.Uint64(); got != 14314117594659467788 {
+		t.Errorf("next draw %d, want 14314117594659467788: QuotaConfig took a different number of draws", got)
 	}
 }
 

@@ -101,14 +101,7 @@ func (f Fixture) NewSampler(spec WalkerSpec, backend mc.Inferencer) *mc.Sampler 
 	gp := mc.NewGlobalProposalWith(backend, f.Ham, f.Quota, mc.CondForT(spec.TKelvin))
 	gp.SetMode(spec.Mode)
 	src := rng.New(spec.ChainSeed)
-	cfg := make(lattice.Config, 0, f.VAE.Sites)
-	for sp, q := range f.Quota {
-		for i := 0; i < q; i++ {
-			cfg = append(cfg, lattice.Species(sp))
-		}
-	}
-	src.Shuffle(len(cfg), func(i, j int) { cfg[i], cfg[j] = cfg[j], cfg[i] })
-	return mc.NewSampler(f.Ham, cfg, gp, src)
+	return mc.NewSampler(f.Ham, lattice.QuotaConfig(f.Quota, src), gp, src)
 }
 
 // Beta returns the inverse temperature the spec's walker samples at.

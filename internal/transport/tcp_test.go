@@ -180,12 +180,23 @@ func TestWireFloatRoundTrip(t *testing.T) {
 // type i+1 for payload i; FuzzReadFrame starts from their frames.
 var wireTestPayloads = [][]byte{nil, {1}, bytes.Repeat([]byte{0xab}, 1000)}
 
+// encodeFrame returns the bytes writeFrame puts on the wire for one frame.
+func encodeFrame(tb testing.TB, typ byte, payload []byte) []byte {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := writeFrame(bw, typ, payload); err != nil {
+		tb.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestWireFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	for i, p := range wireTestPayloads {
-		if err := writeFrame(&buf, byte(i+1), p); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(encodeFrame(t, byte(i+1), p))
 	}
 	br := bufio.NewReader(&buf)
 	for i, p := range wireTestPayloads {
@@ -228,14 +239,11 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 	}
 
 	allocs := func(payload int) float64 {
-		var frame bytes.Buffer
-		if err := writeFrame(&frame, frameData, make([]byte, payload)); err != nil {
-			t.Fatal(err)
-		}
-		src := bytes.NewReader(frame.Bytes())
+		frame := encodeFrame(t, frameData, make([]byte, payload))
+		src := bytes.NewReader(frame)
 		br := bufio.NewReader(src)
 		return testing.AllocsPerRun(100, func() {
-			src.Reset(frame.Bytes())
+			src.Reset(frame)
 			br.Reset(src)
 			if _, _, err := readFrame(br); err != nil {
 				t.Fatal(err)
@@ -252,14 +260,11 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 // io.ReadFull ends: io.EOF for a stream that stops before the part,
 // io.ErrUnexpectedEOF for one that stops inside it.
 func TestReadFrameOneAllocation(t *testing.T) {
-	var frame bytes.Buffer
-	if err := writeFrame(&frame, frameData, make([]byte, 3200)); err != nil {
-		t.Fatal(err)
-	}
-	src := bytes.NewReader(frame.Bytes())
+	frame := encodeFrame(t, frameData, make([]byte, 3200))
+	src := bytes.NewReader(frame)
 	br := bufio.NewReader(src)
 	allocs := testing.AllocsPerRun(100, func() {
-		src.Reset(frame.Bytes())
+		src.Reset(frame)
 		br.Reset(src)
 		if _, _, err := readFrame(br); err != nil {
 			t.Fatal(err)
@@ -269,9 +274,24 @@ func TestReadFrameOneAllocation(t *testing.T) {
 		t.Errorf("a 3.2 kB frame took %v allocations, want 1", allocs)
 	}
 	for cut, want := range map[int]error{0: io.EOF, 2: io.ErrUnexpectedEOF, 4: io.EOF, 100: io.ErrUnexpectedEOF} {
-		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame.Bytes()[:cut]))); err != want {
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:cut]))); err != want {
 			t.Errorf("stream cut after %d bytes: %v, want %v", cut, err, want)
 		}
+	}
+}
+
+// TestWriteFrameNoAllocation: writing a frame into a connection's
+// bufio.Writer allocates nothing, the header included.
+func TestWriteFrameNoAllocation(t *testing.T) {
+	bw := bufio.NewWriter(io.Discard)
+	payload := make([]byte, 3200)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := writeFrame(bw, frameData, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("writing a 3.2 kB frame took %v allocations, want 0", allocs)
 	}
 }
 
@@ -281,12 +301,9 @@ func FuzzReadFrame(f *testing.F) {
 	capMinimize()
 	var all bytes.Buffer
 	for i, p := range wireTestPayloads {
-		var one bytes.Buffer
-		if err := writeFrame(&one, byte(i+1), p); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(one.Bytes())
-		all.Write(one.Bytes())
+		one := encodeFrame(f, byte(i+1), p)
+		f.Add(one)
+		all.Write(one)
 	}
 	f.Add(all.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -298,12 +315,8 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		consumed := len(data) - src.Len() - br.Buffered()
-		var out bytes.Buffer
-		if err := writeFrame(&out, typ, payload); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:consumed]) {
-			t.Fatalf("frame re-encodes to %x, consumed %x", out.Bytes(), data[:consumed])
+		if out := encodeFrame(t, typ, payload); !bytes.Equal(out, data[:consumed]) {
+			t.Fatalf("frame re-encodes to %x, consumed %x", out, data[:consumed])
 		}
 	})
 }

@@ -70,11 +70,16 @@ const maxFrameLen = 1 << 30
 const frameChunk = 64 << 10
 
 // writeFrame writes one frame. Callers serialize writes per connection.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+// The header is built in w's free buffer space: a local array handed to
+// Write would escape through the io.Writer w wraps.
+func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
+	if w.Available() < 5 {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(1+len(payload)))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return err
 	}
 	if len(payload) > 0 {

@@ -85,7 +85,7 @@ type GenOptions struct {
 	EquilSweeps    int       // discarded equilibration sweeps (default 200)
 	GapSweeps      int       // decorrelation sweeps between samples (default 10)
 	Seed           uint64
-	Quota          []int // fixed composition; nil = equiatomic
+	Quota          []int // fixed composition; nil = equiatomic (lattice.EquiQuota)
 }
 
 func (o *GenOptions) setDefaults(m *alloy.Model) {
@@ -96,12 +96,7 @@ func (o *GenOptions) setDefaults(m *alloy.Model) {
 		o.GapSweeps = 10
 	}
 	if o.Quota == nil {
-		n, k := m.Lattice().NumSites(), m.NumSpecies()
-		o.Quota = make([]int, k)
-		for i := range o.Quota {
-			o.Quota[i] = n / k
-		}
-		o.Quota[k-1] += n - (n/k)*k
+		o.Quota = lattice.EquiQuota(m.Lattice().NumSites(), m.NumSpecies())
 	}
 }
 
@@ -137,9 +132,7 @@ func GenerateContext(ctx context.Context, m *alloy.Model, opts GenOptions) (*Dat
 		go func(ti int, t float64) {
 			defer wg.Done()
 			src := streams[ti]
-			cfg := quotaConfig(m.Lattice().NumSites(), opts.Quota)
-			src.Shuffle(len(cfg), func(i, j int) { cfg[i], cfg[j] = cfg[j], cfg[i] })
-			s := mc.NewSampler(m, cfg, mc.NewSwapProposal(m), src)
+			s := mc.NewSampler(m, lattice.QuotaConfig(opts.Quota, src), mc.NewSwapProposal(m), src)
 			ds := &Dataset{}
 			perTemp[ti] = ds
 			for i := 0; i < opts.EquilSweeps; i++ {
@@ -177,18 +170,6 @@ func GenerateContext(ctx context.Context, m *alloy.Model, opts GenOptions) (*Dat
 		return all, err
 	}
 	return all, nil
-}
-
-// quotaConfig returns an unshuffled configuration with the given species
-// counts.
-func quotaConfig(n int, quota []int) lattice.Config {
-	cfg := make(lattice.Config, 0, n)
-	for sp, q := range quota {
-		for i := 0; i < q; i++ {
-			cfg = append(cfg, lattice.Species(sp))
-		}
-	}
-	return cfg
 }
 
 // TempLadder returns n temperatures geometrically spaced in [lo, hi], the

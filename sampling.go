@@ -36,7 +36,7 @@ func (s *System) NewSampler(cfg SamplerConfig) *Sampler {
 		cfg.CondT = 1000
 	}
 	src := rng.New(cfg.Seed)
-	start := s.randomConfig(src)
+	start := lattice.QuotaConfig(s.Quota, src)
 	var prop Proposal = mc.NewSwapProposal(s.Ham)
 	if cfg.DLWeight > 0 && s.Model != nil {
 		gp := mc.NewGlobalProposal(s.Model.CloneWeights(src), s.Ham, s.Quota, mc.CondForT(cfg.CondT))
