@@ -45,7 +45,9 @@ type Adam struct {
 	Beta1, Beta2 float64
 	Eps          float64
 	t            int
-	m, v         [][]float64
+	// state holds each parameter's moments, and its value and gradient
+	// views as of the last Step, in the list form tensor.Adam takes.
+	state []tensor.AdamParam
 }
 
 // NewAdam returns Adam with the conventional β₁=0.9, β₂=0.999, ε=1e-8.
@@ -53,22 +55,23 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one bias-corrected Adam update.
+// Step applies one bias-corrected Adam update to every parameter, as one
+// tensor.Adam call over the whole list.
 func (o *Adam) Step(ps []Param) {
-	if o.m == nil {
-		o.m = make([][]float64, len(ps))
-		o.v = make([][]float64, len(ps))
+	if o.state == nil {
+		o.state = make([]tensor.AdamParam, len(ps))
 		for i, p := range ps {
-			o.m[i] = make([]float64, len(p.Value))
-			o.v[i] = make([]float64, len(p.Value))
+			o.state[i].M = make([]float64, len(p.Value))
+			o.state[i].V = make([]float64, len(p.Value))
 		}
+	}
+	for i, p := range ps {
+		o.state[i].Val, o.state[i].Grad = p.Value, p.Grad
 	}
 	o.t++
 	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	for i, p := range ps {
-		tensor.Adam(p.Value, p.Grad, o.m[i], o.v[i], o.Beta1, o.Beta2, o.LR, o.Eps, c1, c2)
-	}
+	tensor.Adam(o.state, o.Beta1, o.Beta2, o.LR, o.Eps, c1, c2)
 }
 
 // ClipGradNorm rescales all gradients so their global L2 norm is at most

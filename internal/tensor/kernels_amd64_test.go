@@ -114,8 +114,8 @@ func TestSaxpyScaleAVX2MatchPortable(t *testing.T) {
 // widths 1–17 (8- and 4-column tiles, the overlapping last 4, single
 // columns) and 1–9 rows (repeated and overlapping row groups), plus the
 // model's gradient shapes, at batch 1, 3 and 32. a is a strided stripe,
-// as parallelRows hands it over, with one-hot rows of exact ±0 and 1
-// beside dense rows; b draws ±0 and the edge values.
+// as MatMulTransA hands over a chunk of dst rows, with one-hot rows of
+// exact ±0 and 1 beside dense rows; b draws ±0 and the edge values.
 func TestMulTransAAVX2MatchesPortable(t *testing.T) {
 	needAVX2(t)
 	src := rng.New(15)

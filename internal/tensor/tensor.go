@@ -5,15 +5,13 @@
 // products and a row product — which run as AVX2 assembler on amd64 and as
 // portable Go elsewhere, with identical bits either way; nothing is
 // cache-blocked (the benchmarked model is 264 KB and lives in L2).
-// Products large enough to repay the hand-off fan out across goroutines by
-// output row.
+// A large batch call of MatMul, MatMulTransA, MatMulTransB, Tanh or Adam
+// splits by output between its caller and one persistent helper goroutine
+// (fanout.go); batch-1 calls never do, and the split never changes an
+// element's operations.
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Matrix is a dense row-major float64 matrix.
 type Matrix struct {
@@ -56,61 +54,18 @@ func (m *Matrix) Clone() *Matrix {
 // Zero sets every element to 0.
 func (m *Matrix) Zero() { clear(m.Data) }
 
-// parallelThreshold is the multiply-add count from which matmul fans out
-// to goroutines. It keeps every product of the benchmarked model serial:
-// below it a product allocates nothing, where a fan-out allocates its
-// closure, and MatMulTransA and MatMulTransB, which it gates too, have not
-// been measured with two workers. The forward alone would gain from a
-// second worker at every batch shape (CHANGES.md, the FOUND line on
-// parallelThreshold, has the numbers and what lowering it needs).
-const parallelThreshold = 1 << 21
-
-// serialRows reports whether a kernel over rows rows and flops total work
-// should run serially: small work items, single-row shapes, or a single-P
-// runtime. Every forward a sampling walker issues has one row, so the
-// walkers of a run, which already occupy the machine one goroutine each,
-// never fan out a second layer of goroutines. Callers check this BEFORE
-// constructing the range closure, so the batch-1 hot path allocates
-// nothing (a closure handed to parallelRows escapes to the heap because
-// goroutines capture it).
-func serialRows(rows, flops int) bool {
-	return flops < parallelThreshold || rows < 2 || runtime.GOMAXPROCS(0) < 2
-}
-
-// parallelRows runs fn over row ranges [lo,hi) split across workers.
-// Callers must have ruled out the serial path via serialRows first.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // MatMul computes dst = a·b. dst must be preallocated with matching shape
 // and must not alias a or b. Panics on shape mismatch.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if serialRows(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRange(dst, a, b, 0, a.Rows)
+	if j := claim(a.Rows, a.Rows*a.Cols*b.Cols); j != nil {
+		j.op, j.dst, j.a, j.b = fanMatMul, dst, a, b
+		j.split()
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulRange(dst, a, b, lo, hi) })
+	matMulRange(dst, a, b, 0, a.Rows)
 }
 
 // matMulRange runs rowMul on each row of [lo,hi): a tile of the output row
@@ -145,11 +100,12 @@ func MatMulTransB(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes %dx%d · (%dx%d)ᵀ -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if serialRows(a.Rows, a.Rows*a.Cols*b.Rows) {
-		matMulTransBRange(dst, a, b, 0, a.Rows)
+	if j := claim(a.Rows, a.Rows*a.Cols*b.Rows); j != nil {
+		j.op, j.dst, j.a, j.b = fanMatMulTransB, dst, a, b
+		j.split()
 		return
 	}
-	parallelRows(a.Rows, func(lo, hi int) { matMulTransBRange(dst, a, b, lo, hi) })
+	matMulTransBRange(dst, a, b, 0, a.Rows)
 }
 
 func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
@@ -162,13 +118,14 @@ func MatMulTransA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	// Parallelize over dst rows (a columns); each worker reads all of a and
-	// b but writes a disjoint dst stripe, so no synchronization is needed.
-	if serialRows(a.Cols, a.Rows*a.Cols*b.Cols) {
-		matMulTransARange(dst, a, b, 0, a.Cols)
+	// Split by dst rows (a columns): each half reads all of a and b, sums
+	// the whole batch in order, and writes a stripe of its own.
+	if j := claim(a.Cols, a.Rows*a.Cols*b.Cols); j != nil {
+		j.op, j.dst, j.a, j.b = fanMatMulTransA, dst, a, b
+		j.split()
 		return
 	}
-	parallelRows(a.Cols, func(lo, hi int) { matMulTransARange(dst, a, b, lo, hi) })
+	matMulTransARange(dst, a, b, 0, a.Cols)
 }
 
 func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
@@ -246,15 +203,42 @@ func Axpy(alpha float64, x, y []float64) {
 	saxpy(alpha, x, y)
 }
 
-// Adam applies one Adam update to every element of val: m = b1·m +
-// (1-b1)·g, v = b2·v + (1-b2)·g·g, val -= lr·(m/c1) / (√(v/c2) + eps), in
-// that order and bit for bit, with g from grad and the bias corrections
-// c1, c2 given. m and v are updated in place.
-func Adam(val, grad, m, v []float64, b1, b2, lr, eps, c1, c2 float64) {
-	if len(grad) != len(val) || len(m) != len(val) || len(v) != len(val) {
-		panic("tensor: Adam length mismatch")
+// AdamParam is one parameter tensor of an Adam step: its values, its
+// gradient and its two moment estimates, all of one length.
+type AdamParam struct{ Val, Grad, M, V []float64 }
+
+// Adam applies one Adam update to every element of every parameter in ps:
+// m = b1·m + (1-b1)·g, v = b2·v + (1-b2)·g·g, val -= lr·(m/c1) /
+// (√(v/c2) + eps), in that order and bit for bit, with g from Grad and the
+// bias corrections c1, c2 given. M and V are updated in place. A large
+// step fans out as one job over the whole list, cut into chunks of
+// elements that may straddle two parameters.
+func Adam(ps []AdamParam, b1, b2, lr, eps, c1, c2 float64) {
+	n := 0
+	for _, p := range ps {
+		if len(p.Grad) != len(p.Val) || len(p.M) != len(p.Val) || len(p.V) != len(p.Val) {
+			panic("tensor: Adam length mismatch")
+		}
+		n += len(p.Val)
 	}
-	adam(val, grad, m, v, &adamHyper{b1: b1, d1: 1 - b1, b2: b2, d2: 1 - b2, lr: lr, eps: eps, c1: c1, c2: c2})
+	h := adamHyper{b1: b1, d1: 1 - b1, b2: b2, d2: 1 - b2, lr: lr, eps: eps, c1: c1, c2: c2}
+	if j := claim(n, n*adamWork); j != nil {
+		j.op, j.ps, j.h = fanAdam, ps, h
+		j.split()
+		return
+	}
+	adamRange(ps, &h, 0, n)
+}
+
+// adamRange updates elements [lo, hi) of ps taken as one list.
+func adamRange(ps []AdamParam, h *adamHyper, lo, hi int) {
+	for _, p := range ps {
+		if n := len(p.Val); lo < n && hi > 0 {
+			s, e := max(lo, 0), min(hi, n)
+			adam(p.Val[s:e], p.Grad[s:e], p.M[s:e], p.V[s:e], h)
+		}
+		lo, hi = lo-len(p.Val), hi-len(p.Val)
+	}
 }
 
 // Scale multiplies every element of x by alpha.
@@ -282,4 +266,21 @@ func Tanh(dst, x []float64) {
 		panic("tensor: Tanh length mismatch")
 	}
 	tanh(dst, x)
+}
+
+// TanhBatch is Tanh over a batch, dst = tanh(x) elementwise; dst may be
+// x. A batch of two rows or more fans out by element when it is large; a
+// single row never does.
+func TanhBatch(dst, x *Matrix) {
+	if dst.Rows != x.Rows || dst.Cols != x.Cols {
+		panic("tensor: TanhBatch shape mismatch")
+	}
+	if n := len(x.Data); x.Rows >= 2 {
+		if j := claim(n, n*tanhWork); j != nil {
+			j.op, j.y, j.x = fanTanh, dst.Data, x.Data
+			j.split()
+			return
+		}
+	}
+	tanh(dst.Data, x.Data)
 }

@@ -78,36 +78,104 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// parallelVsSerial runs mul into two drows×dcols matrices on a shape
-// large enough to fan out — once as is, once on a single P, which forces
-// the serial path — and requires identical bits: a row range
-// changes which goroutine computes a row, never the row's operation
-// order. rows and flops are what the driver hands to serialRows.
-func parallelVsSerial(t *testing.T, rows, flops, drows, dcols int, mul func(dst *Matrix)) *Matrix {
-	t.Helper()
-	if runtime.GOMAXPROCS(0) >= 2 && serialRows(rows, flops) {
-		t.Fatalf("%d rows, %d multiply-adds no longer reach the parallel path", rows, flops)
+// TestFanOutMatchesSerial runs every call that fans out on shapes where
+// the chunks are awkward — 5, 6, 7 and 33 batch rows, odd
+// weight-gradient widths, Adam lists whose chunks straddle parameters —
+// once on a single P, which runs serially, and three times on two Ps,
+// where the caller and the helper share the chunks or the caller runs
+// them all, and requires identical bits: a split changes which goroutine
+// computes an element, never the element's operations. Calls of two to
+// four outputs, one chunk, must run serially.
+func TestFanOutMatchesSerial(t *testing.T) {
+	src := rng.New(2)
+	same := func(t *testing.T, name string, n, work int, out []float64, call func()) {
+		t.Helper()
+		prev := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(prev)
+		call()
+		want := slices.Clone(out)
+		runtime.GOMAXPROCS(2)
+		if fans(n, work) != (n > 4) {
+			t.Fatalf("%s: %d outputs, %d multiply-adds: fans is %v", name, n, work, !(n > 4))
+		}
+		for rep := 0; rep < 3; rep++ {
+			clear(out)
+			call()
+			sameBits(t, out, want, "%s rep %d against serial", name, rep)
+		}
 	}
-	got, want := NewMatrix(drows, dcols), NewMatrix(drows, dcols)
-	mul(got)
-	prev := runtime.GOMAXPROCS(1)
-	mul(want)
-	runtime.GOMAXPROCS(prev)
-	sameBits(t, got.Data, want.Data, "parallel against serial")
-	return got
+
+	for _, s := range [][3]int{{2, 128, 128}, {3, 96, 128}, {5, 96, 96}, {6, 65, 96}, {7, 96, 64}, {33, 96, 96}, {33, 65, 96}, {160, 180, 150}} {
+		m, k, n := s[0], s[1], s[2]
+		a, b, w := randomMatrix(m, k, src), randomMatrix(k, n, src), randomMatrix(n, k, src)
+		dst, dstB := NewMatrix(m, n), NewMatrix(m, n)
+		same(t, fmt.Sprintf("MatMul %dx%d·%d", m, k, n), m, m*k*n, dst.Data, func() { MatMul(dst, a, b) })
+		matricesClose(t, dst, naiveMatMul(a, b), 1e-9)
+		same(t, fmt.Sprintf("MatMulTransB %dx%d·(%dx%d)ᵀ", m, k, n, k), m, m*k*n, dstB.Data, func() { MatMulTransB(dstB, a, w) })
+	}
+
+	// Weight gradients aᵀ·g: dst has a.Cols rows, from 2 to 200, and odd
+	// widths.
+	for _, s := range [][3]int{{128, 2, 129}, {128, 3, 97}, {64, 5, 129}, {64, 6, 97}, {64, 7, 101}, {32, 65, 96}, {33, 65, 97}, {32, 7, 193}, {32, 96, 13}, {128, 200, 180}} {
+		batch, in, out := s[0], s[1], s[2]
+		a, g := NewMatrix(batch, in), randomMatrix(batch, out, src)
+		sparseRows(a, src)
+		dst := NewMatrix(in, out)
+		same(t, fmt.Sprintf("MatMulTransA (%dx%d)ᵀ·%d", batch, in, out), in, batch*in*out, dst.Data, func() { MatMulTransA(dst, a, g) })
+		want := NewMatrix(in, out)
+		transAReference(want, a, g)
+		sameBits(t, dst.Data, want.Data, "MatMulTransA (%dx%d)ᵀ·%d against the reference", batch, in, out)
+	}
+
+	for _, s := range [][2]int{{5, 384}, {7, 229}, {32, 96}, {33, 97}} {
+		x, y := randomMatrix(s[0], s[1], src), NewMatrix(s[0], s[1])
+		n := len(x.Data)
+		same(t, fmt.Sprintf("TanhBatch %dx%d", s[0], s[1]), n, n*tanhWork, y.Data, func() { TanhBatch(y, x) })
+	}
+
+	// Adam over one list; every call steps the moments, so each run starts
+	// from the same copies.
+	for _, lens := range [][]int{{6240, 1, 5, 9216}, {9216}, {6240}, {5, 6240}, {1, 9216, 1}, {1027, 3}} {
+		n := 0
+		var init []AdamParam
+		for _, l := range lens {
+			p := AdamParam{randomMatrix(1, l, src).Data, randomMatrix(1, l, src).Data, randomMatrix(1, l, src).Data, randomMatrix(1, l, src).Data}
+			for i := range p.V {
+				p.V[i] = math.Abs(p.V[i])
+			}
+			init, n = append(init, p), n+l
+		}
+		out := make([]float64, 3*n)
+		same(t, fmt.Sprintf("Adam %v", lens), n, n*adamWork, out, func() {
+			ps := make([]AdamParam, len(init))
+			for i, p := range init {
+				ps[i] = AdamParam{slices.Clone(p.Val), p.Grad, slices.Clone(p.M), slices.Clone(p.V)}
+			}
+			Adam(ps, 0.9, 0.999, 3e-3, 1e-8, 0.1, 0.001)
+			o := out[:0]
+			for _, p := range ps {
+				o = append(o, p.Val...)
+			}
+			for _, p := range ps {
+				o = append(append(o, p.M...), p.V...)
+			}
+		})
+	}
 }
 
-// TestMatMulParallelPath forces the goroutine fan-out path (large flops)
-// and compares against the serial path and the naive result.
-func TestMatMulParallelPath(t *testing.T) {
-	src := rng.New(2)
-	a := randomMatrix(160, 180, src)
-	b := randomMatrix(180, 150, src)
-	got := parallelVsSerial(t, 160, 160*180*150, 160, 150, func(dst *Matrix) { MatMul(dst, a, b) })
-	matricesClose(t, got, naiveMatMul(a, b), 1e-9)
-
-	w := randomMatrix(150, 180, src)
-	parallelVsSerial(t, 160, 160*180*150, 160, 150, func(dst *Matrix) { MatMulTransB(dst, a, w) })
+// TestFanOutTrigger: a sampling walker's forward is one row, so no
+// batch-1 call may reach the helper however wide; five outputs at
+// fanOutWork, two chunks, do, and only with two Ps.
+func TestFanOutTrigger(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	if fans(1, 1<<30) || fans(4, 1<<30) || fans(5, fanOutWork-1) || !fans(5, fanOutWork) {
+		t.Error("fans: want two chunks and fanOutWork")
+	}
+	runtime.GOMAXPROCS(1)
+	if fans(5, 1<<30) {
+		t.Error("fans on one P")
+	}
 }
 
 func TestMatMulTransB(t *testing.T) {
@@ -140,20 +208,6 @@ func TestMatMulTransA(t *testing.T) {
 	matricesClose(t, got, naiveMatMul(at, b), 1e-10)
 }
 
-func TestMatMulTransALargeParallel(t *testing.T) {
-	src := rng.New(5)
-	a := randomMatrix(128, 200, src)
-	b := randomMatrix(128, 180, src)
-	got := parallelVsSerial(t, 200, 128*200*180, 200, 180, func(dst *Matrix) { MatMulTransA(dst, a, b) })
-	at := NewMatrix(200, 128)
-	for i := 0; i < 128; i++ {
-		for j := 0; j < 200; j++ {
-			at.Set(j, i, a.At(i, j))
-		}
-	}
-	matricesClose(t, got, naiveMatMul(at, b), 1e-9)
-}
-
 func TestShapePanics(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(4, 5)
@@ -166,9 +220,11 @@ func TestShapePanics(t *testing.T) {
 		"Hadamard":     func() { Hadamard(c, a, b) },
 		"Apply":        func() { Apply(c, a, math.Abs) },
 		"Axpy":         func() { Axpy(1, []float64{1}, []float64{1, 2}) },
-		"Adam":         func() { Adam([]float64{1}, []float64{1}, []float64{1, 2}, []float64{1}, 0.9, 0.999, 1, 1, 1, 1) },
-		"FromSlice":    func() { FromSlice(2, 2, []float64{1}) },
-		"NewMatrix":    func() { NewMatrix(-1, 2) },
+		"Adam": func() {
+			Adam([]AdamParam{{[]float64{1}, []float64{1}, []float64{1, 2}, []float64{1}}}, 0.9, 0.999, 1, 1, 1, 1)
+		},
+		"FromSlice": func() { FromSlice(2, 2, []float64{1}) },
+		"NewMatrix": func() { NewMatrix(-1, 2) },
 	} {
 		func() {
 			defer func() {
@@ -411,7 +467,7 @@ func TestDriversMatchScalarReference(t *testing.T) {
 				wv[j] = float64(b2*wv[j]) + float64(float64((1-b2)*g)*g)
 				wval[j] -= float64(lr*(wm[j]/c1)) / (math.Sqrt(wv[j]/c2) + eps)
 			}
-			Adam(val, grad, m, v, b1, b2, lr, eps, c1, c2)
+			Adam([]AdamParam{{val, grad, m, v}}, b1, b2, lr, eps, c1, c2)
 			sameBits(t, val, wval, "Adam val n=%d step %d", n, step)
 			sameBits(t, m, wm, "Adam m n=%d step %d", n, step)
 			sameBits(t, v, wv, "Adam v n=%d step %d", n, step)
@@ -437,8 +493,7 @@ func transAReference(dst, a, g *Matrix) {
 // the benchmarked model (65 → 96 → 96 → 12 encoder, 7 → 96 → 96 → 64
 // decoder; inference runs the 65-row layer as a SparseRowMul, which
 // BenchmarkSparseRowMul times), a batch-8 product, its batch-32 training
-// step, and two larger products, twice and sixteen times
-// parallelThreshold.
+// step, and two larger products of 4.2 M and 33.5 M multiply-adds.
 var benchShapes = [][3]int{
 	{1, 65, 96}, {1, 96, 96}, {1, 96, 12}, {1, 7, 96}, {1, 96, 64},
 	{8, 96, 96}, {32, 96, 96}, {64, 256, 256}, {128, 512, 512},

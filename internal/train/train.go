@@ -16,7 +16,6 @@ import (
 	"math"
 	"sync"
 
-	"deepthermo/internal/lattice"
 	"deepthermo/internal/nn"
 	"deepthermo/internal/rng"
 	"deepthermo/internal/tensor"
@@ -79,15 +78,15 @@ func TotalDiverged(stats []EpochStats) int {
 // shrinks any learning rate by ~1e15.
 const maxDivergences = 50
 
-// batch assembles rows [lo,hi) of ds into a one-hot matrix and label views.
-func batch(model *vae.Model, ds *workload.Dataset, lo, hi int) (*tensor.Matrix, []float64, []lattice.Config) {
-	b := hi - lo
-	nk := model.Config().Sites * model.Config().Species
-	x := tensor.NewMatrix(b, nk)
-	for i := 0; i < b; i++ {
+// batch one-hot encodes rows [lo,hi) of ds into x reshaped by
+// tensor.Ensure, so a fit reuses one matrix; OneHot zeroes each row before
+// it sets the ones.
+func batch(x *tensor.Matrix, model *vae.Model, ds *workload.Dataset, lo, hi int) *tensor.Matrix {
+	x = tensor.Ensure(x, hi-lo, model.Config().Sites*model.Config().Species)
+	for i := range hi - lo {
 		model.OneHot(ds.Configs[lo+i], x.Row(i))
 	}
-	return x, ds.Conds[lo:hi], ds.Configs[lo:hi]
+	return x
 }
 
 // Fit trains model on ds with Adam and returns per-epoch statistics.
@@ -206,6 +205,7 @@ func FitDDPEndpoint(ctx context.Context, model *vae.Model, ep transport.Endpoint
 		grads = make([]float64, len(snapshot))
 	}
 	stepsPerEpoch := (shard.Len() + opts.BatchSize - 1) / opts.BatchSize
+	var x *tensor.Matrix // the batch, reused by every step
 
 	totalDiverged, epochDiverged := 0, 0
 	var stats []EpochStats
@@ -221,9 +221,10 @@ func FitDDPEndpoint(ctx context.Context, model *vae.Model, ep transport.Endpoint
 				return stats, err
 			}
 			lo := step * opts.BatchSize
-			x, conds, targets := batch(model, shard, lo, min(lo+opts.BatchSize, shard.Len()))
+			hi := min(lo+opts.BatchSize, shard.Len())
+			x = batch(x, model, shard, lo, hi)
 			nn.ZeroGrads(params)
-			l := model.Step(x, conds, targets, src)
+			l := model.Step(x, shard.Conds[lo:hi], shard.Configs[lo:hi], src)
 			norm := nn.ClipGradNorm(params, clipNorm)
 			finite := isFinite(l.Recon) && isFinite(l.KL) && isFinite(norm)
 			if workers > 1 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -359,6 +360,52 @@ func TestFitContextCancel(t *testing.T) {
 			if math.IsNaN(p) {
 				t.Fatal("NaN probability after cancelled training")
 			}
+		}
+	}
+}
+
+// TestConcurrentFitsMatchSerial trains two models of the benchmark's
+// shape at once on two Ps and requires each to end with the weights it
+// reaches trained alone on one P. The two fits contend for the tensor
+// helper: a call that finds it busy runs serially, and a caller takes
+// back a half the helper has not claimed, so under -race this is the test
+// of the fan-out's hand-offs.
+func TestConcurrentFitsMatchSerial(t *testing.T) {
+	_, ds, _ := testSetup(t)
+	opts := [2]Options{{Epochs: 2, BatchSize: 32, LR: 2e-3, Seed: 11}, {Epochs: 2, BatchSize: 16, LR: 3e-3, Seed: 12}}
+	fit := func(i int) (string, error) {
+		m, err := vae.New(benchShape, rng.New(opts[i].Seed))
+		if err != nil {
+			return "", err
+		}
+		_, err = Fit(m, ds, opts[i])
+		return weightsHash(m), err
+	}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	var want, got [2]string
+	for i := range want {
+		var err error
+		if want[i], err = fit(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GOMAXPROCS(2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if got[i], err = fit(i); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("fit %d: weights %s trained concurrently, %s alone", i, got[i], want[i])
 		}
 	}
 }
