@@ -78,34 +78,36 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// same runs call, which writes out and fans out over n outputs of work
+// multiply-adds, once on a single P, which runs serially, and three times
+// on two Ps, and requires identical bits. Calls of two to four outputs,
+// one chunk, must run serially.
+func same(t *testing.T, name string, n, work int, out []float64, call func()) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	call()
+	want := slices.Clone(out)
+	runtime.GOMAXPROCS(2)
+	if fans(n, work) != (n > 4) {
+		t.Fatalf("%s: %d outputs, %d multiply-adds: fans is %v", name, n, work, !(n > 4))
+	}
+	for rep := 0; rep < 3; rep++ {
+		clear(out)
+		call()
+		sameBits(t, out, want, "%s rep %d against serial", name, rep)
+	}
+}
+
 // TestFanOutMatchesSerial runs every call that fans out on shapes where
 // the chunks are awkward — 5, 6, 7 and 33 batch rows, odd
 // weight-gradient widths, Adam lists whose chunks straddle parameters —
-// once on a single P, which runs serially, and three times on two Ps,
-// where the caller and the helper share the chunks or the caller runs
-// them all, and requires identical bits: a split changes which goroutine
-// computes an element, never the element's operations. Calls of two to
-// four outputs, one chunk, must run serially.
+// through same: on two Ps the caller and the helper share the chunks or
+// the caller runs them all, and a split changes which goroutine computes
+// an element, never the element's operations.
 func TestFanOutMatchesSerial(t *testing.T) {
 	src := rng.New(2)
-	same := func(t *testing.T, name string, n, work int, out []float64, call func()) {
-		t.Helper()
-		prev := runtime.GOMAXPROCS(1)
-		defer runtime.GOMAXPROCS(prev)
-		call()
-		want := slices.Clone(out)
-		runtime.GOMAXPROCS(2)
-		if fans(n, work) != (n > 4) {
-			t.Fatalf("%s: %d outputs, %d multiply-adds: fans is %v", name, n, work, !(n > 4))
-		}
-		for rep := 0; rep < 3; rep++ {
-			clear(out)
-			call()
-			sameBits(t, out, want, "%s rep %d against serial", name, rep)
-		}
-	}
-
-	for _, s := range [][3]int{{2, 128, 128}, {3, 96, 128}, {5, 96, 96}, {6, 65, 96}, {7, 96, 64}, {33, 96, 96}, {33, 65, 96}, {160, 180, 150}} {
+	for _, s := range [][3]int{{2, 128, 128}, {3, 96, 128}, {5, 96, 96}, {6, 65, 96}, {7, 96, 64}, {33, 96, 96}, {33, 65, 96}} {
 		m, k, n := s[0], s[1], s[2]
 		a, b, w := randomMatrix(m, k, src), randomMatrix(k, n, src), randomMatrix(n, k, src)
 		dst, dstB := NewMatrix(m, n), NewMatrix(m, n)
@@ -116,7 +118,7 @@ func TestFanOutMatchesSerial(t *testing.T) {
 
 	// Weight gradients aᵀ·g: dst has a.Cols rows, from 2 to 200, and odd
 	// widths.
-	for _, s := range [][3]int{{128, 2, 129}, {128, 3, 97}, {64, 5, 129}, {64, 6, 97}, {64, 7, 101}, {32, 65, 96}, {33, 65, 97}, {32, 7, 193}, {32, 96, 13}, {128, 200, 180}} {
+	for _, s := range [][3]int{{128, 2, 129}, {128, 3, 97}, {64, 5, 129}, {64, 6, 97}, {64, 7, 101}, {32, 65, 96}, {33, 65, 97}, {32, 7, 193}, {32, 96, 13}} {
 		batch, in, out := s[0], s[1], s[2]
 		a, g := NewMatrix(batch, in), randomMatrix(batch, out, src)
 		sparseRows(a, src)
@@ -161,6 +163,41 @@ func TestFanOutMatchesSerial(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMatMulParallelPath: a training-sized forward and its transposed
+// weight product fan out, match the serial path in every bit and the
+// naive result to rounding.
+func TestMatMulParallelPath(t *testing.T) {
+	src := rng.New(2)
+	a := randomMatrix(160, 180, src)
+	b := randomMatrix(180, 150, src)
+	w := randomMatrix(150, 180, src)
+	dst, dstB := NewMatrix(160, 150), NewMatrix(160, 150)
+	same(t, "MatMul 160x180·150", 160, 160*180*150, dst.Data, func() { MatMul(dst, a, b) })
+	matricesClose(t, dst, naiveMatMul(a, b), 1e-9)
+	same(t, "MatMulTransB 160x180·(150x180)ᵀ", 160, 160*180*150, dstB.Data, func() { MatMulTransB(dstB, a, w) })
+}
+
+// TestMatMulTransALargeParallel: a wide weight gradient aᵀ·g fans out
+// over its 200 rows, matches the serial path and the scalar reference in
+// every bit and the naive product of the explicit transpose to rounding.
+func TestMatMulTransALargeParallel(t *testing.T) {
+	src := rng.New(5)
+	a := randomMatrix(128, 200, src)
+	b := randomMatrix(128, 180, src)
+	dst := NewMatrix(200, 180)
+	same(t, "MatMulTransA (128x200)ᵀ·180", 200, 128*200*180, dst.Data, func() { MatMulTransA(dst, a, b) })
+	want := NewMatrix(200, 180)
+	transAReference(want, a, b)
+	sameBits(t, dst.Data, want.Data, "MatMulTransA (128x200)ᵀ·180 against the reference")
+	at := NewMatrix(200, 128)
+	for i := 0; i < 128; i++ {
+		for j := 0; j < 200; j++ {
+			at.Set(j, i, a.At(i, j))
+		}
+	}
+	matricesClose(t, dst, naiveMatMul(at, b), 1e-9)
 }
 
 // TestFanOutTrigger: a sampling walker's forward is one row, so no
