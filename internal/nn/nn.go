@@ -204,7 +204,7 @@ func (a *Activation) Forward(x *tensor.Matrix) *tensor.Matrix {
 	case Tanh:
 		// math.Tanh per element, bit for bit, four lanes at a time where
 		// the CPU has AVX2 and FMA.
-		tensor.TanhBatch(y, x)
+		tensor.Tanh(y, x)
 	case ReLU:
 		tensor.Apply(y, x, func(v float64) float64 {
 			if v > 0 {

@@ -64,7 +64,7 @@ func TestMatMulZeroAllocs(t *testing.T) {
 		"MatMulTransA batch 32": func() { tensor.MatMulTransA(gw, x32, y32) },
 		"MatMulTransB batch 8":  func() { tensor.MatMulTransB(y8, x8, w) },
 		"MatMulTransB batch 32": func() { tensor.MatMulTransB(y32, x32, w) },
-		"TanhBatch batch 32":    func() { tensor.TanhBatch(y32, x32) },
+		"Tanh batch 32":         func() { tensor.Tanh(y32, x32) },
 		"nn.Adam.Step":          func() { opt.Step(params) },
 		"vae.Model.Step":        func() { nn.ZeroGrads(params); model.Step(batch, cond, targets, stepSrc) },
 		"Dense.Forward batch 1": func() { dense.Forward(x1) },

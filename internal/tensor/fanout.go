@@ -31,7 +31,7 @@ import (
 // about 3 µs of a batch matmul. Below it the hand-off costs about what
 // the helper's share saves (DESIGN.md, "Serial gating", has the
 // measurements). Batch-1 calls never fan out, whatever their work: a
-// matmul needs two chunks of rows, at least five, and TanhBatch two rows.
+// matmul needs two chunks of rows, at least five, and Tanh two rows.
 const fanOutWork = 1 << 15
 
 // chunkWork is the work of one chunk, about 1.6 µs: long enough that the
@@ -75,24 +75,7 @@ const (
 	fanMatMulTransA
 	fanTanh
 	fanAdam
-	fanRanger
 )
-
-// A Ranger is a fan-out op defined outside this package: Range(lo, hi)
-// computes outputs [lo, hi) and writes nothing another range writes or
-// reads. Pass a pointer, so the conversion to Ranger allocates nothing.
-type Ranger interface{ Range(lo, hi int) }
-
-// Split runs r over [0, n), fanning out like the drivers when work, r's
-// cost in multiply-adds of a batch matmul, is large and makes two chunks.
-func Split(r Ranger, n, work int) {
-	if j := claim(n, work); j != nil {
-		j.op, j.r = fanRanger, r
-		j.split()
-		return
-	}
-	r.Range(0, n)
-}
 
 // job is one fan-out's descriptor: the op, its operands, and its n
 // outputs in chunks of chunk, the next of which starts at next.
@@ -102,7 +85,6 @@ type job struct {
 	y, x      []float64
 	ps        []AdamParam
 	h         adamHyper
-	r         Ranger
 	n, chunk  int
 	next      atomic.Int64
 }
@@ -120,8 +102,6 @@ func (j *job) run(lo, hi int) {
 		tanh(j.y[lo:hi], j.x[lo:hi])
 	case fanAdam:
 		adamRange(j.ps, &j.h, lo, hi)
-	case fanRanger:
-		j.r.Range(lo, hi)
 	}
 }
 
@@ -167,7 +147,10 @@ func claim(n, work int) *job {
 
 // split runs the claimed job j: it posts it to the helper, takes chunks
 // until none is left, and then, if the helper joined, waits for the
-// helper's last chunk.
+// helper's last chunk. No chunk may panic — every op checks its operands
+// before it claims the slot — because a panic on the helper ends the
+// process, and one on the caller leaves the slot held, so that every
+// later call runs serially.
 func (j *job) split() {
 	helper.state.Store(slotPosted)
 	if helper.sleeping.Swap(false) {

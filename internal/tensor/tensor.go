@@ -6,9 +6,9 @@
 // portable Go elsewhere, with identical bits either way; nothing is
 // cache-blocked (the benchmarked model is 264 KB and lives in L2).
 // A large batch call of MatMul, MatMulTransA, MatMulTransB, Tanh or Adam
-// splits by output between its caller and one persistent helper goroutine
-// (fanout.go); batch-1 calls never do, and the split never changes an
-// element's operations.
+// is cut by output into chunks that its caller and one persistent helper
+// goroutine take from a shared counter (fanout.go); batch-1 calls never
+// fan out, and the split never changes an element's operations.
 package tensor
 
 import "fmt"
@@ -118,7 +118,7 @@ func MatMulTransA(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	// Split by dst rows (a columns): each half reads all of a and b, sums
+	// Split by dst rows (a columns): each chunk reads all of a and b, sums
 	// the whole batch in order, and writes a stripe of its own.
 	if j := claim(a.Cols, a.Rows*a.Cols*b.Cols); j != nil {
 		j.op, j.dst, j.a, j.b = fanMatMulTransA, dst, a, b
@@ -260,20 +260,12 @@ func Log(dst, x []float64) {
 	log(dst, x)
 }
 
-// Tanh sets dst[i] = math.Tanh(x[i]), bit for bit; dst may be x.
-func Tanh(dst, x []float64) {
-	if len(dst) != len(x) {
-		panic("tensor: Tanh length mismatch")
-	}
-	tanh(dst, x)
-}
-
-// TanhBatch is Tanh over a batch, dst = tanh(x) elementwise; dst may be
-// x. A batch of two rows or more fans out by element when it is large; a
+// Tanh sets dst = math.Tanh(x) elementwise, bit for bit; dst may be x.
+// A batch of two rows or more fans out by element when it is large; a
 // single row never does.
-func TanhBatch(dst, x *Matrix) {
+func Tanh(dst, x *Matrix) {
 	if dst.Rows != x.Rows || dst.Cols != x.Cols {
-		panic("tensor: TanhBatch shape mismatch")
+		panic("tensor: Tanh shape mismatch")
 	}
 	if n := len(x.Data); x.Rows >= 2 {
 		if j := claim(n, n*tanhWork); j != nil {

@@ -132,7 +132,7 @@ func TestFanOutMatchesSerial(t *testing.T) {
 	for _, s := range [][2]int{{5, 384}, {7, 229}, {32, 96}, {33, 97}} {
 		x, y := randomMatrix(s[0], s[1], src), NewMatrix(s[0], s[1])
 		n := len(x.Data)
-		same(t, fmt.Sprintf("TanhBatch %dx%d", s[0], s[1]), n, n*tanhWork, y.Data, func() { TanhBatch(y, x) })
+		same(t, fmt.Sprintf("Tanh %dx%d", s[0], s[1]), n, n*tanhWork, y.Data, func() { Tanh(y, x) })
 	}
 
 	// Adam over one list; every call steps the moments, so each run starts

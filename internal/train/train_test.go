@@ -367,9 +367,9 @@ func TestFitContextCancel(t *testing.T) {
 // TestConcurrentFitsMatchSerial trains two models of the benchmark's
 // shape at once on two Ps and requires each to end with the weights it
 // reaches trained alone on one P. The two fits contend for the tensor
-// helper: a call that finds it busy runs serially, and a caller takes
-// back a half the helper has not claimed, so under -race this is the test
-// of the fan-out's hand-offs.
+// helper: a call that finds it busy runs serially, and a caller runs
+// every chunk the helper does not take from their shared counter, so
+// under -race this is the test of the fan-out's hand-offs.
 func TestConcurrentFitsMatchSerial(t *testing.T) {
 	_, ds, _ := testSetup(t)
 	opts := [2]Options{{Epochs: 2, BatchSize: 32, LR: 2e-3, Seed: 11}, {Epochs: 2, BatchSize: 16, LR: 3e-3, Seed: 12}}

@@ -59,12 +59,11 @@ type Model struct {
 	// calls (resized when the batch size changes).
 	trEncIn, trDecIn, trEps, trZ, trSigma *tensor.Matrix
 	trGradLogits, trGradEncOut            *tensor.Matrix
-	trLoss                                *lossRows
 
 	// DecodeProbsInto stores decIn on every call, so a replica
 	// (ShareWeights) fills whole cache lines and shares none with another
 	// walker's replica.
-	_ [3*cacheline.Size - 152]byte
+	_ [3*cacheline.Size - 144]byte
 }
 
 // New constructs a VAE with Xavier-initialized weights from src.
@@ -200,25 +199,35 @@ func (m *Model) Step(x *tensor.Matrix, cond []float64, targets []lattice.Config,
 	}
 	logits := m.dec.Forward(decIn) // B × N·k
 
-	// Per-site softmax cross-entropy, by batch row (lossRows). The sums
-	// run here, over the per-site terms in row and site order.
+	// Per-site softmax cross-entropy; gradient wrt logits is p − onehot.
+	// The probabilities are written straight into the gradient rows.
 	m.trGradLogits = tensor.Ensure(m.trGradLogits, b, n*k)
 	gradLogits := m.trGradLogits
-	if m.trLoss == nil {
-		m.trLoss = new(lossRows)
-	}
-	lr := m.trLoss
-	lr.logits, lr.grad, lr.targets, lr.k, lr.scale = logits, gradLogits, targets, k, 1/float64(b)
-	lr.terms, lr.correct = resize(lr.terms, b*n), resize(lr.correct, b)
-	tensor.Split(lr, b, b*n*k*lossWork)
 	var recon float64
-	for _, v := range lr.terms {
-		recon += v
-	}
 	correct := 0
-	for _, c := range lr.correct {
-		correct += c
+	expShifted(logits.Data, k)
+	for i := 0; i < b; i++ {
+		erow := logits.Row(i)
+		grow := gradLogits.Row(i)
+		for site := 0; site < n; site++ {
+			probs := grow[site*k : (site+1)*k]
+			normalize(erow[site*k:(site+1)*k], probs)
+			t := int(targets[i][site])
+			recon += -math.Log(math.Max(probs[t], 1e-300))
+			argmax := 0
+			for a := 1; a < k; a++ {
+				if probs[a] > probs[argmax] {
+					argmax = a
+				}
+			}
+			if argmax == t {
+				correct++
+			}
+			probs[t]--
+		}
 	}
+	// Mean over batch.
+	tensor.Scale(1/float64(b), gradLogits.Data)
 	recon /= float64(b)
 	kl /= float64(b)
 
@@ -249,62 +258,6 @@ func (m *Model) Step(x *tensor.Matrix, cond []float64, targets []lattice.Config,
 		KL:       kl,
 		Accuracy: float64(correct) / float64(b*n),
 	}
-}
-
-// lossWork is the cost of one logit in lossRows, in multiply-adds of a
-// batch matmul (0.1 ns each): about 10 ns with its exp, its division and
-// its share of the site's log.
-const lossWork = 100
-
-// lossRows is Step's per-site softmax cross-entropy over a range of batch
-// rows, a tensor.Ranger. Row i's logits become its softmax, written into
-// the gradient row, which then holds (p − onehot)/B, the gradient of the
-// batch-mean loss; terms gets row i's −log p(target) per site and correct
-// its count of sites whose argmax is the target. A Model keeps one, so
-// handing it to tensor.Split allocates nothing.
-type lossRows struct {
-	logits, grad *tensor.Matrix
-	targets      []lattice.Config
-	k            int
-	scale        float64 // 1/B
-	terms        []float64
-	correct      []int
-}
-
-func (r *lossRows) Range(lo, hi int) {
-	k := r.k
-	for i := lo; i < hi; i++ {
-		erow, grow := r.logits.Row(i), r.grad.Row(i)
-		expShifted(erow, k)
-		n := len(erow) / k
-		terms, correct := r.terms[i*n:(i+1)*n], 0
-		for site := range n {
-			probs := grow[site*k : (site+1)*k]
-			normalize(erow[site*k:(site+1)*k], probs)
-			t := int(r.targets[i][site])
-			terms[site] = -math.Log(math.Max(probs[t], 1e-300))
-			argmax := 0
-			for a := 1; a < k; a++ {
-				if probs[a] > probs[argmax] {
-					argmax = a
-				}
-			}
-			if argmax == t {
-				correct++
-			}
-			probs[t]--
-		}
-		r.correct[i] = correct
-		tensor.Scale(r.scale, grow)
-	}
-}
-
-// resize returns s with length n, reallocated only when it is too short.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // expShifted overwrites each k-wide site block of logits with
