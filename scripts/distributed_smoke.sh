@@ -10,8 +10,8 @@
 # mid-run, and the leader must still finish — reporting the dead rank's
 # windows as degraded — while the coordinator reports the failed rank.
 #
-# Scenario 3 (elastic rejoin): a two-process world runs the converging
-# job with checkpoints and -rejoin-wait; the non-leader worker is killed
+# Scenario 3 (elastic rejoin): a two-process world runs a fixed-length
+# 1/t job with checkpoints and -rejoin-wait; the non-leader worker is killed
 # with SIGKILL mid-run, a replacement process joins, the world rolls back
 # to the leader's newest checkpoint round, and the leader's summary must
 # show rejoins=1, degraded_windows=0, and the exact DOS checksum of the
@@ -36,12 +36,13 @@ trap cleanup EXIT
 log() { echo "smoke: $*"; }
 fail() { echo "smoke: FAIL: $*" >&2; exit 1; }
 
-# Checksums of the two `dtworker -local` reference runs below, recorded at
-# the commit before the round loops were merged (PR 11). The scenarios
+# Checksums of the two `dtworker -local` reference runs below. The default
+# job's was recorded at the commit before the round loops were merged; the
+# long job's when scenario 3 moved to the 1/t schedule. The scenarios
 # compare distributed against local within one build; these pin the local
 # run itself, so a change that shifts both the same way still fails.
 pinned_default="dos_checksum=47cb482174605a6f"
-pinned_long="dos_checksum=3862ae50ec86f542"
+pinned_long="dos_checksum=5f1d9c361194b7fa"
 
 # wait_for FILE PATTERN SECONDS — poll FILE until PATTERN appears.
 wait_for() {
@@ -135,11 +136,14 @@ pids+=($!)
 wait_for "$tmp/coord3.log" 'listening on' 20
 addr=$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$tmp/coord3.log")
 
-# A fixed-length run (ln f target unreachable, hard round cap) keeps the
-# kill window wide and the reference deterministic; checkpoints every
-# other round, and the leader told to wait for a replacement instead of
+# A fixed-length run keeps the kill window wide and the reference
+# deterministic: under the 1/t schedule ln f = bins/steps never reaches
+# 1e-300, so the run always spans the 20000-round cap (about 4 s over
+# loopback TCP). Halving would reach it after ~2500 rounds, which a TCP
+# world can finish before the poll below sees round 50. Checkpoints every
+# 10 rounds, and the leader told to wait for a replacement instead of
 # degrading.
-params3=(-job rewl -lnf 1e-300 -max-rounds 1000)
+params3=(-job rewl -one-over-t -lnf 1e-300 -max-rounds 20000)
 log "scenario 3: local reference run"
 "$tmp/dtworker" -local "${params3[@]}" >"$tmp/local3.log" 2>&1
 ref=$(grep -o 'dos_checksum=[0-9a-f]*' "$tmp/local3.log") ||
@@ -162,10 +166,10 @@ done
 [[ -n "$leader" && -n "$victim" ]] || fail "could not map workers to ranks"
 
 # Kill rank 1 once several checkpoints exist but long before the
-# 1000-round cap: the world must roll back to the newest checkpoint round.
+# 20000-round cap: the world must roll back to the newest checkpoint round.
 wait_for "$tmp/w3$leader.log" 'round 50:' 60
 log "killing rank 1 (worker $victim, pid ${wpid[$victim]})"
-kill -9 "${wpid[$victim]}"
+kill -9 "${wpid[$victim]}" || fail "rank 1 exited before the kill"
 { wait "${wpid[$victim]}" || true; } 2>/dev/null
 
 wait_for "$tmp/w3$leader.log" 'awaiting a replacement' 30
