@@ -95,9 +95,10 @@ pids+=($!)
 wait_for "$tmp/coord2.log" 'listening on' 20
 addr=$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$tmp/coord2.log")
 
-# A target ln f of 1e-300 never converges, so the run spans the full
-# round budget and the kill lands while sweeps are still in flight.
-job=(-join "$addr" -job rewl -windows 3 -lnf 1e-300 -max-rounds 4000 -v)
+# Under the 1/t schedule a target ln f of 1e-300 is never reached, so the
+# run spans the full round budget and the kill lands while sweeps are
+# still in flight (halving reaches it after ~2600 rounds).
+job=(-join "$addr" -job rewl -windows 3 -one-over-t -lnf 1e-300 -max-rounds 4000 -v)
 declare -A wpid
 for w in a b c; do
     "$tmp/dtworker" "${job[@]}" >"$tmp/w2$w.log" 2>&1 &
@@ -116,7 +117,7 @@ done
 
 wait_for "$tmp/w2$leader.log" 'round 3:' 30
 log "killing rank 1 (worker $victim, pid ${wpid[$victim]})"
-kill -9 "${wpid[$victim]}"
+kill -9 "${wpid[$victim]}" || fail "rank 1 exited before the kill"
 { wait "${wpid[$victim]}" || true; } 2>/dev/null
 
 wait "${wpid[$leader]}" || fail "leader exited nonzero after worker death"
