@@ -28,7 +28,6 @@ import (
 	"deepthermo/internal/alloy"
 	"deepthermo/internal/chaos"
 	"deepthermo/internal/dos"
-	"deepthermo/internal/infer"
 	"deepthermo/internal/lattice"
 	"deepthermo/internal/mc"
 	"deepthermo/internal/rewl"
@@ -236,14 +235,12 @@ type DOSConfig struct {
 	// converged windows into stragglers (rewl.AdaptiveOptions).
 	Adaptive bool
 
-	// BatchInference routes every walker's DL-proposal forwards through one
-	// shared inference engine (package infer) instead of per-walker weight
-	// clones: each walker runs its forwards on its own goroutine over a
-	// replica that reads a single copy of the weights. The sampled DOS is
-	// bit-identical to the per-walker path — a replica computes exactly the
-	// shared model's forwards, and the proposal factory burns exactly the
-	// RNG draws the replaced per-walker clone would have consumed (see
-	// vae.WeightDraws) — so this is purely a throughput switch.
+	// BatchInference selects nothing: every DL walker proposes through its
+	// own System.WalkerModel replica, which gives the bits that both paths
+	// the field once chose between gave.
+	//
+	// Deprecated: kept only because the benchmark harness (bench/) still
+	// sets it; it goes when the harness stops building its engine.
 	BatchInference bool
 
 	// CheckpointDir enables crash-safe checkpoint/restart: the full REWL
@@ -283,14 +280,21 @@ type DOSResult struct {
 	// Migrations counts walkers the adaptive controller moved into
 	// straggler windows (0 unless DOSConfig.Adaptive).
 	Migrations int
-	// Batch reports the shared inference engine's activity when
-	// DOSConfig.BatchInference was set (nil otherwise).
-	Batch *BatchStats
 }
 
-// BatchStats aliases infer.Stats, the shared-engine activity counters
-// surfaced on DOSResult and in server job results.
-type BatchStats = infer.Stats
+// WalkerModel returns one walker's replica of the trained proposal model
+// (vae.Model.ShareWeights): it reads s.Model's weights in place and owns
+// its inference scratch, so every walker of a run proposes from one
+// weight copy without waiting for another. It first burns from src the
+// vae.WeightDraws draws a private CloneWeights copy would have taken, so
+// every later draw of the walker's stream is the one it always was.
+// s.Model must be set (TrainProposal, or a loaded model).
+func (s *System) WalkerModel(src *rng.Source) *ProposalModel {
+	for i, n := 0, vae.WeightDraws(s.Model.Config()); i < n; i++ {
+		src.Float64()
+	}
+	return s.Model.ShareWeights()
+}
 
 // SampleDOS runs REWL over the system's reachable energy range, using the
 // DL-accelerated proposal mixture when a trained model is available.
@@ -335,28 +339,11 @@ func (s *System) SampleDOSContext(ctx context.Context, cfg DOSConfig) (*DOSResul
 		return nil, err
 	}
 
-	// With BatchInference, one engine owns a single weight copy and every
-	// walker gets a client over it; the factory burns exactly the
-	// Float64 draws CloneWeights would have taken from the walker's stream,
-	// so every downstream draw — and therefore the whole run — stays
-	// bit-identical to the per-walker-clone path.
-	var engine *infer.Engine
-	if cfg.BatchInference && !cfg.NoDL && s.Model != nil {
-		engine = infer.NewEngine(s.Model.CloneWeights(rng.New(s.cfg.Seed + 31)))
-	}
 	factory := func(win, widx int, wsrc *rng.Source) mc.Proposal {
 		if cfg.NoDL || s.Model == nil {
 			return mc.NewSwapProposal(s.Ham)
 		}
-		var gp *mc.GlobalProposal
-		if engine != nil {
-			for i, n := 0, vae.WeightDraws(s.Model.Config()); i < n; i++ {
-				wsrc.Float64()
-			}
-			gp = mc.NewGlobalProposalWith(engine.NewClient(), s.Ham, s.Quota, mc.CondForT(1000))
-		} else {
-			gp = mc.NewGlobalProposal(s.Model.CloneWeights(wsrc), s.Ham, s.Quota, mc.CondForT(1000))
-		}
+		gp := mc.NewGlobalProposal(s.WalkerModel(wsrc), s.Ham, s.Quota, mc.CondForT(1000))
 		return mc.NewMixture(
 			[]mc.Proposal{mc.NewSwapProposal(s.Ham), gp},
 			[]float64{1 - cfg.DLWeight, cfg.DLWeight},
@@ -383,7 +370,7 @@ func (s *System) SampleDOSContext(ctx context.Context, cfg DOSConfig) (*DOSResul
 		return nil, err
 	}
 	run.DOS.NormalizeTo(logStates)
-	res := &DOSResult{
+	return &DOSResult{
 		DOS:             run.DOS,
 		Converged:       run.AllConverged,
 		Sweeps:          run.TotalSweeps,
@@ -392,12 +379,7 @@ func (s *System) SampleDOSContext(ctx context.Context, cfg DOSConfig) (*DOSResul
 		FailedWalkers:   run.FailedWalkers,
 		DegradedWindows: run.DegradedWindows,
 		Migrations:      run.Migrations,
-	}
-	if engine != nil {
-		st := engine.Stats()
-		res.Batch = &st
-	}
-	return res, runErr
+	}, runErr
 }
 
 // Thermodynamics reweights a density of states into canonical observables

@@ -7,19 +7,47 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"deepthermo/internal/rng"
+	"deepthermo/internal/vae"
 )
 
+// dlSystem builds a small system with a fixed-seed (untrained) proposal
+// model; the DL proposal only needs weights, and untrained weights
+// exercise the full accept/reject machinery.
+func dlSystem(t *testing.T) *System {
+	t.Helper()
+	sys, err := NewSystem(SystemConfig{Cells: 2, Seed: 3, Latent: 4, Hidden: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := vae.New(vae.Config{
+		Sites:   sys.Lat.NumSites(),
+		Species: sys.Ham.NumSpecies(),
+		Latent:  4,
+		Hidden:  24,
+		BetaKL:  1,
+	}, rng.New(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Model = model
+	return sys
+}
+
 // TestSampleDOSDLPinned pins the facade's DL run: a 2×4-walker REWL run
-// with the DL mixture over batchParitySystem's fixed-seed model. The
-// checksum is FNV-64a over the DOS.Save bytes. Any change to how a walker
-// gets its model — the weights it reads or the draws its stream gives up
-// for them — moves a bit somewhere in the DOS, the rounds or the sweeps.
+// with the DL mixture over dlSystem's fixed-seed model. The checksum is
+// FNV-64a over the DOS.Save bytes. The values were recorded when walkers
+// still got private weight clones, and the WalkerModel replicas must
+// reproduce them. Any change to how a walker gets its model — the weights
+// it reads or the draws its stream gives up for them — moves a bit
+// somewhere in the DOS, the rounds or the sweeps. The deprecated
 // BatchInference must not move them either.
 func TestSampleDOSDLPinned(t *testing.T) {
 	const want = "dos_checksum=2018a728a4d70fad rounds=359 sweeps=134800 converged=true"
 	for _, batch := range []bool{false, true} {
 		cfg := DOSConfig{Windows: 2, Walkers: 4, Bins: 16, LnFFinal: 1e-2, DLWeight: 0.3, BatchInference: batch}
-		res, err := batchParitySystem(t).SampleDOS(cfg)
+		res, err := dlSystem(t).SampleDOS(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +68,7 @@ func TestSampleDOSDLPinned(t *testing.T) {
 // energy after each of 12 sweeps at 1000 K, as hex floats, and its
 // accepted/proposed counts.
 func TestNewSamplerDLPinned(t *testing.T) {
-	s := batchParitySystem(t).NewSampler(SamplerConfig{Seed: 9, DLWeight: 0.3})
+	s := dlSystem(t).NewSampler(SamplerConfig{Seed: 9, DLWeight: 0.3})
 	var es []string
 	for i := 0; i < 12; i++ {
 		s.Sweep(1000)

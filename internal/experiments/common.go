@@ -16,10 +16,10 @@ import (
 	"deepthermo/internal/rng"
 )
 
-// newDLProposal builds a walker-owned DL proposal from the system's
-// trained model.
+// newDLProposal builds a walker-owned DL proposal over the walker's
+// replica of the system's trained model.
 func newDLProposal(sys *deepthermo.System, tKelvin float64, mode mc.GlobalMode, src *rng.Source) *mc.GlobalProposal {
-	p := mc.NewGlobalProposal(sys.Model.CloneWeights(src), sys.Ham, sys.Quota, mc.CondForT(tKelvin))
+	p := mc.NewGlobalProposal(sys.WalkerModel(src), sys.Ham, sys.Quota, mc.CondForT(tKelvin))
 	p.SetMode(mode)
 	return p
 }

@@ -1,6 +1,12 @@
 // Package infer shares one copy of the DL proposal model's weights among
 // the concurrent MC walkers of a run.
 //
+// Its only remaining user outside tests is the benchmark harness (bench/),
+// whose dl_batch_n16 workload samples through an Engine. The facade gives
+// every DL walker a vae.Model.ShareWeights replica directly
+// (deepthermo.System.WalkerModel), which is what a Client wraps, so the
+// package goes when the harness stops building its engine.
+//
 // Motivation. Each walker's DL proposal needs a model whose inference
 // scratch it owns. The per-walker route, vae.Model.CloneWeights, gives
 // every walker a private weight copy as well, so W walkers stream W copies

@@ -14,10 +14,12 @@ import (
 // the calls the proposal hot path makes. EncodeSampleDecode is the whole
 // walk-posterior forward (encode, reparameterize with pre-drawn normals,
 // decode) in one call, bit-identical to the EncodeInto, vae.SampleLatent,
-// DecodeProbsInto sequence. *vae.Model satisfies it directly (a per-walker
-// weight clone); *infer.Client satisfies it with a walker-owned replica
-// over one engine's shared weights. Both produce bit-identical results for
-// identical inputs (see the batch golden-trace tests).
+// DecodeProbsInto sequence. *vae.Model satisfies it directly — a
+// per-walker ShareWeights replica, the facade's path, or a CloneWeights
+// copy; *infer.Client, whose only remaining user is the benchmark harness
+// (bench/), satisfies it with a replica over one engine's weights. All
+// produce bit-identical results for identical inputs (see the batch
+// golden-trace tests).
 type Inferencer interface {
 	Config() vae.Config
 	EncodeInto(cfg lattice.Config, cond float64, mu, logvar []float64) ([]float64, []float64)
@@ -146,10 +148,11 @@ func NewGlobalProposal(model *vae.Model, ham *alloy.Model, quota []int, cond flo
 }
 
 // NewGlobalProposalWith is NewGlobalProposal over any inference backend —
-// in particular an infer.Client, which runs this walker's forwards on its
-// own goroutine over the weights every client of the engine shares. The
-// backend must be exclusively this walker's (clients are single-goroutine
-// handles; models are per-walker replicas).
+// in particular an infer.Client (the benchmark harness's engine path),
+// which runs this walker's forwards on its own goroutine over the weights
+// every client of the engine shares. The backend must be exclusively this
+// walker's (clients are single-goroutine handles; models are per-walker
+// replicas).
 //
 // It panics unless quota holds one non-negative count per species of the
 // model, summing to its sites: Propose relies on that.

@@ -22,6 +22,7 @@ import (
 	"deepthermo/internal/rng"
 	"deepthermo/internal/testfix"
 	"deepthermo/internal/transport"
+	"deepthermo/internal/vae"
 	"deepthermo/internal/wanglandau"
 )
 
@@ -45,7 +46,7 @@ func arrSpan(what string, s reflect.Value) span {
 // proposalSpans lists a proposal's step-path objects: the struct itself
 // (SwapProposal.i/j, Mixture.last, GlobalProposal's cache flags and
 // counters), KSwapProposal's rollback list, a Mixture's components, and a
-// GlobalProposal's engine client.
+// GlobalProposal's model replica or engine client.
 func proposalSpans(p reflect.Value) []span {
 	if p.Kind() == reflect.Interface {
 		p = p.Elem()
@@ -60,23 +61,29 @@ func proposalSpans(p reflect.Value) []span {
 			spans = append(spans, proposalSpans(props.Index(i))...)
 		}
 	case reflect.TypeOf((*mc.GlobalProposal)(nil)):
-		if c := p.Elem().FieldByName("model").Elem(); c.Type() == reflect.TypeOf((*infer.Client)(nil)) {
-			spans = append(spans, clientSpans(c)...)
+		switch m := p.Elem().FieldByName("model").Elem(); m.Type() {
+		case reflect.TypeOf((*infer.Client)(nil)):
+			spans = append(spans, objSpan("Client", m))
+			spans = append(spans, replicaSpans(m.Elem().FieldByName("model"))...)
+		case reflect.TypeOf((*vae.Model)(nil)):
+			// A weight clone's layer buffers are out of the rule's scope;
+			// a replica, whose layers have no gradient accumulators, is in.
+			if m.Elem().FieldByName("enc").Elem().FieldByName("Layers").Index(0).Elem().Elem().FieldByName("gradW").IsNil() {
+				spans = append(spans, replicaSpans(m)...)
+			}
 		}
 	}
 	return spans
 }
 
-// clientSpans lists what an engine client writes on every DL step: the
-// Client (its counters) and its replica's per-call write set — the
-// replica Model (decIn is stored on each decode), the one-hot indices and
-// decoder input, each Dense shell (lastX, out) and Activation (lastOut),
-// and the output rows those layers fill, with the first encoder layer's
-// sparse input row once it has been built. The weights are only read.
-func clientSpans(c reflect.Value) []span {
-	m := c.Elem().FieldByName("model")
+// replicaSpans lists what a model replica writes on every DL step (an
+// engine client adds its counters): the replica Model (decIn is stored on
+// each decode), the one-hot indices and decoder input, each Dense shell
+// (lastX, out) and Activation (lastOut), and the output rows those layers
+// fill, with the first encoder layer's sparse input row once it has been
+// built. The weights are only read.
+func replicaSpans(m reflect.Value) []span {
 	spans := []span{
-		objSpan("Client", c),
 		objSpan("replica Model", m),
 		arrSpan("replica ones", m.Elem().FieldByName("ones")),
 		arrSpan("replica decIn", m.Elem().FieldByName("decIn").Elem().FieldByName("Data")),
@@ -303,17 +310,23 @@ func TestWalkersOwnTheirCacheLines(t *testing.T) {
 	})
 
 	// The DL rows build the facade's mixture over the 54-site fixture, with
-	// per-walker weight clones and with clients of one shared engine, and
-	// sweep one round so every proposal branch has run.
+	// per-walker replicas of one model (the facade's factory), with
+	// per-walker weight clones and with clients of one shared engine (both
+	// still run by the benchmark harness), and sweep one round so every
+	// proposal branch has run.
 	f := testfix.Small()
 	swapAndDL := func(gp *mc.GlobalProposal) mc.Proposal {
 		return mc.NewMixture([]mc.Proposal{mc.NewSwapProposal(f.Ham), gp}, []float64{0.85, 0.15})
 	}
+	shared := f.NewModel()
 	engine := infer.NewEngine(f.NewModel())
 	for _, row := range []struct {
 		name    string
 		factory ProposalFactory
 	}{
+		{"DL mixture, walker replicas", func(win, widx int, s *rng.Source) mc.Proposal {
+			return swapAndDL(mc.NewGlobalProposal(shared.ShareWeights(), f.Ham, f.Quota, mc.CondForT(1000)))
+		}},
 		{"DL mixture, weight clones", func(win, widx int, s *rng.Source) mc.Proposal {
 			return swapAndDL(mc.NewGlobalProposal(f.NewModel().CloneWeights(s), f.Ham, f.Quota, mc.CondForT(1000)))
 		}},

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,12 +11,11 @@ import (
 	"deepthermo/internal/vae"
 )
 
-// TestSampleJobBatchInferenceParity runs the same DL-proposal sample job
-// twice through the HTTP API — once on the sequential per-walker path, once
-// with batch_inference — and requires the stored DOS artifacts to be
-// byte-identical. It also checks the batched job surfaces the engine's
-// stats in its result — every forward a batch of one — and the sequential
-// job does not.
+// TestSampleJobBatchInferenceParity submits the same DL-proposal sample job
+// twice as raw JSON, once with the retired "batch_inference" field and once
+// without. The field is decoded and ignored — it only ever chose between
+// two DL paths with identical bits — so the two stored DOS artifacts must
+// be byte-identical, and neither job reports engine counters.
 func TestSampleJobBatchInferenceParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full REWL runs in -short mode")
@@ -35,48 +36,44 @@ func TestSampleJobBatchInferenceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec := JobSpec{
-		Type:          JobSample,
-		Name:          "seq",
-		System:        SystemSpec{Cells: 2, Seed: 3, Latent: 4, Hidden: 24},
-		DOS:           DOSSpec{Windows: 2, Walkers: 4, Bins: 16, LnFFinal: 1e-2, DLWeight: 0.3},
-		ModelArtifact: info.ID,
+	run := func(name, extra string) Job {
+		t.Helper()
+		spec := `{"type":"sample","name":"` + name + `","model_artifact":"` + info.ID + `",` +
+			`"system":{"cells":2,"seed":3,"latent":4,"hidden":24},` +
+			`"dos":{"windows":2,"walkers":4,"bins":16,"lnf_final":1e-2,"dl_weight":0.3` + extra + `}}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			resp.Body.Close()
+			t.Fatalf("%s: submit status %d", name, resp.StatusCode)
+		}
+		var jb Job
+		decodeJSON(t, resp, &jb)
+		done := waitJob(t, ts.URL, jb.ID, 5*time.Minute)
+		if done.State != JobDone {
+			t.Fatalf("%s job %s: %s", name, done.State, done.Error)
+		}
+		for k := range done.Result {
+			if strings.HasPrefix(k, "batch_") {
+				t.Errorf("%s job reports %s", name, k)
+			}
+		}
+		return done
 	}
-	seq := waitJob(t, ts.URL, submitJob(t, ts.URL, spec).ID, 5*time.Minute)
-	if seq.State != JobDone {
-		t.Fatalf("sequential job %s: %s", seq.State, seq.Error)
-	}
+	plain := run("plain", "")
+	flagged := run("flagged", `,"batch_inference":true`)
 
-	spec.Name = "bat"
-	spec.DOS.BatchInference = true
-	bat := waitJob(t, ts.URL, submitJob(t, ts.URL, spec).ID, 5*time.Minute)
-	if bat.State != JobDone {
-		t.Fatalf("batched job %s: %s", bat.State, bat.Error)
-	}
-
-	seqDOS, err := srv.Registry().Data(seq.Result["dos_artifact"].(string))
+	plainDOS, err := srv.Registry().Data(plain.Result["dos_artifact"].(string))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batDOS, err := srv.Registry().Data(bat.Result["dos_artifact"].(string))
+	flaggedDOS, err := srv.Registry().Data(flagged.Result["dos_artifact"].(string))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(seqDOS, batDOS) {
-		t.Fatal("batched job produced a different DOS artifact than the sequential job")
-	}
-
-	if _, ok := seq.Result["batch_requests"]; ok {
-		t.Fatal("sequential job unexpectedly reported engine stats")
-	}
-	reqs, ok := bat.Result["batch_requests"].(float64)
-	if !ok || reqs <= 0 {
-		t.Fatalf("batched job reported no engine requests: %v", bat.Result)
-	}
-	if flushes, ok := bat.Result["batch_flushes"].(float64); !ok || flushes != reqs {
-		t.Fatalf("engine forwards %v, want one per request (%v)", bat.Result["batch_flushes"], reqs)
-	}
-	if maxb, ok := bat.Result["batch_max"].(float64); !ok || maxb != 1 {
-		t.Fatalf("engine max batch %v, want 1", bat.Result["batch_max"])
+	if !bytes.Equal(plainDOS, flaggedDOS) {
+		t.Fatal("a spec with batch_inference produced a different DOS artifact than the same spec without it")
 	}
 }

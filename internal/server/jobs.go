@@ -82,7 +82,9 @@ type TrainSpec struct {
 }
 
 // DOSSpec controls REWL sampling (JobSample/JobPipeline). Zero values take
-// the deepthermo.DOSConfig defaults.
+// the deepthermo.DOSConfig defaults. A spec that still carries the retired
+// "batch_inference" field is decoded and the field ignored: it only ever
+// chose between two DL paths with identical bits.
 type DOSSpec struct {
 	Windows  int     `json:"windows,omitempty"`
 	Walkers  int     `json:"walkers,omitempty"`
@@ -91,11 +93,6 @@ type DOSSpec struct {
 	LnFFinal float64 `json:"lnf_final,omitempty"`
 	DLWeight float64 `json:"dl_weight,omitempty"`
 	NoDL     bool    `json:"no_dl,omitempty"`
-	// BatchInference runs all walkers' DL-proposal network evaluations
-	// over one shared copy of the weights (package infer) instead of
-	// per-walker model copies. Results are bit-identical either way; the
-	// engine's request counts are reported in the job result.
-	BatchInference bool `json:"batch_inference,omitempty"`
 	// OneOverT switches the walkers to the Belardinelli-Pereyra 1/t
 	// modification-factor schedule.
 	OneOverT bool `json:"one_over_t,omitempty"`

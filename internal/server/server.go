@@ -865,10 +865,8 @@ func (s *Server) runJob(ctx context.Context, jb Job) (map[string]any, []string, 
 			LnFFinal: spec.DOS.LnFFinal,
 			DLWeight: spec.DOS.DLWeight,
 			NoDL:     spec.DOS.NoDL,
-
-			BatchInference: spec.DOS.BatchInference,
-			OneOverT:       spec.DOS.OneOverT,
-			Adaptive:       spec.DOS.Adaptive,
+			OneOverT: spec.DOS.OneOverT,
+			Adaptive: spec.DOS.Adaptive,
 		}
 		ckptDir := ""
 		switch {
@@ -918,11 +916,6 @@ func (s *Server) runJob(ctx context.Context, jb Job) (map[string]any, []string, 
 		if res.FailedWalkers > 0 {
 			result["failed_walkers"] = res.FailedWalkers
 			result["degraded_windows"] = res.DegradedWindows
-		}
-		if res.Batch != nil {
-			result["batch_requests"] = res.Batch.Requests
-			result["batch_flushes"] = res.Batch.Batches
-			result["batch_max"] = res.Batch.MaxBatch
 		}
 		if res.Migrations > 0 {
 			result["migrations"] = res.Migrations

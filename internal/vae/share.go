@@ -52,10 +52,12 @@ func (m *Model) EncodeSampleDecode(cfg lattice.Config, cond float64, eps, mu, lv
 
 // WeightDraws returns the number of rng.Source.Float64 draws New consumes
 // initializing a model with this config: one per weight of each of the six
-// Dense layers (biases start at zero and draw nothing). The shared-engine
-// proposal factory burns exactly this many draws from each walker's stream
-// in place of the per-walker CloneWeights it replaces, keeping every
-// downstream draw of the walker bit-identical to the clone path.
+// Dense layers (biases start at zero and draw nothing). Every factory that
+// gives a walker a ShareWeights replica — deepthermo.System.WalkerModel, and
+// the infer engine path that only the benchmark harness (bench/) still
+// runs — burns exactly this many draws from the walker's stream in place
+// of the CloneWeights it replaces, keeping every downstream draw of the
+// walker bit-identical to the clone path.
 func WeightDraws(cfg Config) int {
 	in := cfg.Sites*cfg.Species + 1
 	h, l, nk := cfg.Hidden, cfg.Latent, cfg.Sites*cfg.Species

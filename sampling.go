@@ -39,7 +39,7 @@ func (s *System) NewSampler(cfg SamplerConfig) *Sampler {
 	start := lattice.QuotaConfig(s.Quota, src)
 	var prop Proposal = mc.NewSwapProposal(s.Ham)
 	if cfg.DLWeight > 0 && s.Model != nil {
-		gp := mc.NewGlobalProposal(s.Model.CloneWeights(src), s.Ham, s.Quota, mc.CondForT(cfg.CondT))
+		gp := mc.NewGlobalProposal(s.WalkerModel(src), s.Ham, s.Quota, mc.CondForT(cfg.CondT))
 		prop = mc.NewMixture([]Proposal{prop, gp}, []float64{1 - cfg.DLWeight, cfg.DLWeight})
 	}
 	return mc.NewSampler(s.Ham, start, prop, src)
